@@ -12,7 +12,6 @@ import hashlib
 import heapq
 import re
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -93,17 +92,9 @@ class BpeVocab:
             if special is not None:
                 ids.append(special)
                 continue
-            for chunk in self._pretoken_chunks(piece):
+            for chunk in _pretoken_chunks(piece, self.isolate_digits):
                 ids.extend(self._bytes_to_id[tok] for tok in _apply_merges(chunk, self.rank))
         return ids
-
-    def _pretoken_chunks(self, piece: bytes) -> Iterator[bytes]:
-        if not self.isolate_digits:
-            yield piece
-            return
-        for chunk in _DIGIT_BOUNDARY.split(piece):
-            if chunk:
-                yield chunk
 
     def decode_bytes(self, ids: Sequence[int]) -> bytes:
         out = []
@@ -195,6 +186,15 @@ def load_vocab(path: str | Path) -> BpeVocab:
 # -- encoding core ----------------------------------------------------------
 
 
+def _pretoken_chunks(piece: bytes, isolate_digits: bool) -> Iterator[bytes]:
+    if not isolate_digits:
+        yield piece
+        return
+    for chunk in _DIGIT_BOUNDARY.split(piece):
+        if chunk:
+            yield chunk
+
+
 def _apply_merges(piece: bytes, rank: dict[tuple[bytes, bytes], int]) -> list[bytes]:
     """Merge byte symbols in learned priority order (linked list + heap).
 
@@ -252,26 +252,6 @@ def _apply_merges(piece: bytes, rank: dict[tuple[bytes, bytes], int]) -> list[by
 # -- training ----------------------------------------------------------------
 
 
-def _piece_sequences(text: str, isolate_digits: bool) -> Iterator[list[bytes]]:
-    """Split one sample at special literals (and optionally digit runs)."""
-    for piece in _SPECIAL_SPLIT_BYTES.split(text.encode("utf-8")):
-        if not piece or piece in _SPECIAL_ID_BY_BYTES:
-            continue
-        if isolate_digits:
-            for chunk in _DIGIT_BOUNDARY.split(piece):
-                if chunk:
-                    yield [bytes([b]) for b in chunk]
-        else:
-            yield [bytes([b]) for b in piece]
-
-
-def _count_pairs(seqs: Sequence[list[bytes]]) -> Counter:
-    counts: Counter = Counter()
-    for seq in seqs:
-        counts.update(zip(seq, seq[1:]))
-    return counts
-
-
 def train_bpe(
     corpus: Iterable[str],
     vocab_size: int,
@@ -279,15 +259,19 @@ def train_bpe(
     seed: int = 0,
     *,
     isolate_digits: bool = False,
-    n_workers: int = 1,
 ) -> BpeVocab:
     """Learn merges by greedy most-frequent-pair merging.
 
     Each sample is kept with probability ``sample_fraction`` (seeded), and
     merging proceeds until ``vocab_size`` is reached or no adjacent pair
     occurs at least twice. Frequency ties break lexicographically on the
-    pair's byte strings, which makes the merge list reproducible across
-    runs and across ``n_workers`` settings.
+    pair's byte strings, which makes the merge list reproducible.
+
+    All sampled pieces live in one doubly linked list of token ids, and each
+    pair maps to the set of positions where it is the left token; a pair's
+    count is the size of that set. A merge visits only the positions of its
+    pair and updates the pairs on either side, so it costs time in the
+    number of occurrences, not in the length of the samples holding them.
     """
     if not 0 < sample_fraction <= 1:
         raise VocabError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
@@ -295,118 +279,103 @@ def train_bpe(
         raise VocabError(f"vocab_size must be at least {MIN_VOCAB_SIZE} (256 bytes + {N_SPECIALS} specials)")
     n_target_merges = vocab_size - MIN_VOCAB_SIZE
 
+    # Token id t stands for tok[t]; ids 0-255 are the bytes themselves. -1
+    # marks a piece boundary (including sentinels at both ends), and later
+    # also a slot consumed by a merge. Pieces split at special literals and,
+    # optionally, digit runs.
     rng = np.random.default_rng(seed)
-    seqs: list[list[bytes]] = []
+    ids: list[int] = [-1]
     saw_any = False
     for text in corpus:
         saw_any = True
         if sample_fraction < 1 and rng.random() >= sample_fraction:
             continue
-        seqs.extend(_piece_sequences(text, isolate_digits))
+        for piece in _SPECIAL_SPLIT_BYTES.split(text.encode("utf-8")):
+            if piece and piece not in _SPECIAL_ID_BY_BYTES:
+                for chunk in _pretoken_chunks(piece, isolate_digits):
+                    ids.extend(chunk)
+                    ids.append(-1)
     if not saw_any:
         raise VocabError("corpus is empty")
-    if not seqs:
+    if len(ids) == 1:
         raise VocabError(f"corpus empty after sampling at fraction {sample_fraction}")
+    # The links and position sets share one int object per position.
+    index = list(range(len(ids) + 1))
+    prv = [-1] + index[:-2]
+    nxt = index[1:]
 
-    # Pair counting may fan out over workers; Counter addition commutes, so
-    # the reduced counts (and thus the merge list) do not depend on n_workers.
-    if n_workers > 1 and len(seqs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    where: dict[tuple[int, int], set[int]] = {}
+    for i, a, j in zip(index, ids, nxt[:-1]):
+        if a >= 0 and ids[j] >= 0:
+            pair = (a, ids[j])
+            at = where.get(pair)
+            if at is None:
+                where[pair] = {i}
+            else:
+                at.add(i)
 
-        chunks = [seqs[i::n_workers] for i in range(n_workers)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(_count_pairs, chunks))
-        pair_counts: Counter = Counter()
-        for part in partials:
-            pair_counts.update(part)
-    else:
-        pair_counts = _count_pairs(seqs)
+    tok = [bytes([b]) for b in range(256)]
+    tok_id = {t: i for i, t in enumerate(tok)}
+    heap = [(-len(at), tok[a], tok[b], a, b) for (a, b), at in where.items()]
+    heapq.heapify(heap)
+    touched: set[tuple[int, int]] = set()
 
-    seq_pairs: list[Counter] = [Counter(zip(s, s[1:])) for s in seqs]
-    pair_seqs: dict[tuple[bytes, bytes], set[int]] = {}
-    for idx, pairs in enumerate(seq_pairs):
-        for pair in pairs:
-            pair_seqs.setdefault(pair, set()).add(idx)
+    def drop(pair: tuple[int, int], pos: int) -> None:
+        at = where[pair]
+        at.remove(pos)
+        if not at:
+            del where[pair]
+        touched.add(pair)
+
+    def add(pair: tuple[int, int], pos: int) -> None:
+        at = where.get(pair)
+        if at is None:
+            where[pair] = {pos}
+        else:
+            at.add(pos)
+        touched.add(pair)
 
     forbidden = {lit.encode() for _, lit in SPECIAL_TOKENS}
-    heap = [(-c, left, right) for (left, right), c in pair_counts.items()]
-    heapq.heapify(heap)
-
     merges: list[tuple[bytes, bytes]] = []
     while len(merges) < n_target_merges and heap:
-        neg, left, right = heapq.heappop(heap)
-        current = pair_counts.get((left, right), 0)
-        if -neg != current:
+        neg, left, right, a, b = heapq.heappop(heap)
+        positions = where.get((a, b), ())
+        if -neg != len(positions):
             continue  # stale entry
-        if current < 2:
+        if len(positions) < 2:
             break
-        if left + right in forbidden:
+        merged = left + right
+        if merged in forbidden:
             continue  # a merge may not fabricate a special literal
         merges.append((left, right))
-        merged = left + right
+        # A token is its bytes: a merge that spells an existing token's
+        # bytes yields that token, so their pairs are counted together.
+        m = tok_id.get(merged)
+        if m is None:
+            m = tok_id[merged] = len(tok)
+            tok.append(merged)
 
-        for idx in sorted(pair_seqs.get((left, right), ())):
-            seq = seqs[idx]
-            # locate non-overlapping occurrences left to right (C-speed scan)
-            matches: list[int] = []
-            j, n = 0, len(seq)
-            while True:
-                try:
-                    j = seq.index(left, j)
-                except ValueError:
-                    break
-                if j + 1 < n and seq[j + 1] == right:
-                    matches.append(j)
-                    j += 2
-                else:
-                    j += 1
-            if not matches:
+        # Left to right, so in a run like "aaa" the first match consumes
+        # the middle token and the overlapping second one is skipped.
+        for i in sorted(positions):
+            if ids[i] != a:
                 continue
+            j = nxt[i]
+            p, q = prv[i], nxt[j]
+            drop((a, b), i)
+            if ids[p] >= 0:
+                drop((ids[p], a), p)
+                add((ids[p], m), p)
+            if ids[q] >= 0:
+                drop((b, ids[q]), j)
+                add((m, ids[q]), i)
+            ids[i], ids[j] = m, -1
+            nxt[i], prv[q] = q, i
 
-            # exact pair-count deltas from the local windows around matches;
-            # adjacent matches chain into (merged, merged) pairs
-            delta: Counter = Counter()
-            prev_end = -1
-            for k, m in enumerate(matches):
-                delta[(left, right)] -= 1
-                if m > 0:
-                    if prev_end == m:
-                        delta[(right, left)] -= 1
-                        delta[(merged, merged)] += 1
-                    else:
-                        delta[(seq[m - 1], left)] -= 1
-                        delta[(seq[m - 1], merged)] += 1
-                if m + 2 < n and (k + 1 == len(matches) or matches[k + 1] != m + 2):
-                    delta[(right, seq[m + 2])] -= 1
-                    delta[(merged, seq[m + 2])] += 1
-                prev_end = m + 2
-
-            new_seq: list[bytes] = []
-            prev = 0
-            for m in matches:
-                new_seq.extend(seq[prev:m])
-                new_seq.append(merged)
-                prev = m + 2
-            new_seq.extend(seq[prev:])
-            seqs[idx] = new_seq
-
-            pairs_here = seq_pairs[idx]
-            for pair, d in delta.items():
-                if d == 0:
-                    continue
-                local = pairs_here.get(pair, 0) + d
-                if local > 0:
-                    pairs_here[pair] = local
-                    pair_seqs.setdefault(pair, set()).add(idx)
-                else:
-                    pairs_here.pop(pair, None)
-                    if pair in pair_seqs:
-                        pair_seqs[pair].discard(idx)
-                total = pair_counts.get(pair, 0) + d
-                if total > 0:
-                    pair_counts[pair] = total
-                    heapq.heappush(heap, (-total, pair[0], pair[1]))
-                else:
-                    pair_counts.pop(pair, None)
+        for pair in touched:
+            at = where.get(pair)
+            if at:
+                heapq.heappush(heap, (-len(at), tok[pair[0]], tok[pair[1]], pair[0], pair[1]))
+        touched.clear()
 
     return BpeVocab(merges=merges, isolate_digits=isolate_digits)

@@ -143,7 +143,6 @@ def cmd_train_tokenizer(args, config: PipelineConfig) -> dict:
         sample_fraction=fraction,
         seed=seed,
         isolate_digits=config.isolate_digits,
-        n_workers=args.workers,
     )
     bpe.save_vocab(vocab, out)
     return {
@@ -402,7 +401,6 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab-size", type=int)
     p.add_argument("--sample-fraction", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_train_tokenizer)
 
     p = sub.add_parser("stats", help="corpus statistics and length histogram")

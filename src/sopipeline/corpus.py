@@ -37,7 +37,10 @@ _CODE_CLOSE = re.compile(r"</code\s*>", re.IGNORECASE)
 _TAG = re.compile(r"<[^>]*>")
 # Scheme-prefixed or www.-prefixed, running to the next whitespace.
 _URL = re.compile(r"\b(?:(?:https?|ftp)://|www\.)\S+", re.IGNORECASE)
-_EMAIL = re.compile(r"\b[\w.+-]+@[\w-]+(?:\.[\w-]+)+\b")
+# An email is ``\b[\w.+-]+@[\w-]+(?:\.[\w-]+)+\b``, matched by _replace_emails.
+_EMAIL_LOCAL_RUN = re.compile(r"(?<![\w.+-])[\w.+-]++@")
+_EMAIL_LOCAL_START = re.compile(r"\b[\w.+-]")
+_EMAIL_DOMAIN = re.compile(r"[\w-]+(?:\.[\w-]+)+\b")
 _WS = re.compile(r"\s+")
 
 
@@ -74,6 +77,29 @@ class CorpusStats:
         }
 
 
+def _replace_emails(text: str) -> str:
+    """Replace every email with EMAIL_TOKEN, in time linear in ``text``.
+
+    As one regex, the email pattern retries every start in a long dotted run
+    that lacks a domain (quadratic). But every start in a run of local-part
+    characters reaches the same ``@`` and domain, so only the run's first
+    word boundary past the previous match needs trying.
+    """
+    out: list[str] = []
+    pos = 0
+    for run in _EMAIL_LOCAL_RUN.finditer(text):
+        at = run.end() - 1
+        start = _EMAIL_LOCAL_START.search(text, max(run.start(), pos), at)
+        if start is None:
+            continue
+        domain = _EMAIL_DOMAIN.match(text, at + 1)
+        if domain is not None:
+            out += [text[pos : start.start()], EMAIL_TOKEN]
+            pos = domain.end()
+    out.append(text[pos:])
+    return "".join(out)
+
+
 def _clean_fragment(fragment: str, replace_urls: bool, replace_emails: bool) -> str:
     """Non-code text: drop tags, decode entities, abstract URLs/emails."""
     text = _TAG.sub(" ", fragment)
@@ -81,7 +107,7 @@ def _clean_fragment(fragment: str, replace_urls: bool, replace_emails: bool) -> 
     if replace_urls:
         text = _URL.sub(URL_TOKEN, text)
     if replace_emails:
-        text = _EMAIL.sub(EMAIL_TOKEN, text)
+        text = _replace_emails(text)
     return _WS.sub(" ", text)
 
 
@@ -95,7 +121,7 @@ def clean_comment_text(text: str, *, replace_urls: bool = True, replace_emails: 
     if replace_urls:
         text = _URL.sub(URL_TOKEN, text)
     if replace_emails:
-        text = _EMAIL.sub(EMAIL_TOKEN, text)
+        text = _replace_emails(text)
     text = text.replace(SEPARATOR, SEPARATOR.lower())
     return _WS.sub(" ", text).strip()
 

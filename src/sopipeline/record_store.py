@@ -289,9 +289,12 @@ def build_store(
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    # Unseal before touching the database, so a rebuild that fails part-way
+    # leaves a store that readers refuse rather than old counts over new rows.
+    (path / _META_NAME).unlink(missing_ok=True)
+    (path / _REPORT_NAME).unlink(missing_ok=True)
     db_path = path / _DB_NAME
-    if db_path.exists():
-        db_path.unlink()
+    db_path.unlink(missing_ok=True)
 
     conn = sqlite3.connect(db_path)
     try:

@@ -88,8 +88,7 @@ def test_03_tokenizer_properties():
             break
 
     again = train_bpe(texts, MIN_VOCAB_SIZE + 80, sample_fraction=1.0, seed=0)
-    threaded = train_bpe(texts, MIN_VOCAB_SIZE + 80, sample_fraction=1.0, seed=0, n_workers=4)
-    deterministic = vocab.merges == again.merges == threaded.merges
+    deterministic = vocab.merges == again.merges
 
     report(
         3,

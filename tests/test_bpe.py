@@ -1,5 +1,6 @@
 """Byte-level BPE: training oracle, roundtrips, no-unknown guarantee."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from sopipeline.bpe import (
 from sopipeline.errors import ChecksumMismatchError, VocabError
 
 
-def brute_force_merges(texts, n_merges):
+def brute_force_merges(texts, n_merges, isolate_digits=False):
     """Independent oracle: recount every pair from scratch at each step."""
     special_literals = [lit.encode() for _, lit in SPECIAL_TOKENS]
 
@@ -43,7 +44,8 @@ def brute_force_merges(texts, n_merges):
     seqs = []
     for text in texts:
         for piece in split_specials(text.encode()):
-            seqs.append([bytes([b]) for b in piece])
+            chunks = re.split(rb"(\d+)", piece) if isolate_digits else [piece]
+            seqs.extend([bytes([b]) for b in chunk] for chunk in chunks if chunk)
 
     merges = []
     while len(merges) < n_merges:
@@ -88,6 +90,50 @@ class TestTrainBpe:
             vocab = train_bpe(texts, MIN_VOCAB_SIZE + n_merges, sample_fraction=1.0, seed=0)
             assert vocab.merges == brute_force_merges(texts, n_merges), texts
 
+    @pytest.mark.parametrize("isolate_digits", [False, True])
+    def test_matches_brute_force_oracle_edge_cases(self, isolate_digits):
+        # digit runs, overlapping same-byte runs and texts that are only
+        # special literals, mixed into random corpora
+        rng = np.random.default_rng(29)
+        alphabet = list("ab 12<RS>[URL]")
+        fixed = ["aaaaaaa", "abababa", "<RS><RS>", "[URL]<RS>[EMAIL]", "aaaa aaa a12a1212", "bbbbbbbbbbbb"]
+        for trial in range(12):
+            texts = fixed + [
+                "".join(rng.choice(alphabet, size=int(rng.integers(0, 50))))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            n_merges = int(rng.integers(1, 25))
+            vocab = train_bpe(
+                texts, MIN_VOCAB_SIZE + n_merges, sample_fraction=1.0, isolate_digits=isolate_digits
+            )
+            assert vocab.merges == brute_force_merges(texts, n_merges, isolate_digits), texts
+
+    @pytest.mark.parametrize(
+        "isolate_digits, checksum", [(False, "ac0e1e8385674726"), (True, "17b5fccd78efac61")]
+    )
+    def test_golden_checksum(self, isolate_digits, checksum):
+        # pins the full merge list of a ~50 KB corpus to the checksum the
+        # original per-sample trainer produced
+        rng = np.random.default_rng(20230605)
+        words = ["def", "return", "self", "value", "the", "answer", "error", "import",
+                 "numpy", "list", "x", "=", "(", ")", ":", "été", "中文", "<RS>"]
+        texts, size = [], 0
+        while size < 50_000:
+            parts = []
+            for _ in range(int(rng.integers(4, 30))):
+                if rng.random() < 0.2:
+                    parts.append(str(int(rng.integers(0, 100_000))))
+                else:
+                    parts.append(words[int(rng.integers(len(words)))])
+            text = " ".join(parts)
+            texts.append(text)
+            size += len(text.encode("utf-8"))
+        vocab = train_bpe(
+            texts, MIN_VOCAB_SIZE + 400, sample_fraction=0.5, seed=7, isolate_digits=isolate_digits
+        )
+        assert len(vocab.merges) == 400
+        assert vocab.checksum.hex() == checksum
+
     def test_minimum_vocab_identity(self):
         vocab = train_bpe(["anything"], MIN_VOCAB_SIZE, sample_fraction=1.0)
         assert vocab.merges == []
@@ -98,12 +144,6 @@ class TestTrainBpe:
         a = train_bpe(texts, MIN_VOCAB_SIZE + 40, sample_fraction=1.0, seed=3)
         b = train_bpe(texts, MIN_VOCAB_SIZE + 40, sample_fraction=1.0, seed=3)
         assert a.merges == b.merges
-
-    def test_deterministic_across_worker_counts(self):
-        texts = [f"sample number {i} with shared shared text" for i in range(40)]
-        serial = train_bpe(texts, MIN_VOCAB_SIZE + 30, sample_fraction=1.0, seed=1, n_workers=1)
-        parallel = train_bpe(texts, MIN_VOCAB_SIZE + 30, sample_fraction=1.0, seed=1, n_workers=4)
-        assert serial.merges == parallel.merges
 
     def test_sampling_is_seeded(self):
         texts = [f"document {i} " * 5 for i in range(50)]

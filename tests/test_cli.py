@@ -6,6 +6,8 @@ import pytest
 
 from conftest import answer_row, comment_row, question_row, rows_xml, ts
 from sopipeline.cli import main
+from sopipeline.errors import StoreError
+from sopipeline.record_store import RecordStore
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +110,21 @@ class TestPipelineCommands:
         bad.mkdir()
         code = main(["build-corpus", "--store-dir", str(bad), "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
+
+    def test_failed_reingest_leaves_no_sealed_store(self, capsys, tmp_path, dump_files):
+        posts, comments, history = dump_files
+        store_dir = tmp_path / "store"
+        argv = ["ingest", "--posts", str(posts), "--comments", str(comments),
+                "--posthistory", str(history), "--store-dir", str(store_dir)]
+        assert main(argv) == 0
+        RecordStore(store_dir).close()
+
+        blob = posts.read_bytes()
+        posts.write_bytes(blob[: len(blob) // 2])
+        assert main(argv) == 2
+        with pytest.raises(StoreError, match="meta.json"):
+            RecordStore(store_dir)
+        assert not (store_dir / "load_report.txt").exists()
 
     def test_bad_rows_skipped_and_accounted(self, capsys, tmp_path):
         rows = [

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -69,6 +71,22 @@ class TestCleanText:
         body = "<p>https://x.io and me@host.com</p>"
         assert clean_text(body, replace_urls=False) == "https://x.io and [EMAIL]"
         assert clean_text(body, replace_emails=False) == "[URL] and me@host.com"
+
+    def test_long_dotted_run_is_linear(self):
+        # the single-regex email pattern took seconds here (quadratic)
+        body = "<p>" + "a." * 30_000 + "</p>"
+        start = time.perf_counter()
+        assert clean_text(body) == "a." * 30_000
+        assert time.perf_counter() - start < 0.5
+
+    def test_email_matches_single_regex_oracle(self):
+        oracle = re.compile(r"\b[\w.+-]+@[\w-]+(?:\.[\w-]+)+\b")
+        rng = np.random.default_rng(3)
+        for alphabet in ("a.+-@ x", "a.+-@ x_é", "a.@"):
+            for _ in range(3000):
+                text = "".join(rng.choice(list(alphabet), size=int(rng.integers(0, 40))))
+                expected = " ".join(oracle.sub("[EMAIL]", text).split())
+                assert clean_comment_text(text, replace_urls=False) == expected, repr(text)
 
 
 class TestCleanCommentText:

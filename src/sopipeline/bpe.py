@@ -13,8 +13,9 @@ import heapq
 import re
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +51,12 @@ _DIGIT_BOUNDARY = re.compile(rb"(\d+)")
 _MAGIC = b"SOVOC"
 _VERSION = 1
 
+# encode_many merges texts in batches of about this many UTF-8 bytes: enough
+# tokens to spread numpy's per-call cost, while the batch's state (int32 ids
+# and links, int64 pair lookups: about 40 bytes per input byte at its peak)
+# stays a few tens of MB.
+_BATCH_BYTES = 512 * 1024
+
 
 @dataclass
 class BpeVocab:
@@ -57,12 +64,10 @@ class BpeVocab:
 
     merges: list[tuple[bytes, bytes]]
     isolate_digits: bool = False
-    rank: dict[tuple[bytes, bytes], int] = field(init=False, repr=False)
     token_bytes: list[bytes] = field(init=False, repr=False)
     _bytes_to_id: dict[bytes, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rank = {pair: i for i, pair in enumerate(self.merges)}
         self.token_bytes = [lit.encode() for _, lit in SPECIAL_TOKENS]
         self.token_bytes += [bytes([b]) for b in range(256)]
         self._bytes_to_id = {bytes([b]): BYTE_BASE + b for b in range(256)}
@@ -82,19 +87,169 @@ class BpeVocab:
     # -- encode/decode -----------------------------------------------------
 
     def encode(self, text: str | bytes) -> list[int]:
-        """Tokenize arbitrary text/bytes; never yields an unknown id."""
-        data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-        ids: list[int] = []
-        for piece in _SPECIAL_SPLIT_BYTES.split(data):
-            if not piece:
+        """Tokenize arbitrary text/bytes; never yields an unknown id.
+
+        A batch of one: a lone short text costs a fraction of a millisecond,
+        so streams of texts go through :meth:`encode_many`.
+        """
+        return next(self.encode_many((text,)))
+
+    def encode_many(self, texts: Iterable[str | bytes]) -> Iterator[list[int]]:
+        """Tokenize a stream of texts, yielding one id list per text, in order.
+
+        Texts are read ahead in batches of about ``_BATCH_BYTES`` and each
+        batch is merged at once (see :meth:`_merge`); the ids are those of
+        applying the merges to every text on its own.
+        """
+        batch: list[bytes] = []
+        size = 0
+        for text in texts:
+            data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+            batch.append(data)
+            size += len(data)
+            if size >= _BATCH_BYTES:
+                yield from self._encode_batch(batch)
+                batch, size = [], 0
+        if batch:
+            yield from self._encode_batch(batch)
+
+    def _encode_batch(self, datas: list[bytes]) -> Iterator[list[int]]:
+        # One int32 token array for the batch: bytes as BYTE_BASE + b and each
+        # special literal as its id, inline (no pair contains a special). The
+        # prv/nxt links are -1 at text ends and, with isolate_digits, between
+        # a digit and a non-digit. A slot consumed by a merge holds -1, and so
+        # does a last, extra slot, which a -1 link reads.
+        starts = np.zeros(len(datas) + 1, dtype=np.int64)
+        np.cumsum([len(d) for d in datas], out=starts[1:])
+        ids = np.full(int(starts[-1]) + 1, -1, dtype=np.int32)
+        ids[:-1] = np.frombuffer(b"".join(datas), dtype=np.uint8)
+        ids[:-1] += BYTE_BASE
+        literal_tails: list[int] = []
+        for start, data in zip(starts.tolist(), datas):
+            for m in _SPECIAL_SPLIT_BYTES.finditer(data):
+                at = start + m.start()
+                ids[at] = _SPECIAL_ID_BY_BYTES[m.group()]
+                literal_tails.extend(range(at + 1, start + m.end()))
+        if literal_tails:
+            keep = np.ones(len(ids), dtype=bool)
+            keep[literal_tails] = False
+            ids = ids[keep]
+            kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept_before[1:])
+            starts = kept_before[starts]
+            del keep, kept_before
+
+        n = len(ids)
+        nxt = np.arange(1, n + 1, dtype=np.int32)
+        prv = np.arange(-1, n - 1, dtype=np.int32)
+        nonempty = starts[1:] > starts[:-1]
+        nxt[starts[1:][nonempty] - 1] = -1
+        prv[starts[:-1][nonempty]] = -1
+        if self.isolate_digits:
+            digit = (ids >= BYTE_BASE + ord("0")) & (ids <= BYTE_BASE + ord("9"))
+            cut = np.flatnonzero(digit[:-1] != digit[1:])
+            nxt[cut] = -1
+            prv[cut + 1] = -1
+            del digit, cut
+        self._merge(ids, prv, nxt)
+
+        bounds = starts.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            span = ids[lo:hi]
+            yield span[span >= 0].tolist()
+
+    def _merge(self, ids: np.ndarray, prv: np.ndarray, nxt: np.ndarray) -> None:
+        """Apply the merges to a linked token array in place, by rank sweeps.
+
+        Gives the segmentation of the per-piece heap encoder, which pops
+        pending pairs in (rank, position) order (Sennrich et al. 2016 merge
+        priority). A sweep takes every pending position of the lowest rank
+        ``r`` = (A, B) -> M at once, keeps those still holding (A, B) and,
+        when A == B, every other match of an overlapping run from its left,
+        and merges them all. M's new neighbour pairs never rank ``r``; when
+        one ranks below it (a vocab whose merges re-create an earlier token's
+        bytes, or repeat a pair), the heap would take that pair next, so the
+        sweep stops after the first merge creating one and re-queues every
+        validated position to its right.
+        """
+        codes, code_ranks, pair_ids = self._pair_table
+        # pair code a * w + b; a -1 side never matches (see _pair_table)
+        w = self.vocab_size + 1
+        no_rank = len(self.merges)
+
+        def ranks_of(query: np.ndarray) -> np.ndarray:
+            at = np.searchsorted(codes, query)
+            return np.where(codes[at] == query, code_ranks[at], no_rank)
+
+        pending: dict[int, list[np.ndarray]] = {}
+        heap: list[int] = []
+
+        def queue(pos: np.ndarray, ranks: np.ndarray) -> None:
+            order = np.argsort(ranks, kind="stable")
+            pos, ranks = pos[order], ranks[order]
+            cuts = (np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [len(ranks)]):
+                r = int(ranks[lo])
+                parts = pending.get(r)
+                if parts is None:
+                    pending[r] = [pos[lo:hi]]
+                    heapq.heappush(heap, r)
+                else:
+                    parts.append(pos[lo:hi])
+
+        ranks = ranks_of(ids[:-1].astype(np.int64) * w + ids[nxt[:-1]])
+        pos = np.flatnonzero(ranks < no_rank).astype(np.int32)
+        if len(pos):
+            queue(pos, ranks[pos])
+        del ranks
+
+        while heap:
+            r = heapq.heappop(heap)
+            parts = pending.pop(r)
+            # one filing holds a position at most once per rank
+            pos = np.sort(parts[0]) if len(parts) == 1 else np.unique(np.concatenate(parts))
+            a, b, m = pair_ids[r]
+            right_of = nxt[pos]
+            valid = (ids[pos] == a) & (ids[right_of] == b)
+            pos, right_of = pos[valid], right_of[valid]
+            if not len(pos):
                 continue
-            special = _SPECIAL_ID_BY_BYTES.get(piece)
-            if special is not None:
-                ids.append(special)
-                continue
-            for chunk in _pretoken_chunks(piece, self.isolate_digits):
-                ids.extend(self._bytes_to_id[tok] for tok in _apply_merges(chunk, self.rank))
-        return ids
+            p, q = pos, right_of
+            if a == b:
+                chained = q[:-1] == p[1:]
+                if chained.any():
+                    at = np.arange(len(p))
+                    run_start = np.where(np.concatenate(([True], ~chained)), at, 0)
+                    np.maximum.accumulate(run_start, out=run_start)
+                    take = (at - run_start) % 2 == 0
+                    p, q = p[take], q[take]
+            left, right = prv[p], nxt[q]
+            # A left neighbour that is the right partner of the previous merge
+            # is that merge's M, at its position.
+            left_ids, left_pos = ids[left], left
+            after = left[1:] == q[:-1]
+            if after.any():
+                left_ids[1:][after] = m
+                left_pos = left.copy()
+                left_pos[1:][after] = p[:-1][after]
+            n_kept = len(p)
+            new_ranks = ranks_of(np.concatenate((left_ids * np.int64(w) + m, ids[right] + np.int64(m * w))))
+            inverted = new_ranks < r
+            if inverted.any():
+                c = int((inverted[:n_kept] | inverted[n_kept:]).argmax()) + 1
+                rest = pos[pos > p[c - 1]]
+                if len(rest):
+                    pending[r] = [rest]
+                    heapq.heappush(heap, r)
+                p, q, left_pos, right = p[:c], q[:c], left_pos[:c], right[:c]
+                new_ranks = np.concatenate((new_ranks[:c], new_ranks[n_kept : n_kept + c]))
+            ids[p] = m
+            ids[q] = -1
+            nxt[p] = right
+            prv[right] = p  # a -1 link writes the unused last slot
+            found = new_ranks < no_rank
+            if found.any():
+                queue(np.concatenate((left_pos, p))[found], new_ranks[found])
 
     def decode_bytes(self, ids: Sequence[int]) -> bytes:
         out = []
@@ -124,10 +279,35 @@ class BpeVocab:
             parts.append(struct.pack("<H", len(right)) + right)
         return b"".join(parts)
 
-    @property
+    @cached_property
     def checksum(self) -> bytes:
         """8-byte digest binding shards to the vocabulary that made them."""
         return hashlib.sha256(self._serialize_body()).digest()[:8]
+
+    @cached_property
+    def _pair_table(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+        """Sorted codes ``a * (vocab_size + 1) + b`` of the mergeable id pairs,
+        the rank of each, and ``(a, b, merged)`` ids per rank.
+
+        Ids are canonical: a token is its bytes, and bytes made by several
+        merges take the last one's id, as encoding outputs. A repeated pair
+        keeps its last rank. A side of -1 gives a negative code or one whose
+        right part is ``vocab_size``, which no pair has. Built on the first
+        encode, not on load.
+        """
+        w = self.vocab_size + 1
+        rank_by_code: dict[int, int] = {}
+        pair_ids = []
+        for r, (left, right) in enumerate(self.merges):
+            a, b = self._bytes_to_id.get(left, -1), self._bytes_to_id.get(right, -1)
+            pair_ids.append((a, b, self._bytes_to_id[left + right]))
+            if a >= 0 and b >= 0:  # otherwise no token ever spells a side
+                rank_by_code[a * w + b] = r
+        by_code = sorted(rank_by_code.items())
+        # a final code above any query keeps searchsorted in range
+        codes = np.array([c for c, _ in by_code] + [np.iinfo(np.int64).max], dtype=np.int64)
+        ranks = np.array([r for _, r in by_code] + [len(self.merges)], dtype=np.int32)
+        return codes, ranks, pair_ids
 
     def save(self, path: str | Path) -> None:
         body = self._serialize_body()
@@ -137,10 +317,6 @@ class BpeVocab:
         return isinstance(other, BpeVocab) and (
             self.merges == other.merges and self.isolate_digits == other.isolate_digits
         )
-
-
-def save_vocab(vocab: BpeVocab, path: str | Path) -> None:
-    vocab.save(path)
 
 
 def load_vocab(path: str | Path) -> BpeVocab:
@@ -183,7 +359,7 @@ def load_vocab(path: str | Path) -> BpeVocab:
     return BpeVocab(merges=merges, isolate_digits=bool(isolate_digits))
 
 
-# -- encoding core ----------------------------------------------------------
+# -- pre-tokenization -------------------------------------------------------
 
 
 def _pretoken_chunks(piece: bytes, isolate_digits: bool) -> Iterator[bytes]:
@@ -193,60 +369,6 @@ def _pretoken_chunks(piece: bytes, isolate_digits: bool) -> Iterator[bytes]:
     for chunk in _DIGIT_BOUNDARY.split(piece):
         if chunk:
             yield chunk
-
-
-def _apply_merges(piece: bytes, rank: dict[tuple[bytes, bytes], int]) -> list[bytes]:
-    """Merge byte symbols in learned priority order (linked list + heap).
-
-    Equal-priority candidates apply left to right; merged nodes keep the
-    left node's index, so index order stays consistent with text order.
-    """
-    n = len(piece)
-    if n == 0:
-        return []
-    if not rank or n == 1:
-        return [bytes([b]) for b in piece]
-
-    toks: list[Optional[bytes]] = [bytes([b]) for b in piece]
-    nxt = list(range(1, n)) + [-1]
-    prv = [-1] + list(range(n - 1))
-
-    heap: list[tuple[int, int, bytes, bytes]] = []
-    for i in range(n - 1):
-        r = rank.get((toks[i], toks[i + 1]))
-        if r is not None:
-            heap.append((r, i, toks[i], toks[i + 1]))
-    heapq.heapify(heap)
-
-    while heap:
-        r, i, left, right = heapq.heappop(heap)
-        if toks[i] != left:
-            continue
-        j = nxt[i]
-        if j == -1 or toks[j] != right:
-            continue
-        toks[i] = left + right
-        toks[j] = None
-        nxt[i] = nxt[j]
-        if nxt[j] != -1:
-            prv[nxt[j]] = i
-        k = prv[i]
-        if k != -1:
-            nr = rank.get((toks[k], toks[i]))
-            if nr is not None:
-                heapq.heappush(heap, (nr, k, toks[k], toks[i]))
-        k = nxt[i]
-        if k != -1:
-            nr = rank.get((toks[i], toks[k]))
-            if nr is not None:
-                heapq.heappush(heap, (nr, i, toks[i], toks[k]))
-
-    out = []
-    i = 0
-    while i != -1:
-        out.append(toks[i])
-        i = nxt[i]
-    return out
 
 
 # -- training ----------------------------------------------------------------

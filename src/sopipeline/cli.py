@@ -144,7 +144,7 @@ def cmd_train_tokenizer(args, config: PipelineConfig) -> dict:
         seed=seed,
         isolate_digits=config.isolate_digits,
     )
-    bpe.save_vocab(vocab, out)
+    vocab.save(out)
     return {
         "out": str(out),
         "vocab_size": vocab.vocab_size,
@@ -259,16 +259,20 @@ def cmd_pretrain(args, config: PipelineConfig) -> dict:
     }
 
 
-def _read_labeled_jsonl(path: str, vocab: bpe.BpeVocab, max_len: int) -> list[tuple[list[int], int]]:
-    data = []
+def _read_labeled_jsonl(
+    path: str, vocab: bpe.BpeVocab, max_len: int
+) -> tuple[list[tuple[list[int], int]], int]:
+    """(ids, label) rows, ids led by the class marker and cut to ``max_len``,
+    and the number of tokens cut."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            ids = [bpe.CLASS_MARKER_ID] + vocab.encode(obj["text"])
-            data.append((ids[:max_len], int(obj["label"])))
-    return data
+        rows = [json.loads(line) for line in fh if line.strip()]
+    data = []
+    truncated = 0
+    for obj, ids in zip(rows, vocab.encode_many(obj["text"] for obj in rows)):
+        ids = [bpe.CLASS_MARKER_ID] + ids
+        truncated += max(0, len(ids) - max_len)
+        data.append((ids[:max_len], int(obj["label"])))
+    return data, truncated
 
 
 def cmd_finetune(args, config: PipelineConfig) -> dict:
@@ -281,8 +285,11 @@ def cmd_finetune(args, config: PipelineConfig) -> dict:
     else:
         raise UsageError("finetune requires --checkpoint")
     max_len = min(args.seq_len or config.max_len, model.config.max_positions)
-    train_data = _read_labeled_jsonl(args.train, vocab, max_len)
-    eval_data = _read_labeled_jsonl(args.eval, vocab, max_len) if args.eval else None
+    train_data, truncated = _read_labeled_jsonl(args.train, vocab, max_len)
+    eval_data = None
+    if args.eval:
+        eval_data, eval_truncated = _read_labeled_jsonl(args.eval, vocab, max_len)
+        truncated += eval_truncated
     classifier = attach_head(model, HeadKind.SEQUENCE, args.classes)
     classifier, predictions = finetune(
         classifier,
@@ -299,7 +306,7 @@ def cmd_finetune(args, config: PipelineConfig) -> dict:
     report = metrics.metric_report(y_true, predictions, args.classes, config.metric_mode)
     if args.out_checkpoint:
         save_checkpoint(classifier.encoder, args.out_checkpoint)
-    return {"n_train": len(train_data), "n_eval": len(target), **report}
+    return {"n_train": len(train_data), "n_eval": len(target), "truncated_tokens": truncated, **report}
 
 
 def cmd_mine(args, config: PipelineConfig) -> dict:

@@ -8,6 +8,7 @@ and emails, strips markup, and keeps ``<code>`` span contents byte-for-byte.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import re
@@ -251,11 +252,14 @@ def corpus_stats(
     comment_counts: list[int] = []
     total_tokens = 0
     n_samples = 0
+    if tokenizer is not None:
+        samples, texts = itertools.tee(samples)
+        lengths = map(len, tokenizer.encode_many(sample.text for sample in texts))
     for sample in samples:
         n_samples += 1
         comment_counts.append(sample.n_comments)
         if tokenizer is not None:
-            sample.token_len = len(tokenizer.encode(sample.text))
+            sample.token_len = next(lengths)
             length = sample.token_len
             total_tokens += length
         else:
@@ -325,24 +329,27 @@ def write_corpus(
         if tokenizer is None:
             raise UsageError("shard output requires a tokenizer")
 
-        def encoded() -> Iterator[list[int]]:
+        def texts() -> Iterator[str]:
             nonlocal n_samples, n_comments
             for sample in samples:
                 n_samples += 1
                 n_comments += sample.n_comments
-                yield tokenizer.encode(sample.text)
+                yield sample.text
 
-        _, total_tokens = shards.write_token_shard(path, encoded(), tokenizer.checksum)
+        _, total_tokens = shards.write_token_shard(path, tokenizer.encode_many(texts()), tokenizer.checksum)
         extra = {"total_tokens": total_tokens}
     else:
         raise UsageError(f"unknown corpus format {fmt!r} (expected 'jsonl' or 'shards')")
 
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     manifest = {
         "format": fmt,
         "n_samples": n_samples,
         "n_comments_total": n_comments,
-        "sha256": digest,
+        "sha256": digest.hexdigest(),
         **extra,
         **(manifest_extra or {}),
     }

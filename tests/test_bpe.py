@@ -1,18 +1,22 @@
-"""Byte-level BPE: training oracle, roundtrips, no-unknown guarantee."""
+"""Byte-level BPE: training and encoding oracles, roundtrips, no-unknown guarantee."""
 
+import hashlib
+import heapq
 import re
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from sopipeline import bpe
 from sopipeline.bpe import (
     MIN_VOCAB_SIZE,
     N_SPECIALS,
     SEPARATOR_ID,
     SPECIAL_TOKENS,
+    BpeVocab,
     load_vocab,
-    save_vocab,
     train_bpe,
 )
 from sopipeline.errors import ChecksumMismatchError, VocabError
@@ -71,6 +75,81 @@ def brute_force_merges(texts, n_merges, isolate_digits=False):
                     i += 1
             seqs[idx] = out
     return merges
+
+
+def _apply_merges(piece, rank):
+    """Merge byte symbols in learned priority order (linked list + heap).
+
+    Equal-priority candidates apply left to right; merged nodes keep the
+    left node's index, so index order stays consistent with text order.
+    """
+    n = len(piece)
+    if n == 0:
+        return []
+    if not rank or n == 1:
+        return [bytes([b]) for b in piece]
+
+    toks = [bytes([b]) for b in piece]
+    nxt = list(range(1, n)) + [-1]
+    prv = [-1] + list(range(n - 1))
+
+    heap = []
+    for i in range(n - 1):
+        r = rank.get((toks[i], toks[i + 1]))
+        if r is not None:
+            heap.append((r, i, toks[i], toks[i + 1]))
+    heapq.heapify(heap)
+
+    while heap:
+        r, i, left, right = heapq.heappop(heap)
+        if toks[i] != left:
+            continue
+        j = nxt[i]
+        if j == -1 or toks[j] != right:
+            continue
+        toks[i] = left + right
+        toks[j] = None
+        nxt[i] = nxt[j]
+        if nxt[j] != -1:
+            prv[nxt[j]] = i
+        k = prv[i]
+        if k != -1:
+            nr = rank.get((toks[k], toks[i]))
+            if nr is not None:
+                heapq.heappush(heap, (nr, k, toks[k], toks[i]))
+        k = nxt[i]
+        if k != -1:
+            nr = rank.get((toks[i], toks[k]))
+            if nr is not None:
+                heapq.heappush(heap, (nr, i, toks[i], toks[k]))
+
+    out = []
+    i = 0
+    while i != -1:
+        out.append(toks[i])
+        i = nxt[i]
+    return out
+
+
+def oracle_encode(vocab, text):
+    """The per-piece heap encoder: split at special literals (and digit
+    runs), then merge each piece on its own with ``_apply_merges``."""
+    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    rank = {pair: i for i, pair in enumerate(vocab.merges)}  # a repeated pair keeps its last rank
+    bytes_to_id = {}
+    for i, tok in enumerate(vocab.token_bytes[N_SPECIALS:], start=N_SPECIALS):
+        bytes_to_id[tok] = i  # bytes made by several merges take the last id
+    ids = []
+    for piece in bpe._SPECIAL_SPLIT_BYTES.split(data):
+        if not piece:
+            continue
+        special = bpe._SPECIAL_ID_BY_BYTES.get(piece)
+        if special is not None:
+            ids.append(special)
+            continue
+        for chunk in bpe._pretoken_chunks(piece, vocab.isolate_digits):
+            ids.extend(bytes_to_id[tok] for tok in _apply_merges(chunk, rank))
+    return ids
 
 
 class TestTrainBpe:
@@ -280,20 +359,149 @@ class TestEncodeDecode:
         assert isolated.decode(isolated.encode("ab12cd")) == "ab12cd"
 
 
+# (a, a) repeats at rank 18, so merging a run of a's creates (aa, a), which
+# ranks 9: the sweep must stop after the first merge and re-queue every match
+# to its right, including those the overlap rule skipped, or "aaaaa" comes
+# out as aaa|a|a instead of one token.
+COUNTEREXAMPLE_MERGES = [
+    (b"a", b"a"), (b"b", b"b"), (b"b", b"b"), (b"bb", b"aa"), (b"aa", b"b"),
+    (b"bb", b"bbaa"), (b"b", b"bbaa"), (b"aa", b"bb"), (b"b", b"aabb"), (b"aa", b"a"),
+    (b"bbaa", b"bb"), (b"aaa", b"aa"), (b"b", b"aabb"), (b"aaa", b"bbaa"), (b"b", b"b"),
+    (b"a", b"b"), (b"baabb", b"aab"), (b"aaa", b"b"), (b"a", b"a"), (b"bbbaa", b"b"),
+]
+
+
+def adversarial_vocab(rng):
+    """Merges over a small alphabet joining earlier tokens: bytes made by
+    several merges (rank inversions), now and then a repeated pair, and
+    pairs across a digit boundary, which isolate_digits must never merge."""
+    toks, merges = [b"a", b"b", b"a", b"b", b"1"], []
+    for _ in range(int(rng.integers(1, 25))):
+        if merges and rng.random() < 0.1:
+            left, right = merges[int(rng.integers(len(merges)))]
+        else:
+            left, right = toks[int(rng.integers(len(toks)))], toks[int(rng.integers(len(toks)))]
+        merges.append((left, right))
+        toks.append(left + right)
+    return BpeVocab(merges, isolate_digits=bool(rng.random() < 0.3))
+
+
+def adversarial_texts(rng):
+    pieces = ["a", "b", "aa", "ab", "aaaa", "abab", "1", "12", "<RS>", "[URL]", "<", "S>", " "]
+    weights = np.array([8, 6, 4, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1], dtype=float)
+    return [
+        "".join(rng.choice(pieces, p=weights / weights.sum(), size=int(rng.integers(0, 25))))
+        for _ in range(int(rng.integers(1, 6)))
+    ]
+
+
+def golden_corpus():
+    rng = np.random.default_rng(20231018)
+    words = ["def", "return", "self", "value", "the", "answer", "error", "import", "numpy", "list",
+             "x", "=", "(", ")", ":", "été", "中文", "<RS>", "[URL]", "aaaa", "abab", "  ", "\n"]
+    texts, size = [], 0
+    while size < 60_000:
+        parts = []
+        for _ in range(int(rng.integers(0, 40))):
+            if rng.random() < 0.2:
+                parts.append(str(int(rng.integers(0, 100_000))))
+            else:
+                parts.append(words[int(rng.integers(len(words)))])
+        text = " ".join(parts)
+        texts.append(text)
+        size += len(text.encode("utf-8"))
+    return texts
+
+
+class TestEncodeMany:
+    def test_counterexample(self):
+        vocab = BpeVocab(COUNTEREXAMPLE_MERGES)
+        assert vocab.encode("aaaaa") == oracle_encode(vocab, "aaaaa")
+        assert vocab.decode(vocab.encode("aaaaa")) == "aaaaa"
+        assert len(vocab.encode("aaaaa")) == 1  # the heap merges the run into aaaaa
+
+    def test_matches_heap_oracle_on_adversarial_vocabs(self):
+        rng = np.random.default_rng(404)
+        for _ in range(600):
+            vocab = adversarial_vocab(rng)
+            texts = adversarial_texts(rng)
+            want = [oracle_encode(vocab, t) for t in texts]
+            assert list(vocab.encode_many(texts)) == want, (vocab.merges, vocab.isolate_digits, texts)
+
+    def test_batch_invariance(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        texts = golden_corpus()[:80] + ["", "<RS>", "aaaa", b"\xff\xfe raw bytes"]
+        vocab = train_bpe(texts[::2], MIN_VOCAB_SIZE + 200, sample_fraction=1.0)
+        each = [vocab.encode(t) for t in texts]
+        for budget in (1, 100, 3_000, 1 << 30):
+            monkeypatch.setattr(bpe, "_BATCH_BYTES", budget)
+            assert list(vocab.encode_many(texts)) == each
+        cuts = sorted(rng.choice(np.arange(1, len(texts)), size=10, replace=False).tolist())
+        split = []
+        for lo, hi in zip([0] + cuts, cuts + [len(texts)]):
+            split.extend(vocab.encode_many(texts[lo:hi]))
+        assert split == each
+
+    def test_lazy_over_a_stream(self, monkeypatch):
+        monkeypatch.setattr(bpe, "_BATCH_BYTES", 10)
+        vocab = BpeVocab([(b"a", b"b")])
+        read = []
+
+        def texts():
+            for t in ["ab" * 5, "ab" * 5, "ab" * 5]:
+                read.append(t)
+                yield t
+
+        out = vocab.encode_many(texts())
+        assert next(out) == [MIN_VOCAB_SIZE] * 5
+        assert len(read) == 1  # one batch read ahead, no more
+
+    @pytest.mark.parametrize(
+        "isolate_digits, digest",
+        [
+            (False, "9987019db0ad3473125c5c23722a4d74de9bc34ff14e269a13bae5e9fa7c8a8d"),
+            (True, "18b144179f4c71ffdcf24aafc08eb846925c924291a276a3a16253a4fca83561"),
+        ],
+    )
+    def test_golden_ids(self, isolate_digits, digest):
+        # pins every id of a ~60 KB corpus (specials, digits, UTF-8, runs) to
+        # the digest the per-piece heap encoder produced
+        texts = golden_corpus()
+        vocab = train_bpe(
+            texts[::2], MIN_VOCAB_SIZE + 500, sample_fraction=0.5, seed=11, isolate_digits=isolate_digits
+        )
+        h = hashlib.sha256()
+        for ids in vocab.encode_many(texts):
+            h.update(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
+        assert h.hexdigest() == digest
+
+
 class TestSaveLoad:
     def test_roundtrip_equality(self, tmp_path):
         vocab = train_bpe(["roundtrip me " * 10], MIN_VOCAB_SIZE + 12, sample_fraction=1.0)
         path = tmp_path / "v.sovoc"
-        save_vocab(vocab, path)
+        vocab.save(path)
         loaded = load_vocab(path)
         assert loaded == vocab
         assert loaded.checksum == vocab.checksum
         assert loaded.encode("roundtrip me") == vocab.encode("roundtrip me")
 
+    def test_checksum_is_cached_body_digest(self, tmp_path):
+        vocab = train_bpe(["cache me " * 10], MIN_VOCAB_SIZE + 8, sample_fraction=1.0)
+        assert vocab.checksum == hashlib.sha256(vocab._serialize_body()).digest()[:8]
+        assert vocab.checksum is vocab.checksum
+        path = tmp_path / "v.sovoc"
+        vocab.save(path)
+        assert path.read_bytes()[-8:] == vocab.checksum
+        loaded = load_vocab(path)
+        assert loaded.checksum == vocab.checksum
+        loaded.save(tmp_path / "again.sovoc")
+        assert (tmp_path / "again.sovoc").read_bytes() == path.read_bytes()
+
     def test_truncated_file(self, tmp_path):
         vocab = train_bpe(["x y " * 8], MIN_VOCAB_SIZE + 4, sample_fraction=1.0)
         path = tmp_path / "v.sovoc"
-        save_vocab(vocab, path)
+        vocab.save(path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises((VocabError, ChecksumMismatchError)):

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from conftest import answer_row, comment_row, question_row, rows_xml, ts
-from sopipeline.cli import main
+from sopipeline import bpe
+from sopipeline.cli import _read_labeled_jsonl, main
 from sopipeline.errors import StoreError
 from sopipeline.record_store import RecordStore
 
@@ -284,4 +285,18 @@ class TestTokenizerAndTraining:
         )
         assert code == 0
         assert summary["n_train"] == 8
+        assert summary["truncated_tokens"] == 0
         assert "weighted_f1" in summary
+
+
+def test_read_labeled_jsonl_counts_truncated_tokens(tmp_path):
+    vocab = bpe.BpeVocab(merges=[])  # one token per byte
+    path = tmp_path / "labeled.jsonl"
+    rows = [{"text": "short", "label": 0}, {"text": "x" * 40, "label": 1}, {"text": "", "label": 0}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows) + "\n")
+    data, truncated = _read_labeled_jsonl(str(path), vocab, max_len=16)
+    assert [label for _, label in data] == [0, 1, 0]
+    assert [len(ids) for ids, _ in data] == [6, 16, 1]
+    assert all(ids[0] == bpe.CLASS_MARKER_ID for ids, _ in data)
+    assert data[0][0][1:] == vocab.encode("short")
+    assert truncated == 41 - 16  # class marker + 40 bytes, cut to 16

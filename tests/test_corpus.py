@@ -276,6 +276,14 @@ class TestWriteCorpus:
         assert manifest["n_samples"] == 2
         assert manifest["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
+    def test_manifest_hash_spans_read_blocks(self, tmp_path):
+        # larger than one 1 MiB read of the hashing loop
+        samples = [PretrainSample(answer_id=i, text="é" * 3000 + str(i), n_comments=1) for i in range(400)]
+        out = tmp_path / "big.jsonl"
+        manifest = write_corpus(samples, out)
+        assert out.stat().st_size > 2 << 20
+        assert manifest["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         m1 = write_corpus(self._two_samples(), a)

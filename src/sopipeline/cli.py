@@ -10,8 +10,8 @@ import argparse
 import json
 import logging
 import os
+import dataclasses
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bpe, corpus, metrics, mining, scaling, shards
@@ -64,30 +64,41 @@ def _parse_rows(path: str, table: str, parse_fn, skipped: list):
                 logger.warning("skipping %s row: %s", table, exc)
 
 
+def _resolve(args: argparse.Namespace, config: PipelineConfig) -> PipelineConfig:
+    """``config`` with every given flag whose dest names a field laid over
+    the file value, checked by the same rules as the file."""
+    flags = {}
+    for f in dataclasses.fields(PipelineConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            flags[f.name] = tuple(value) if isinstance(value, list) else value
+    seq_len = getattr(args, "seq_len", 1)
+    if seq_len is None:
+        # the file's max_len, also when --max-positions raises the model's
+        args.seq_len = config.max_len
+    elif seq_len < 1:
+        raise UsageError(f"--seq-len {seq_len}: must be at least 1")
+    return validate(dataclasses.replace(config, **flags))
+
+
 # -- subcommand implementations -------------------------------------------------
 
 
 def cmd_ingest(args, config: PipelineConfig) -> dict:
-    posts = args.posts or config.posts
-    comments = args.comments or config.comments
-    history = args.posthistory or config.posthistory
-    store_dir = args.store_dir or config.store_dir
-    if not posts or not comments or not store_dir:
+    if not config.posts or not config.comments or not config.store_dir:
         raise UsageError("ingest requires --posts, --comments and --store-dir (or config [paths])")
     skipped: list = []
-    post_iter = _parse_rows(posts, TABLE_POSTS, parse_post, skipped)
-    comment_iter = _parse_rows(comments, TABLE_COMMENTS, parse_comment, skipped)
-    if history:
-        history_iter = _parse_rows(history, TABLE_HISTORY, parse_history, skipped)
+    post_iter = _parse_rows(config.posts, TABLE_POSTS, parse_post, skipped)
+    comment_iter = _parse_rows(config.comments, TABLE_COMMENTS, parse_comment, skipped)
+    if config.posthistory:
+        history_iter = _parse_rows(config.posthistory, TABLE_HISTORY, parse_history, skipped)
     else:
         history_iter = iter(())
-    store = build_store(post_iter, comment_iter, history_iter, store_dir)
+    store = build_store(post_iter, comment_iter, history_iter, config.store_dir, skipped=skipped)
     report = store.load_report
-    report.skipped.extend(skipped)
-    (Path(store_dir) / "load_report.txt").write_text(report.to_text())
     store.close()
     return {
-        "store_dir": str(store_dir),
+        "store_dir": str(config.store_dir),
         "posts": report.n_posts,
         "comments": report.n_comments,
         "history": report.n_history,
@@ -98,22 +109,20 @@ def cmd_ingest(args, config: PipelineConfig) -> dict:
 
 
 def cmd_build_corpus(args, config: PipelineConfig) -> dict:
-    store_dir = args.store_dir or config.store_dir
-    out = args.out or (config.shards if args.format == "shards" else config.corpus)
-    if not store_dir or not out:
+    out = args.out or {"jsonl": config.corpus, "shards": config.shards}[args.format]
+    if not config.store_dir or not out:
         raise UsageError("build-corpus requires --store-dir and --out")
     tokenizer = None
     if args.format == "shards":
-        vocab_path = args.vocab or config.vocab
-        if not vocab_path:
+        if not config.vocab:
             raise UsageError("shard output requires --vocab")
-        tokenizer = bpe.load_vocab(vocab_path)
+        tokenizer = bpe.load_vocab(config.vocab)
     counters: dict = {"skipped_empty": 0}
-    with RecordStore(store_dir) as store:
+    with RecordStore(config.store_dir) as store:
         samples = corpus.build_samples(
             store,
-            min_score=args.min_score if args.min_score is not None else config.min_score,
-            min_comments=args.min_comments if args.min_comments is not None else config.min_comments,
+            min_score=config.min_score,
+            min_comments=config.min_comments,
             replace_urls=config.replace_urls,
             replace_emails=config.replace_emails,
             counters=counters,
@@ -129,42 +138,34 @@ def cmd_build_corpus(args, config: PipelineConfig) -> dict:
 
 
 def cmd_train_tokenizer(args, config: PipelineConfig) -> dict:
-    corpus_path = args.corpus or config.corpus
-    out = args.out or config.vocab
-    if not corpus_path or not out:
+    if not config.corpus or not config.vocab:
         raise UsageError("train-tokenizer requires --corpus and --out")
-    vocab_size = args.vocab_size or config.vocab_size
-    fraction = args.sample_fraction if args.sample_fraction is not None else config.sample_fraction
-    seed = args.seed if args.seed is not None else config.seed
-    texts = (s.text for s in corpus.read_corpus_jsonl(corpus_path))
+    texts = (s.text for s in corpus.read_corpus_jsonl(config.corpus))
     vocab = bpe.train_bpe(
         texts,
-        vocab_size,
-        sample_fraction=fraction,
-        seed=seed,
+        config.vocab_size,
+        sample_fraction=config.sample_fraction,
+        seed=config.seed,
         isolate_digits=config.isolate_digits,
     )
-    vocab.save(out)
+    vocab.save(config.vocab)
     return {
-        "out": str(out),
+        "out": str(config.vocab),
         "vocab_size": vocab.vocab_size,
         "n_merges": len(vocab.merges),
         "checksum": vocab.checksum.hex(),
-        "seed": seed,
-        "sample_fraction": fraction,
+        "seed": config.seed,
+        "sample_fraction": config.sample_fraction,
     }
 
 
 def cmd_stats(args, config: PipelineConfig) -> dict:
-    corpus_path = args.corpus or config.corpus
-    if not corpus_path:
+    if not config.corpus:
         raise UsageError("stats requires --corpus")
     tokenizer = None
-    vocab_path = args.vocab or (config.vocab if args.use_config_vocab else None)
-    if vocab_path:
-        tokenizer = bpe.load_vocab(vocab_path)
-    edges = tuple(args.bucket_edges) if args.bucket_edges else config.bucket_edges
-    stats = corpus.corpus_stats(corpus.read_corpus_jsonl(corpus_path), tokenizer, edges)
+    if (args.vocab or args.use_config_vocab) and config.vocab:
+        tokenizer = bpe.load_vocab(config.vocab)
+    stats = corpus.corpus_stats(corpus.read_corpus_jsonl(config.corpus), tokenizer, config.bucket_edges)
     return stats.to_dict()
 
 
@@ -172,8 +173,8 @@ def cmd_plan(args, config: PipelineConfig) -> dict:
     shape = scaling.ModelShape(
         n_layers=args.layers,
         hidden=args.hidden,
-        vocab_size=args.vocab_size or config.vocab_size,
-        max_positions=args.max_positions or config.max_len,
+        vocab_size=config.vocab_size,
+        max_positions=config.max_len,
         head_tied=not args.untied_head,
     )
     params = scaling.estimate_params(shape)
@@ -209,53 +210,45 @@ def cmd_plan(args, config: PipelineConfig) -> dict:
 
 
 def cmd_pretrain(args, config: PipelineConfig) -> dict:
-    shard_path = args.shards or config.shards
-    checkpoint = args.checkpoint or config.checkpoint
-    if not shard_path or not checkpoint:
+    if not config.shards or not config.checkpoint:
         raise UsageError("pretrain requires --shards and --checkpoint")
-    vocab_path = args.vocab or config.vocab
-    if not vocab_path:
+    if not config.vocab:
         raise UsageError("pretrain requires --vocab")
-    vocab = bpe.load_vocab(vocab_path)
-    reader = shards.ShardReader(shard_path, expected_checksum=vocab.checksum)
-    seq_len = min(args.seq_len or config.max_len, args.max_positions or config.max_len)
+    vocab = bpe.load_vocab(config.vocab)
+    reader = shards.ShardReader(config.shards, expected_checksum=vocab.checksum)
     model_config = EncoderConfig(
         n_layers=args.layers,
         hidden=args.hidden,
         n_heads=args.heads,
         vocab_size=vocab.vocab_size,
-        max_positions=args.max_positions or config.max_len,
-        seed=args.seed if args.seed is not None else config.seed,
+        max_positions=config.max_len,
+        seed=config.seed,
         tied_head=not args.untied_head,
         vocab_checksum=vocab.checksum,
     )
     model = build_encoder(model_config)
-    plan = plan_batches(
-        args.target_tokens or config.target_tokens,
-        args.micro_batch or config.micro_batch,
-        seq_len,
-    )
+    plan = plan_batches(config.target_tokens, config.micro_batch, min(args.seq_len, config.max_len))
     losses = train_mlm(
         model,
         reader,
         plan,
-        steps=args.steps if args.steps is not None else config.steps,
-        lr=args.lr if args.lr is not None else config.lr,
-        seed=model_config.seed,
+        steps=config.steps,
+        lr=config.lr,
+        seed=config.seed,
         mask_rate=args.mask_rate,
         warmup_steps=args.warmup_steps,
         loss_csv=args.loss_csv,
     )
-    save_checkpoint(model, checkpoint)
+    save_checkpoint(model, config.checkpoint)
     return {
-        "checkpoint": str(checkpoint),
+        "checkpoint": str(config.checkpoint),
         "parameter_count": model.parameter_count,
         "steps": len(losses),
         "accumulation_steps": plan.accumulation_steps,
         "effective_tokens": plan.effective_tokens,
         "first_loss": losses[0] if losses else None,
         "final_loss": losses[-1] if losses else None,
-        "seed": model_config.seed,
+        "seed": config.seed,
     }
 
 
@@ -276,15 +269,13 @@ def _read_labeled_jsonl(
 
 
 def cmd_finetune(args, config: PipelineConfig) -> dict:
-    vocab_path = args.vocab or config.vocab
-    if not vocab_path or not args.train:
+    if not config.vocab or not args.train:
         raise UsageError("finetune requires --vocab and --train")
-    vocab = bpe.load_vocab(vocab_path)
-    if args.checkpoint or config.checkpoint:
-        model = load_checkpoint(args.checkpoint or config.checkpoint)
-    else:
+    vocab = bpe.load_vocab(config.vocab)
+    if not config.checkpoint:
         raise UsageError("finetune requires --checkpoint")
-    max_len = min(args.seq_len or config.max_len, model.config.max_positions)
+    model = load_checkpoint(config.checkpoint)
+    max_len = min(args.seq_len, model.config.max_positions)
     train_data, truncated = _read_labeled_jsonl(args.train, vocab, max_len)
     eval_data = None
     if args.eval:
@@ -296,9 +287,9 @@ def cmd_finetune(args, config: PipelineConfig) -> dict:
         train_data,
         eval_data=eval_data,
         batch_size=args.batch_size,
-        lr=args.lr,
+        lr=config.lr,
         epochs=args.epochs,
-        seed=args.seed if args.seed is not None else config.seed,
+        seed=config.seed,
         warmup_steps=args.warmup_steps,
     )
     target = eval_data if eval_data is not None else train_data
@@ -310,40 +301,33 @@ def cmd_finetune(args, config: PipelineConfig) -> dict:
 
 
 def cmd_mine(args, config: PipelineConfig) -> dict:
-    store_dir = args.store_dir or config.store_dir
-    out = args.out
-    if not store_dir or not out:
+    if not config.store_dir or not args.out:
         raise UsageError("mine requires --store-dir and --out")
-    with RecordStore(store_dir) as store:
+    with RecordStore(config.store_dir) as store:
         candidates = mining.mine_all(
             store,
-            keywords=tuple(args.keywords) if args.keywords else config.keywords,
-            levenshtein_min=args.levenshtein_min
-            if args.levenshtein_min is not None
-            else config.levenshtein_min,
-            late_years=args.late_years if args.late_years is not None else config.late_years,
-            late_min_score=args.late_min_score
-            if args.late_min_score is not None
-            else config.late_min_score,
+            keywords=config.keywords,
+            levenshtein_min=config.levenshtein_min,
+            late_years=config.late_years,
+            late_min_score=config.late_min_score,
         )
-    n = mining.export_candidates(candidates, out)
+    n = mining.export_candidates(candidates, args.out)
     counts = {h.value: 0 for h in mining.Heuristic}
     for cand in candidates:
         counts[cand.heuristic.value] += 1
-    return {"out": str(out), "total": n, "per_heuristic": counts}
+    return {"out": str(args.out), "total": n, "per_heuristic": counts}
 
 
 def cmd_sample_annotations(args, config: PipelineConfig) -> dict:
     candidates = mining.import_candidates(args.candidates)
-    seed = args.seed if args.seed is not None else config.seed
-    sample = mining.sample_for_annotation(candidates, args.n, seed=seed)
+    sample = mining.sample_for_annotation(candidates, args.n, seed=config.seed)
     mining.export_candidates(sample.candidates, args.out)
     return {
         "out": str(args.out),
         "n_selected": len(sample.candidates),
         "per_heuristic": sample.per_heuristic,
         "shortfall": sample.shortfall,
-        "seed": seed,
+        "seed": config.seed,
     }
 
 
@@ -374,8 +358,7 @@ def cmd_eval(args, config: PipelineConfig) -> dict:
                 raise UsageError(f"{args.predictions}:{lineno}: expected 2 fields")
             y_true.append(int(fields[0]))
             y_pred.append(int(fields[1]))
-    mode = metrics.WeightMode(args.mode) if args.mode else config.metric_mode
-    return metrics.metric_report(y_true, y_pred, args.classes, mode)
+    return metrics.metric_report(y_true, y_pred, args.classes, config.metric_mode)
 
 
 # -- parser wiring ---------------------------------------------------------------
@@ -404,7 +387,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-tokenizer", help="learn a byte-level BPE vocabulary")
     p.add_argument("--corpus")
-    p.add_argument("--out")
+    p.add_argument("--out", dest="vocab")
     p.add_argument("--vocab-size", type=int)
     p.add_argument("--sample-fraction", type=float)
     p.add_argument("--seed", type=int)
@@ -425,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--hidden", type=int, required=True)
     p.add_argument("--vocab-size", type=int)
-    p.add_argument("--max-positions", type=int)
+    p.add_argument("--max-positions", dest="max_len", type=int)
     p.add_argument("--untied-head", action="store_true")
     p.add_argument("--gpu-hours", type=float)
     p.add_argument("--rate", type=float, default=scaling.DEFAULT_RATE_PER_HOUR)
@@ -440,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--max-positions", type=int)
+    p.add_argument("--max-positions", dest="max_len", type=int)
     p.add_argument("--seq-len", type=int)
     p.add_argument("--micro-batch", type=int)
     p.add_argument("--target-tokens", type=int)
@@ -460,7 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eval")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-5)
+    p.add_argument("--lr", type=float, default=1e-5, help="default 1e-5, not the config's [batch] lr")
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--seq-len", type=int)
     p.add_argument("--warmup-steps", type=int, default=0)
@@ -492,7 +475,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="weighted metrics from a true/pred TSV")
     p.add_argument("--predictions", required=True)
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in metrics.WeightMode])
+    modes = "{" + ",".join(m.value for m in metrics.WeightMode) + "}"
+    p.add_argument("--mode", dest="metric_mode", type=metrics.WeightMode, metavar=modes)
     p.set_defaults(fn=cmd_eval)
 
     return parser
@@ -504,8 +488,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         config_path = args.config or os.environ.get(ENV_CONFIG_PATH)
-        config = load_config(config_path) if config_path else validate(PipelineConfig())
-        summary = args.fn(args, config)
+        summary = args.fn(args, _resolve(args, load_config(config_path or None)))
         _emit(summary)
         return 0
     except UsageError as exc:

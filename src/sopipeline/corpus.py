@@ -127,6 +127,27 @@ def clean_comment_text(text: str, *, replace_urls: bool = True, replace_emails: 
     return _WS.sub(" ", text).strip()
 
 
+def split_code(body: str) -> list[str]:
+    """``body`` cut at its ``<code>`` tags, which are dropped: markup at even
+    indices, code span contents at odd ones.
+
+    An open tag with no close makes the remainder of the body one code
+    piece, so the list has even length exactly when a span is unclosed.
+    """
+    pieces: list[str] = []
+    pos = 0
+    while (open_m := _CODE_OPEN.search(body, pos)) is not None:
+        pieces.append(body[pos : open_m.start()])
+        close_m = _CODE_CLOSE.search(body, open_m.end())
+        if close_m is None:
+            pieces.append(body[open_m.end() :])
+            return pieces
+        pieces.append(body[open_m.end() : close_m.start()])
+        pos = close_m.end()
+    pieces.append(body[pos:])
+    return pieces
+
+
 def clean_text(body: str, *, replace_urls: bool = True, replace_emails: bool = True) -> str:
     """Clean post HTML while keeping code span contents verbatim.
 
@@ -134,21 +155,10 @@ def clean_text(body: str, *, replace_urls: bool = True, replace_emails: bool = T
     its close tag passes through untouched, URLs included. An open tag with
     no matching close treats the remainder of the body as code (logged).
     """
-    pieces: list[str] = []
-    pos = 0
-    while True:
-        open_m = _CODE_OPEN.search(body, pos)
-        if open_m is None:
-            pieces.append(_clean_fragment(body[pos:], replace_urls, replace_emails))
-            break
-        pieces.append(_clean_fragment(body[pos : open_m.start()], replace_urls, replace_emails))
-        close_m = _CODE_CLOSE.search(body, open_m.end())
-        if close_m is None:
-            logger.warning("unbalanced <code> tag; keeping remainder as code")
-            pieces.append(body[open_m.end() :])
-            break
-        pieces.append(body[open_m.end() : close_m.start()])
-        pos = close_m.end()
+    pieces = split_code(body)
+    if len(pieces) % 2 == 0:
+        logger.warning("unbalanced <code> tag; keeping remainder as code")
+    pieces[::2] = [_clean_fragment(p, replace_urls, replace_emails) for p in pieces[::2]]
     return "".join(pieces).strip()
 
 

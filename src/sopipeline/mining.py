@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corpus import clean_text
+from .corpus import clean_text, split_code
 from .dump_ingest import HistoryType, PostType
 from .errors import MetricError, UsageError
 from .record_store import RecordStore
@@ -32,9 +32,6 @@ DEFAULT_LEVENSHTEIN_MIN = 100
 DEFAULT_LATE_YEARS = 1.5
 DEFAULT_LATE_MIN_SCORE = 2
 _DAYS_PER_YEAR = 365.0
-
-_CODE_OPEN = re.compile(r"<code\b[^>]*>", re.IGNORECASE)
-_CODE_CLOSE = re.compile(r"</code\s*>", re.IGNORECASE)
 
 
 class Heuristic(Enum):
@@ -86,22 +83,10 @@ def levenshtein(a: str, b: str) -> int:
 def extract_code(body: str) -> str:
     """All ``<code>`` span contents in order, newline-joined.
 
-    Mirrors the cleaning policy for unbalanced markup: an unclosed
-    ``<code>`` swallows the remainder of the body.
+    Split as in cleaning: an unclosed ``<code>`` swallows the remainder of
+    the body.
     """
-    spans = []
-    pos = 0
-    while True:
-        open_m = _CODE_OPEN.search(body, pos)
-        if open_m is None:
-            break
-        close_m = _CODE_CLOSE.search(body, open_m.end())
-        if close_m is None:
-            spans.append(body[open_m.end() :])
-            break
-        spans.append(body[open_m.end() : close_m.start()])
-        pos = close_m.end()
-    return "\n".join(spans)
+    return "\n".join(split_code(body)[1::2])
 
 
 def _keyword_pattern(keywords: Sequence[str]) -> re.Pattern:
@@ -368,10 +353,6 @@ def import_candidates(path: str | Path) -> list[ObsoleteCandidate]:
                 )
             )
     return out
-
-
-def export_annotation_sheet(sample: AnnotationSample, path: str | Path) -> None:
-    export_candidates(sample.candidates, path)
 
 
 def import_annotations(

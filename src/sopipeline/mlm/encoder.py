@@ -114,7 +114,6 @@ class EncoderModel:
             name: _init_param(name, shape, rng, config.np_dtype)
             for name, shape in _param_shapes(config)
         }
-        self.head: Optional[tuple[HeadKind, int]] = None
 
     @property
     def parameter_count(self) -> int:
@@ -126,7 +125,6 @@ class EncoderModel:
         clone.config = replace(self.config, dtype=dtype)
         clone.param_names = list(self.param_names)
         clone.params = {k: v.astype(dtype) for k, v in self.params.items()}
-        clone.head = self.head
         return clone
 
     # ------------------------------------------------------------------ #
@@ -346,10 +344,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 def _gauss_cdf(x: np.ndarray) -> np.ndarray:
     return (0.5 * (1.0 + erf(x / np.sqrt(2.0)))).astype(x.dtype)
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return x * _gauss_cdf(x)
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:

@@ -172,10 +172,6 @@ class RecordStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def sealed(self) -> bool:
-        return True
-
     # -- counts ---------------------------------------------------------
 
     def count(self, table: str) -> int:
@@ -278,14 +274,16 @@ def build_store(
     history_iter: Iterable[PostHistoryRecord],
     path: str | Path,
     *,
-    extra_report_lines: Optional[list[str]] = None,
+    skipped: Iterable[tuple[str, Optional[int], str]] = (),
 ) -> RecordStore:
     """Load parsed records into a fresh sealed store at ``path``.
 
     Rebuilds from scratch each time, so re-running on identical inputs is
     idempotent. Comments and history rows whose ``post_id`` is unknown are
     kept but listed in the load report. Duplicate primary ids abort with
-    :class:`DuplicateIdError`.
+    :class:`DuplicateIdError`. ``skipped`` lists the rows the caller could
+    not parse, as ``(table, row id, reason)``; it is read after the record
+    iterators are drained, so they may append to it as they go.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -343,10 +341,8 @@ def build_store(
     finally:
         conn.close()
 
-    text = report.to_text()
-    if extra_report_lines:
-        text += "\n".join(extra_report_lines) + "\n"
-    (path / _REPORT_NAME).write_text(text)
+    report.skipped.extend(skipped)
+    (path / _REPORT_NAME).write_text(report.to_text())
     meta = {
         "format_version": FORMAT_VERSION,
         "sealed": True,

@@ -1,11 +1,12 @@
 """CLI subcommands: summaries, exit codes, end-to-end determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import answer_row, comment_row, question_row, rows_xml, ts
-from sopipeline import bpe
+from conftest import answer_row, comment_row, question_row, rows_xml, store_from_rows, ts
+from sopipeline import bpe, shards
 from sopipeline.cli import _read_labeled_jsonl, main
 from sopipeline.errors import StoreError
 from sopipeline.record_store import RecordStore
@@ -236,6 +237,108 @@ class TestConfigDrivenPipeline:
         code, summary, _ = run_cli(capsys, *base, "stats", "--use-config-vocab")
         assert code == 0
         assert summary["total_tokens"] is not None  # bucketed by token length
+
+
+@pytest.fixture
+def small_inputs(tmp_path):
+    """Path placeholders for argv templates: a corpus, a predictions TSV and
+    a store holding one answer with a "deprecated" comment."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    texts = ["short one", "a somewhat longer sample text " * 2, "tiny"]
+    corpus_path.write_text(
+        "".join(json.dumps({"answer_id": i, "n_comments": 1, "text": t}) + "\n" for i, t in enumerate(texts))
+    )
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("true\tpred\n1\t0\n0\t0\n0\t0\n0\t0\n")
+    store = store_from_rows(
+        tmp_path,
+        [question_row(1, created=ts(0)), answer_row(10, 1, created=ts(1))],
+        [comment_row(100, 10, "this is deprecated now", created=ts(2))],
+    )
+    store.close()
+    return {"tmp": tmp_path, "corpus": corpus_path, "preds": preds, "store": store.path}
+
+
+def _argv(template, paths):
+    return [arg.format(**paths) for arg in template]
+
+
+class TestFlagsOverConfig:
+    """Flags are laid over the config file's values and checked by its rules."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["train-tokenizer", "--corpus", "{corpus}", "--out", "{tmp}/v.sovoc", "--vocab-size", "0"],
+             "vocab_size"),
+            (["train-tokenizer", "--corpus", "{corpus}", "--out", "{tmp}/v.sovoc", "--seed", "-3"], "seed"),
+            (["stats", "--corpus", "{corpus}", "--bucket-edges", "0"], "bucket_edges"),
+            (["plan", "--layers", "2", "--hidden", "64", "--vocab-size", "0"], "vocab_size"),
+        ],
+        ids=["train-tokenizer-vocab-size-0", "train-tokenizer-seed-neg", "stats-bucket-edges-0",
+             "plan-vocab-size-0"],
+    )
+    def test_invalid_flag_is_usage_error(self, capsys, small_inputs, argv, key):
+        code, summary, err = run_cli(capsys, *_argv(argv, small_inputs))
+        assert (code, summary) == (1, None)
+        assert f"config value {key}:" in err
+        assert not (small_inputs["tmp"] / "v.sovoc").exists()
+
+    @pytest.mark.parametrize(
+        "config, argv, flag, get, file_value, flag_value",
+        [
+            ("[paths]\nvocab = {tmp}/file.sovoc",
+             ["train-tokenizer", "--corpus", "{corpus}", "--vocab-size", "270", "--sample-fraction", "1.0"],
+             ["--out", "{tmp}/flag.sovoc"], lambda s: Path(s["out"]).name, "file.sovoc", "flag.sovoc"),
+            ("[sequence]\nmax_len = 256", ["plan", "--layers", "1", "--hidden", "8"],
+             ["--max-positions", "128"], lambda s: s["shape"]["max_positions"], 256, 128),
+            ("[metrics]\nmetric_mode = uniform", ["eval", "--predictions", "{preds}", "--classes", "2"],
+             ["--mode", "balanced"], lambda s: s["mode"], "uniform", "balanced"),
+            ("[miner]\nkeywords = deprecated", ["mine", "--store-dir", "{store}", "--out", "{tmp}/c.jsonl"],
+             ["--keywords", "retired"], lambda s: s["per_heuristic"]["keyword_comment"], 1, 0),
+            ("[sequence]\nbucket_edges = 512, 1024", ["stats", "--corpus", "{corpus}"],
+             ["--bucket-edges", "10", "20"], lambda s: sorted(s["length_histogram"]),
+             ["0-512", "513-1024", ">1024"], ["0-10", "11-20", ">20"]),
+        ],
+        ids=["out-vocab", "max-positions-max_len", "mode-metric_mode", "keywords", "bucket-edges"],
+    )
+    def test_flag_overrides_file_value(
+        self, capsys, small_inputs, config, argv, flag, get, file_value, flag_value
+    ):
+        conf = small_inputs["tmp"] / "p.conf"
+        conf.write_text(config.format(**small_inputs) + "\n")
+        base = ["--config", str(conf), *_argv(argv, small_inputs)]
+        code, summary, _ = run_cli(capsys, *base)
+        assert code == 0 and get(summary) == file_value
+        code, summary, _ = run_cli(capsys, *base, *_argv(flag, small_inputs))
+        assert code == 0 and get(summary) == flag_value
+
+    def test_seq_len_defaults_to_file_max_len(self, capsys, small_inputs):
+        tmp = small_inputs["tmp"]
+        vocab = bpe.BpeVocab(merges=[])
+        vocab.save(tmp / "v.sovoc")
+        shards.write_token_shard(tmp / "c.sotk", vocab.encode_many(["some text to train on"] * 4),
+                                 vocab.checksum)
+        conf = tmp / "p.conf"
+        conf.write_text("[sequence]\nmax_len = 16\n")
+        argv = [
+            "--config", str(conf), "pretrain", "--shards", str(tmp / "c.sotk"),
+            "--vocab", str(tmp / "v.sovoc"), "--checkpoint", str(tmp / "m.sockpt"),
+            "--layers", "1", "--hidden", "8", "--heads", "2", "--micro-batch", "4",
+            "--target-tokens", "128", "--steps", "1",
+        ]
+        # --max-positions widens the model, not the sequences: 4 x 16 tokens, 2 accumulation steps
+        code, summary, _ = run_cli(capsys, *argv, "--max-positions", "32")
+        assert code == 0 and summary["accumulation_steps"] == 2
+        code, summary, _ = run_cli(capsys, *argv, "--max-positions", "32", "--seq-len", "32")
+        assert code == 0 and summary["accumulation_steps"] == 1
+
+        train = tmp / "t.jsonl"
+        train.write_text("".join(json.dumps({"text": "ab", "label": i % 2}) + "\n" for i in range(4)))
+        for cmd in (argv, ["finetune", "--vocab", str(tmp / "v.sovoc"), "--checkpoint", str(tmp / "m.sockpt"),
+                           "--train", str(train), "--classes", "2"]):
+            code, _, err = run_cli(capsys, *cmd, "--seq-len", "0")
+            assert code == 1 and "--seq-len 0" in err
 
 
 class TestTokenizerAndTraining:

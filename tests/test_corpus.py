@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import re
 import time
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import answer_row, comment_row, question_row, store_from_rows, ts
-from sopipeline import bpe, shards
+from sopipeline import bpe, corpus, shards
 from sopipeline.corpus import (
     SEPARATOR,
     PretrainSample,
@@ -24,6 +25,7 @@ from sopipeline.corpus import (
 )
 from sopipeline.dump_ingest import parse_comment, parse_post
 from sopipeline.errors import UsageError
+from sopipeline.mining import extract_code
 
 
 class TestCleanText:
@@ -87,6 +89,64 @@ class TestCleanText:
                 text = "".join(rng.choice(list(alphabet), size=int(rng.integers(0, 40))))
                 expected = " ".join(oracle.sub("[EMAIL]", text).split())
                 assert clean_comment_text(text, replace_urls=False) == expected, repr(text)
+
+
+_CODE_OPEN = re.compile(r"<code\b[^>]*>", re.IGNORECASE)
+_CODE_CLOSE = re.compile(r"</code\s*>", re.IGNORECASE)
+
+
+def oracle_clean_text(body: str) -> tuple[str, bool]:
+    """The cleaning loop before the shared splitter; (text, unclosed)."""
+    pieces: list[str] = []
+    pos = 0
+    while True:
+        open_m = _CODE_OPEN.search(body, pos)
+        if open_m is None:
+            pieces.append(corpus._clean_fragment(body[pos:], True, True))
+            break
+        pieces.append(corpus._clean_fragment(body[pos : open_m.start()], True, True))
+        close_m = _CODE_CLOSE.search(body, open_m.end())
+        if close_m is None:
+            pieces.append(body[open_m.end() :])
+            return "".join(pieces).strip(), True
+        pieces.append(body[open_m.end() : close_m.start()])
+        pos = close_m.end()
+    return "".join(pieces).strip(), False
+
+
+def oracle_extract_code(body: str) -> str:
+    """The miner's own code-span loop before the shared splitter."""
+    spans = []
+    pos = 0
+    while True:
+        open_m = _CODE_OPEN.search(body, pos)
+        if open_m is None:
+            break
+        close_m = _CODE_CLOSE.search(body, open_m.end())
+        if close_m is None:
+            spans.append(body[open_m.end() :])
+            break
+        spans.append(body[open_m.end() : close_m.start()])
+        pos = close_m.end()
+    return "\n".join(spans)
+
+
+def test_split_code_matches_old_loops(caplog):
+    pieces = [
+        "<code>", "<CODE>", "<Code>", '<code class="py">', "<code data-x='a>b'>", "<code\n>",
+        "</code>", "</CODE>", "</code >", "</code\n\t>", "</Code  >",
+        "<codex>", "</codex>", "<code", "</code", "<pre>", "</pre>", "<p>", "<",  ">",
+        "x = 1", "a &amp; b", " see https://ex.io/x ", "me@host.com", "\n", "  ", "é",
+    ]
+    rng = np.random.default_rng(11)
+    caplog.set_level(logging.WARNING, logger="sopipeline.corpus")
+    for _ in range(4000):
+        body = "".join(rng.choice(pieces, size=int(rng.integers(0, 14))))
+        caplog.clear()
+        expected, unclosed = oracle_clean_text(body)
+        assert clean_text(body) == expected, repr(body)
+        assert len(caplog.records) == int(unclosed), repr(body)
+        assert extract_code(body) == oracle_extract_code(body), repr(body)
 
 
 class TestCleanCommentText:

@@ -1,5 +1,7 @@
 """Record store: build, indices, referential bookkeeping."""
 
+import json
+
 import pytest
 
 from conftest import answer_row, comment_row, history_row, question_row, store_from_rows, ts
@@ -91,9 +93,15 @@ class TestBuildStore:
         assert second.answer_ids_for(1) == [10]
 
     def test_sealed_readonly(self, small_store):
-        assert small_store.sealed
         with pytest.raises(Exception):
             small_store._conn.execute("INSERT INTO posts VALUES (99,1,NULL,NULL,0,'t','b',NULL,'x',NULL)")
+
+    def test_unsealed_store_refused(self, small_store):
+        meta_path = small_store.path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "sealed": False}))
+        with pytest.raises(StoreError, match="never sealed"):
+            RecordStore(small_store.path)
 
     def test_open_missing_dir(self, tmp_path):
         with pytest.raises(StoreError):

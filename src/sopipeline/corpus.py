@@ -148,16 +148,23 @@ def split_code(body: str) -> list[str]:
     return pieces
 
 
-def clean_text(body: str, *, replace_urls: bool = True, replace_emails: bool = True) -> str:
+def clean_text(
+    body: str,
+    *,
+    replace_urls: bool = True,
+    replace_emails: bool = True,
+    post_id: Optional[int] = None,
+) -> str:
     """Clean post HTML while keeping code span contents verbatim.
 
     ``<code>`` tags themselves are dropped; everything between an open and
     its close tag passes through untouched, URLs included. An open tag with
-    no matching close treats the remainder of the body as code (logged).
+    no matching close treats the remainder of the body as code (logged with
+    ``post_id``).
     """
     pieces = split_code(body)
     if len(pieces) % 2 == 0:
-        logger.warning("unbalanced <code> tag; keeping remainder as code")
+        logger.warning("post %s: unbalanced <code> tag; keeping remainder as code", post_id)
     pieces[::2] = [_clean_fragment(p, replace_urls, replace_emails) for p in pieces[::2]]
     return "".join(pieces).strip()
 
@@ -194,7 +201,10 @@ def assemble_sample(
     if not comments:
         raise UsageError(f"answer {answer.id}: assemble_sample requires at least one comment")
     ordered = sorted(comments, key=lambda c: (c.creation_date, c.id))
-    parts = [clean_text(answer.body, replace_urls=replace_urls, replace_emails=replace_emails)] + [
+    answer_text = clean_text(
+        answer.body, replace_urls=replace_urls, replace_emails=replace_emails, post_id=answer.id
+    )
+    parts = [answer_text] + [
         clean_comment_text(c.text, replace_urls=replace_urls, replace_emails=replace_emails)
         for c in ordered
     ]
@@ -256,6 +266,8 @@ def corpus_stats(
     edges = [int(e) for e in bucket_edges]
     if any(b <= a for a, b in zip(edges, edges[1:])) or not edges:
         raise UsageError(f"bucket_edges must be strictly increasing, got {bucket_edges}")
+    if edges[0] <= 0:
+        raise UsageError(f"bucket_edges must be positive, got first edge {edges[0]}")
     labels = _bucket_labels(edges)
     histogram = {label: 0 for label in labels}
 

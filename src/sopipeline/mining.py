@@ -61,7 +61,17 @@ VALID_LABELS = ("Obsolete", "NotObsolete")
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Minimum single-character insert/delete/substitute count."""
+    """Minimum single-character insert/delete/substitute count over code points.
+
+    Bit-parallel: one DP column of the shorter string ``a`` (length m) is
+    held as vertical +1/-1 delta bit vectors, so each character of ``b``
+    costs about ceil(m/64) word operations. Myers 1999, "A fast bit-vector
+    algorithm for approximate string matching based on dynamic
+    programming", JACM 46(3); global edit distance in the form of Hyyrö
+    2001, "Explaining and extending the bit-parallel approximate string
+    matching algorithm of Myers": the score starts at m and row 0 carries
+    +1 into each horizontal delta.
+    """
     if a == b:
         return 0
     if not a:
@@ -70,14 +80,26 @@ def levenshtein(a: str, b: str) -> int:
         return len(a)
     if len(b) < len(a):
         a, b = b, a
-    prev = list(range(len(a) + 1))
-    for j, cb in enumerate(b, start=1):
-        cur = [j] + [0] * len(a)
-        for i, ca in enumerate(a, start=1):
-            cost = 0 if ca == cb else 1
-            cur[i] = min(prev[i] + 1, cur[i - 1] + 1, prev[i - 1] + cost)
-        prev = cur
-    return prev[-1]
+    m = len(a)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    pv, mv, score = mask, 0, m
+    for c in b:
+        eq = peq.get(c, 0)
+        d0 = ((((eq & pv) + pv) ^ pv) | eq | mv) & mask
+        ph = mv | (~(d0 | pv) & mask)
+        mh = pv & d0
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(d0 | ph)) & mask
+        mv = ph & d0
+    return score
 
 
 def extract_code(body: str) -> str:
@@ -124,7 +146,7 @@ def mine_keyword_comments(
             if question is None:
                 question_clean[qid] = False
             else:
-                qtext = (question.title or "") + " " + clean_text(question.body)
+                qtext = (question.title or "") + " " + clean_text(question.body, post_id=qid)
                 question_clean[qid] = pattern.search(qtext) is None
         if not question_clean[qid]:
             continue
@@ -133,7 +155,7 @@ def mine_keyword_comments(
             question_id=qid,
             heuristic=Heuristic.KEYWORD_COMMENT,
             evidence=match_text,
-            answer_text=clean_text(answer.body),
+            answer_text=clean_text(answer.body, post_id=answer.id),
             score=answer.score,
         )
 
@@ -182,7 +204,7 @@ def mine_edited_after_comment(
             question_id=answer.parent_id,
             heuristic=Heuristic.EDITED_AFTER_COMMENT,
             evidence=f"levenshtein={distance}",
-            answer_text=clean_text(answer.body),
+            answer_text=clean_text(answer.body, post_id=answer.id),
             score=answer.score,
         )
 
@@ -219,7 +241,7 @@ def mine_late_answers(
         qdate = question_dates[qid]
         if qdate is None or answer.creation_date < qdate + delay:
             continue
-        cleaned = clean_text(answer.body)
+        cleaned = clean_text(answer.body, post_id=answer.id)
         folded = cleaned.lower()
         matched = next((p for p in lowered if p in folded), None)
         if matched is None:

@@ -99,6 +99,21 @@ def code_body(code: str, prose: str = "some context") -> str:
     return f"<p>{prose}</p><code>{code}</code>"
 
 
+# Code-like text with no upper case, the base of the planted edits.
+EDIT_BASE = "".join(f"val{k} = step(val{k - 1}, {k});\n" for k in range(1, 21))
+
+
+def planted_edit(code: str, distance: int) -> str:
+    """``code`` with ``distance`` evenly spaced characters replaced by upper
+    case letters. ``code`` holds none, so every one of them costs an edit and
+    the Levenshtein distance is exactly ``distance``."""
+    chars = list(code)
+    stride = len(chars) // distance
+    for k in range(distance):
+        chars[k * stride] = chr(ord("A") + k % 26)
+    return "".join(chars)
+
+
 @pytest.fixture
 def miner_fixture(tmp_path):
     """Store with planted positives and distractors for each heuristic.
@@ -162,7 +177,7 @@ def miner_fixture(tmp_path):
         add_comment(aid, "thanks, works great", created=ts(2))
 
     # --- edited-after-comment heuristic --------------------------------
-    # 20 positives; first one sits exactly on the distance-100 boundary.
+    # 20 positives; the first two sit on the boundary at distances 100 and 101.
     for i in range(20):
         qid, aid = 1500 + i, 2500 + i
         posts.append(question_row(qid, created=ts(0)))
@@ -170,9 +185,9 @@ def miner_fixture(tmp_path):
             answer_row(aid, qid, score=1 + i % 2, created=ts(1), last_edit=ts(10))
         )
         add_comment(aid, "could you update this?", created=ts(5))
-        grown = "z" * (100 if i == 0 else 150 + i)
-        add_history(aid, 2, code_body(""), created=ts(1))
-        add_history(aid, 5, code_body(grown), created=ts(10))
+        distance = 100 + i if i < 2 else 150 + i
+        add_history(aid, 2, code_body(EDIT_BASE), created=ts(1))
+        add_history(aid, 5, code_body(planted_edit(EDIT_BASE, distance)), created=ts(10))
         expected["edited_after_comment"].add(aid)
     # 15 distractors: edit happened before the comment
     for i in range(15):
@@ -188,8 +203,8 @@ def miner_fixture(tmp_path):
         posts.append(question_row(qid, created=ts(0)))
         posts.append(answer_row(aid, qid, score=2, created=ts(1), last_edit=ts(10)))
         add_comment(aid, "please refresh", created=ts(5))
-        add_history(aid, 2, code_body(""), created=ts(1))
-        add_history(aid, 5, code_body("z" * 99), created=ts(10))
+        add_history(aid, 2, code_body(EDIT_BASE), created=ts(1))
+        add_history(aid, 5, code_body(planted_edit(EDIT_BASE, 99)), created=ts(10))
     # 15 distractors: zero-score answers with qualifying edits
     for i in range(15):
         qid, aid = 1800 + i, 2800 + i

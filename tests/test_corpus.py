@@ -52,6 +52,13 @@ class TestCleanText:
         body = "<p>intro</p><code>x = 1\nwhile True: pass"
         assert clean_text(body) == "intro x = 1\nwhile True: pass"
 
+    def test_unbalanced_warning_names_post(self, caplog):
+        caplog.set_level(logging.WARNING, logger="sopipeline.corpus")
+        assert clean_text("<p>a</p><code>x = 1", post_id=4242) == "a x = 1"
+        assert [r.getMessage() for r in caplog.records] == [
+            "post 4242: unbalanced <code> tag; keeping remainder as code"
+        ]
+
     def test_entities_inside_code_preserved_verbatim(self):
         body = "<code>if a &amp;&amp; b</code>"
         assert clean_text(body) == "if a &amp;&amp; b"
@@ -276,6 +283,14 @@ class TestAssembleSample:
         with pytest.raises(UsageError):
             assemble_sample(self._answer(), [])
 
+    def test_unbalanced_warning_names_answer(self, caplog):
+        caplog.set_level(logging.WARNING, logger="sopipeline.corpus")
+        sample = assemble_sample(self._answer("<code>x = 1"), [self._comment(1, "c", 2)])
+        assert sample.text == "x = 1 <RS> c"
+        assert [r.getMessage() for r in caplog.records] == [
+            "post 50: unbalanced <code> tag; keeping remainder as code"
+        ]
+
 
 class TestCorpusStats:
     def _samples(self, comment_counts, lengths=None):
@@ -316,6 +331,12 @@ class TestCorpusStats:
     def test_bad_edges(self):
         with pytest.raises(UsageError):
             corpus_stats([], bucket_edges=(512, 512))
+
+    @pytest.mark.parametrize("edges", [(-5, 10), (0,), (0, 512)])
+    def test_first_edge_must_be_positive(self, edges):
+        # (-5, 10) used to give the buckets "0--5", "-4-10" and ">10"
+        with pytest.raises(UsageError, match=f"first edge {edges[0]}$"):
+            corpus_stats(self._samples([1]), bucket_edges=edges)
 
 
 class TestWriteCorpus:

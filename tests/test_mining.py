@@ -1,10 +1,22 @@
 """Obsoletion miners against planted fixtures; levenshtein + kappa oracles."""
 
+import logging
+import time
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from conftest import (
+    answer_row,
+    code_body,
+    comment_row,
+    history_row,
+    planted_edit,
+    question_row,
+    store_from_rows,
+    ts,
+)
 from sopipeline.errors import MetricError, UsageError
 from sopipeline.mining import (
     AnnotationRecord,
@@ -39,7 +51,93 @@ def recursive_levenshtein(a: str, b: str) -> int:
     return rec(len(a), len(b))
 
 
+def dp_levenshtein(a: str, b: str) -> int:
+    """The O(n*m) row-by-row DP, kept as the oracle for the bit-parallel form."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(b) < len(a):
+        a, b = b, a
+    prev = list(range(len(a) + 1))
+    for j, cb in enumerate(b, start=1):
+        cur = [j] + [0] * len(a)
+        for i, ca in enumerate(a, start=1):
+            cost = 0 if ca == cb else 1
+            cur[i] = min(prev[i] + 1, cur[i - 1] + 1, prev[i - 1] + cost)
+        prev = cur
+    return prev[-1]
+
+
+_IDENTS = "foo bar baz val res key node path row col acc tmp".split()
+
+
+def _code(rng, n_chars: int) -> str:
+    """Code-like text of exactly ``n_chars`` characters, with no upper case."""
+    lines = []
+    while sum(map(len, lines)) < n_chars:
+        a, b, c = rng.choice(_IDENTS, size=3)
+        lines.append(f"{a} = {b}({c}, {int(rng.integers(0, 100))});\n")
+    return "".join(lines)[:n_chars]
+
+
+def _mutate(rng, s: str, n_edits: int, alphabet: str) -> str:
+    """``s`` after ``n_edits`` random substitutions, insertions and deletions."""
+    chars = list(s)
+    for _ in range(n_edits):
+        op = int(rng.integers(0, 3))
+        c = alphabet[int(rng.integers(0, len(alphabet)))]
+        if op == 0 and chars:
+            chars[int(rng.integers(0, len(chars)))] = c
+        elif op == 1 or not chars:
+            chars.insert(int(rng.integers(0, len(chars) + 1)), c)
+        else:
+            del chars[int(rng.integers(0, len(chars)))]
+    return "".join(chars)
+
+
 class TestLevenshtein:
+    def test_matches_dp_oracle_seeded(self):
+        rng = np.random.default_rng(64)
+        wide = "ab\u00e9\u4e00\U0001f600"  # a, b, é, 一, 😀
+        pairs = [
+            ("", ""),
+            ("", "\u00e9\u4e00\U0001f600"),
+            ("\U0001f600" * 70, "\U0001f600" * 70),
+            ("def f(x):", "def f(x): return x"),  # a prefix of the other
+            ("\u4e00" * 64, "\u4e00" * 64 + "\u00e9"),
+            ("x" * 65, "y" * 65),
+        ]
+        # pattern (shorter string) lengths around the 64-bit word boundary
+        for m in (1, 2, 63, 64, 65, 127, 128, 129, 300):
+            for alphabet in ("ab", "abcd", wide):
+                a = "".join(rng.choice(list(alphabet), size=m))
+                unrelated = "".join(rng.choice(list(alphabet), size=m + int(rng.integers(0, 40))))
+                near = _mutate(rng, a, int(rng.integers(1, 12)), alphabet) + a[: m // 3]
+                pairs += [(a, unrelated), (a, near), (a, a + near)]
+        # code-like 2,000-character pairs with ASCII and non-ASCII edits
+        code = _code(rng, 2000)
+        pairs.append((code, _mutate(rng, code, 180, "abz_ (;\n" + wide)))
+        for a, b in pairs:
+            want = dp_levenshtein(a, b)
+            assert levenshtein(a, b) == want, (len(a), len(b))
+            assert levenshtein(b, a) == want, (len(b), len(a))
+
+    def test_huge_code_span_near_linear(self):
+        # Two 10,000-character code strings 1,000 planted substitutions
+        # apart, so the distance is 1,000 by construction. The quadratic DP
+        # needs about a minute here; the bit-parallel form is linear in the
+        # longer string times ceil(m/64) words.
+        before = _code(np.random.default_rng(10), 10_000)
+        after = planted_edit(before, 1000)
+        start = time.perf_counter()
+        got = levenshtein(before, after)
+        elapsed = time.perf_counter() - start
+        assert got == 1000
+        assert elapsed < 2.0, f"levenshtein took {elapsed:.2f} s on 10,000 characters"
+
     def test_empty_to_abc(self):
         assert levenshtein("", "abc") == 3
 
@@ -132,7 +230,9 @@ class TestMiners:
             c.answer_id: int(c.evidence.split("=")[1])
             for c in mine_edited_after_comment(store, exclusions)
         }
-        assert min(distances.values()) == 100  # planted boundary row included
+        # planted code distances 99, 100 and 101: the floor is inclusive
+        assert sorted(distances.values())[:2] == [100, 101]
+        assert 99 not in distances.values()
 
     def test_late_boundary_inclusive(self, miner_fixture):
         store, expected = miner_fixture
@@ -146,6 +246,40 @@ class TestMiners:
             assert cand.evidence
             if cand.heuristic is Heuristic.EDITED_AFTER_COMMENT:
                 assert cand.evidence.startswith("levenshtein=")
+
+
+def test_unbalanced_code_warning_names_each_post(tmp_path, caplog):
+    # An unclosed <code> in the question and in each miner's answer: every
+    # clean_text call in the miners names the post it cleans.
+    unclosed = "<p>intro</p><code>x = 1"
+    posts = [
+        question_row(10, body=unclosed, created=ts(0)),
+        answer_row(11, 10, body=unclosed, score=2, created=ts(1)),
+        question_row(20, created=ts(0)),
+        answer_row(21, 20, body=unclosed, score=2, created=ts(1), last_edit=ts(10)),
+        question_row(30, created=ts(0)),
+        answer_row(31, 30, body=unclosed + " see the accepted answer", score=3, created=ts(700)),
+    ]
+    comments = [
+        comment_row(100, 11, "this is deprecated", created=ts(2)),
+        comment_row(101, 21, "please update", created=ts(5)),
+    ]
+    history = [
+        history_row(200, 21, 2, code_body(""), created=ts(1)),
+        history_row(201, 21, 5, code_body("z" * 150), created=ts(10)),
+    ]
+    store = store_from_rows(tmp_path, posts, comments, history)
+    caplog.set_level(logging.WARNING, logger="sopipeline.corpus")
+    found = {c.answer_id: c.heuristic for c in mine_all(store)}
+    assert found == {
+        11: Heuristic.KEYWORD_COMMENT,
+        21: Heuristic.EDITED_AFTER_COMMENT,
+        31: Heuristic.LATE_ANSWER,
+    }
+    warned = [r.getMessage() for r in caplog.records if "unbalanced <code>" in r.getMessage()]
+    assert sorted(warned) == [
+        f"post {pid}: unbalanced <code> tag; keeping remainder as code" for pid in (10, 11, 21, 31)
+    ]
 
 
 class TestSampling:

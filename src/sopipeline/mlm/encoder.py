@@ -9,6 +9,7 @@ finite-difference gradient check an independent second route.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -106,14 +107,16 @@ def _init_param(name: str, shape: tuple[int, ...], rng: np.random.Generator, dty
 
 
 class EncoderModel:
-    def __init__(self, config: EncoderConfig):
+    def __init__(self, config: EncoderConfig, params: Optional[dict[str, np.ndarray]] = None):
+        """Seeded random init, or adopt ``params`` (keyed in declared order)."""
         self.config = config
-        rng = np.random.default_rng(config.seed)
         self.param_names = [name for name, _ in _param_shapes(config)]
-        self.params: dict[str, np.ndarray] = {
-            name: _init_param(name, shape, rng, config.np_dtype)
-            for name, shape in _param_shapes(config)
-        }
+        if params is None:
+            rng = np.random.default_rng(config.seed)
+            params = {
+                name: _init_param(name, shape, rng, config.np_dtype) for name, shape in _param_shapes(config)
+            }
+        self.params: dict[str, np.ndarray] = params
 
     @property
     def parameter_count(self) -> int:
@@ -121,11 +124,8 @@ class EncoderModel:
 
     def astype(self, dtype: str) -> "EncoderModel":
         """Copy of this model with every tensor cast to ``dtype``."""
-        clone = object.__new__(EncoderModel)
-        clone.config = replace(self.config, dtype=dtype)
-        clone.param_names = list(self.param_names)
-        clone.params = {k: v.astype(dtype) for k, v in self.params.items()}
-        return clone
+        params = {k: v.astype(dtype) for k, v in self.params.items()}
+        return EncoderModel(replace(self.config, dtype=dtype), params)
 
     # ------------------------------------------------------------------ #
     # forward                                                            #
@@ -417,16 +417,15 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         **{**cfg_raw, "sublayers": tuple(cfg_raw["sublayers"])},
         vocab_checksum=bytes.fromhex(checksum) if checksum else None,
     )
-    model = EncoderModel(config)
+    params: dict[str, np.ndarray] = {}
     pos = 10 + cfg_len
-    for name in model.param_names:
-        shape = model.params[name].shape
-        n_bytes = int(np.prod(shape)) * 4
+    for name, shape in _param_shapes(config):
+        n_bytes = math.prod(shape) * 4
         if pos + n_bytes > len(blob):
             raise ChecksumMismatchError(f"{path}: truncated checkpoint")
-        tensor = np.frombuffer(blob[pos : pos + n_bytes], dtype="<f4").reshape(shape)
-        model.params[name] = tensor.astype(config.np_dtype)
+        tensor = np.frombuffer(blob, dtype="<f4", count=n_bytes // 4, offset=pos).reshape(shape)
+        params[name] = tensor.astype(config.np_dtype)
         pos += n_bytes
     if pos != len(blob):
         raise ChecksumMismatchError(f"{path}: trailing bytes in checkpoint")
-    return model
+    return EncoderModel(config, params)

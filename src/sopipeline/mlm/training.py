@@ -41,46 +41,48 @@ def plan_batches(target_tokens: int, micro_batch_seqs: int, seq_len: int) -> Bat
 def _cross_entropy_rows(flat_logits: np.ndarray, targets: np.ndarray):
     """Per-row CE and softmax probs for [N, V] logits, numerically stable."""
     m = flat_logits.max(axis=-1, keepdims=True)
-    shifted = flat_logits - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) + m
+    probs = flat_logits - m
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    lse = np.log(total) + m
     rows = np.arange(flat_logits.shape[0])
     ce = lse[:, 0] - flat_logits[rows, targets]
-    probs = np.exp(flat_logits - lse)
+    probs /= total
     return ce, probs
 
 
 def mlm_loss_sums(model: EncoderModel, batch: MaskedBatch, *, want_grads: bool = True):
-    """Summed CE over labeled positions plus the label count.
+    """Summed CE over labeled positions plus the label count (and grads).
 
     Returning sums (not means) keeps gradient accumulation exactly linear:
     micro-batch sums add, and the caller divides once by the total count.
+    Only the labeled rows of the final hidden states go through the
+    vocabulary head (BERT's ``gather_indexes``), as one [1, N, d] batch.
     """
     labeled = batch.labels != IGNORE_LABEL
     count = int(labeled.sum())
     if count == 0:
         raise TrainingError("batch has no labeled (masked) positions")
     y, cache = model.hidden_states(batch.input_ids, batch.attn_mask, want_cache=want_grads)
-    logits = model.logits_mlm(y)
-    flat = logits[labeled]
+    rows = y[labeled][None]
     targets = batch.labels[labeled]
-    ce, probs = _cross_entropy_rows(flat, targets)
+    ce, probs = _cross_entropy_rows(model.logits_mlm(rows)[0], targets)
     loss_sum = float(ce.sum())
     if not want_grads:
-        return loss_sum, count, logits, None
-    dflat = probs
-    dflat[np.arange(flat.shape[0]), targets] -= 1.0
-    dlogits = np.zeros_like(logits)
-    dlogits[labeled] = dflat
+        return loss_sum, count, None
+    probs[np.arange(count), targets] -= 1.0
     grads = model.zero_grads()
-    dy = model.backward_mlm_head(y, dlogits, grads)
+    dy = np.zeros_like(y)
+    dy[labeled] = model.backward_mlm_head(rows, probs[None], grads)[0]
     model.backward(cache, dy, grads)
-    return loss_sum, count, logits, grads
+    return loss_sum, count, grads
 
 
 def forward_mlm(model: EncoderModel, batch: MaskedBatch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over masked positions only, plus the full logits."""
-    loss_sum, count, logits, _ = mlm_loss_sums(model, batch, want_grads=False)
-    return loss_sum / count, logits
+    loss_sum, count, _ = mlm_loss_sums(model, batch, want_grads=False)
+    y, _ = model.hidden_states(batch.input_ids, batch.attn_mask)
+    return loss_sum / count, model.logits_mlm(y)
 
 
 def classifier_loss_sums(
@@ -126,8 +128,9 @@ def classifier_loss_sums(
     else:
         dlogits = np.zeros_like(logits)
         dlogits[keep] = dflat
-    grads = clf.encoder.zero_grads()
-    grads.update({k: np.zeros_like(v) for k, v in clf.params.items()})
+    # the MLM head (head.*) is off the classifier's path: no gradient at all
+    params = {**clf.encoder.params, **clf.params}
+    grads = {k: np.zeros_like(v) for k, v in params.items() if not k.startswith("head.")}
     dy = clf.backward_head(y, dlogits, grads)
     clf.encoder.backward(cache, dy, grads)
     return loss_sum, weight_sum, logits, grads
@@ -137,13 +140,21 @@ def classifier_loss_sums(
 
 
 class MomentumSGD:
-    """Heavy-ball gradient descent with linear LR warmup."""
+    """Heavy-ball gradient descent with linear LR warmup.
+
+    A 2-D tensor is updated only on its live rows: rows that have had a
+    non-zero gradient at some step so far (embedding rows of tokens seen).
+    Every other row has zero velocity and zero gradient, and the dense
+    update would leave it bit-for-bit unchanged (0.9 * 0 + 0 = 0).
+    Parameters absent from ``grads`` are not touched.
+    """
 
     def __init__(self, lr: float, momentum: float = 0.9, warmup_steps: int = 0):
         self.lr = lr
         self.momentum = momentum
         self.warmup_steps = warmup_steps
         self.velocity: dict[str, np.ndarray] = {}
+        self.live_rows: dict[str, np.ndarray] = {}
 
     def rate(self, step_index: int) -> float:
         if self.warmup_steps > 0:
@@ -153,11 +164,21 @@ class MomentumSGD:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], step_index: int) -> None:
         lr_t = self.rate(step_index)
         for name, g in grads.items():
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(g)
-            v = self.momentum * v + g
-            self.velocity[name] = v
+            if name not in self.velocity:
+                self.velocity[name] = np.zeros_like(g)
+                self.live_rows[name] = np.zeros(len(g), dtype=bool)
+            v = self.velocity[name]
+            if g.ndim == 2:
+                live = self.live_rows[name]
+                live |= g.any(axis=1)
+                if not live.all():
+                    rows = np.flatnonzero(live)
+                    v_rows = self.momentum * v[rows] + g[rows]
+                    v[rows] = v_rows
+                    params[name][rows] -= lr_t * v_rows
+                    continue
+            v *= self.momentum
+            v += g
             params[name] -= lr_t * v
 
 
@@ -226,7 +247,7 @@ def train_mlm(
                     # fixed masks per dataset index: identical every epoch
                     batch_cache[cache_key] = batch
             cursor += plan.micro_batch_seqs
-            loss_sum, count, _, grads = mlm_loss_sums(model, batch)
+            loss_sum, count, grads = mlm_loss_sums(model, batch)
             loss_sum_total += loss_sum
             count_total += count
             if grads_total is None:
@@ -264,7 +285,7 @@ def grad_check(model: EncoderModel, batch: MaskedBatch, epsilon: float = 1e-5) -
     """
     m64 = model.astype("float64")
 
-    loss_sum, count, _, grads = mlm_loss_sums(m64, batch)
+    loss_sum, count, grads = mlm_loss_sums(m64, batch)
     worst = 0.0
     for name in m64.param_names:
         tensor = m64.params[name]
@@ -273,9 +294,9 @@ def grad_check(model: EncoderModel, batch: MaskedBatch, epsilon: float = 1e-5) -
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon
-            up, cnt, _, _ = mlm_loss_sums(m64, batch, want_grads=False)
+            up, cnt, _ = mlm_loss_sums(m64, batch, want_grads=False)
             flat[i] = orig - epsilon
-            down, _, _, _ = mlm_loss_sums(m64, batch, want_grads=False)
+            down, _, _ = mlm_loss_sums(m64, batch, want_grads=False)
             flat[i] = orig
             numeric = (up / cnt - down / cnt) / (2 * epsilon)
             a = analytic.reshape(-1)[i]

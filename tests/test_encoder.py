@@ -239,6 +239,25 @@ class TestCheckpoints:
         for name in model.param_names:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
 
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        from sopipeline.mlm import encoder
+
+        model = build_encoder(small_config(seed=4, tied_head=True))
+        path = tmp_path / "m.sockpt"
+        save_checkpoint(model, path)
+
+        def no_init(*args):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(encoder, "_init_param", no_init)
+        loaded = load_checkpoint(path)
+        assert loaded.param_names == model.param_names
+        for name in model.param_names:
+            assert loaded.params[name].dtype == model.params[name].dtype
+            assert loaded.params[name].tobytes() == model.params[name].tobytes()
+        save_checkpoint(loaded, tmp_path / "again.sockpt")
+        assert (tmp_path / "again.sockpt").read_bytes() == path.read_bytes()
+
     def test_truncated_checkpoint(self, tmp_path):
         from sopipeline.errors import ChecksumMismatchError
 
@@ -248,4 +267,13 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[:-100])
         with pytest.raises(ChecksumMismatchError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        from sopipeline.errors import ChecksumMismatchError
+
+        path = tmp_path / "m.sockpt"
+        save_checkpoint(build_encoder(small_config()), path)
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(ChecksumMismatchError, match="trailing"):
             load_checkpoint(path)

@@ -7,6 +7,7 @@ from sopipeline import metrics, shards
 from sopipeline.bpe import MIN_VOCAB_SIZE, train_bpe
 from sopipeline.errors import ChecksumMismatchError, MetricError, TrainingError, UsageError
 from sopipeline.mlm import (
+    IGNORE_LABEL,
     EncoderConfig,
     HeadKind,
     attach_head,
@@ -17,7 +18,50 @@ from sopipeline.mlm import (
     plan_batches,
     train_mlm,
 )
-from sopipeline.mlm.training import MomentumSGD, classifier_loss_sums
+from sopipeline.mlm import training
+from sopipeline.mlm.training import MomentumSGD, _cross_entropy_rows, classifier_loss_sums, mlm_loss_sums
+
+
+def two_exp_cross_entropy(flat_logits, targets):
+    """The two-``exp`` CE formula, kept as the oracle for the loss bits."""
+    m = flat_logits.max(axis=-1, keepdims=True)
+    shifted = flat_logits - m
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) + m
+    rows = np.arange(flat_logits.shape[0])
+    ce = lse[:, 0] - flat_logits[rows, targets]
+    probs = np.exp(flat_logits - lse)
+    return ce, probs
+
+
+def dense_head_mlm_loss_sums(model, batch):
+    """MLM loss and grads with the head over every [B, T] position (oracle)."""
+    labeled = batch.labels != IGNORE_LABEL
+    y, cache = model.hidden_states(batch.input_ids, batch.attn_mask, want_cache=True)
+    logits = model.logits_mlm(y)
+    flat = logits[labeled]
+    targets = batch.labels[labeled]
+    ce, probs = two_exp_cross_entropy(flat, targets)
+    probs[np.arange(flat.shape[0]), targets] -= 1.0
+    dlogits = np.zeros_like(logits)
+    dlogits[labeled] = probs
+    grads = model.zero_grads()
+    dy = model.backward_mlm_head(y, dlogits, grads)
+    model.backward(cache, dy, grads)
+    return float(ce.sum()), int(labeled.sum()), grads
+
+
+class DenseMomentumSGD(MomentumSGD):
+    """The update over every row of every tensor (oracle for the row-sparse step)."""
+
+    def step(self, params, grads, step_index):
+        lr_t = self.rate(step_index)
+        for name, g in grads.items():
+            v = self.velocity.get(name)
+            if v is None:
+                v = np.zeros_like(g)
+            v = self.momentum * v + g
+            self.velocity[name] = v
+            params[name] -= lr_t * v
 
 
 class TestPlanBatches:
@@ -57,6 +101,38 @@ def tiny_model(**kw):
 def tiny_batch(vocab_size=20, n=3, T=6):
     seqs = [list(np.random.default_rng(11 + i).integers(6, vocab_size, size=T - i % 2)) for i in range(n)]
     return make_masked_batch(seqs, 0.3, vocab_size=vocab_size, seq_len=T, seed=5)
+
+
+class TestMlmLoss:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_gathered_head_matches_dense_head(self, tied):
+        # float64, so only summation order separates the two routes
+        for seed in range(3):
+            model = tiny_model(n_layers=2, hidden=16, vocab_size=64, seed=seed, tied_head=tied, dtype="float64")
+            rng = np.random.default_rng(seed)
+            seqs = [list(rng.integers(6, 64, size=int(rng.integers(3, 9)))) for _ in range(5)]
+            batch = make_masked_batch(seqs, 0.3, vocab_size=64, seq_len=8, seed=seed)
+            loss, count, grads = mlm_loss_sums(model, batch)
+            loss_ref, count_ref, grads_ref = dense_head_mlm_loss_sums(model, batch)
+            assert count == count_ref
+            assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref)
+            assert grads.keys() == grads_ref.keys() == model.params.keys()
+            for name, ref in grads_ref.items():
+                # attn.bk's true gradient is 0 (softmax ignores a shift), so
+                # its entries are ~1e-19 rounding noise: floor the scale
+                scale = max(np.abs(ref).max(), 1e-8)
+                assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy_loss_bits_match_two_exp_formula(self, dtype):
+        rng = np.random.default_rng(17)
+        for n, v in ((1, 2), (37, 50), (154, 5000)):
+            logits = (rng.normal(size=(n, v)) * 4).astype(dtype)
+            targets = rng.integers(0, v, size=n)
+            ce, probs = _cross_entropy_rows(logits, targets)
+            ce_ref, probs_ref = two_exp_cross_entropy(logits, targets)
+            assert ce.tobytes() == ce_ref.tobytes()
+            np.testing.assert_allclose(probs, probs_ref, rtol=64 * np.finfo(dtype).eps, atol=0)
 
 
 class TestGradCheck:
@@ -153,6 +229,20 @@ class TestTrainMlm:
             train_mlm(model, self._seqs(), plan, steps=300, lr=50.0, seed=0)
         assert exc_info.value.step is not None
 
+    def test_row_seen_once_keeps_moving_by_momentum(self):
+        params = {"tok_emb": np.ones((6, 3), np.float32)}
+        dense = {"tok_emb": params["tok_emb"].copy()}
+        opt, oracle = MomentumSGD(0.1), DenseMomentumSGD(0.1)
+        for step in range(4):
+            g = np.zeros((6, 3), np.float32)
+            g[2 if step == 0 else 4] = step + 1.0  # row 2 has a gradient at step 0 only
+            before = params["tok_emb"][2].copy()
+            opt.step(params, {"tok_emb": g}, step)
+            oracle.step(dense, {"tok_emb": g}, step)
+            assert (params["tok_emb"][2] != before).all()
+            assert params["tok_emb"].tobytes() == dense["tok_emb"].tobytes()
+        assert (params["tok_emb"][[0, 1, 3, 5]] == 1.0).all()
+
     def test_warmup_schedule(self):
         opt = MomentumSGD(1.0, warmup_steps=10)
         assert opt.rate(0) == pytest.approx(0.1)
@@ -231,6 +321,25 @@ class TestFinetune:
         weights = metrics.class_weights(stats.ap, metrics.WeightMode.INVERSE_FREQUENCY)
         assert metrics.weighted_f1(stats, weights) > 0.95
 
+    def test_finetune_matches_dense_momentum_oracle(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        data = [([3] + list(rng.integers(6, 120, size=int(rng.integers(4, 12)))), int(i % 2)) for i in range(40)]
+        runs = []
+        for optimizer in (MomentumSGD, DenseMomentumSGD):
+            monkeypatch.setattr(training, "MomentumSGD", optimizer)
+            clf = self._clf(kind=HeadKind.SEQUENCE, vocab_size=400, seed=6)
+            start = {k: v.copy() for k, v in clf.encoder.params.items()}
+            clf, preds = finetune(clf, data, batch_size=8, lr=0.05, epochs=2, seed=1, warmup_steps=3)
+            runs.append(({**clf.encoder.params, **clf.params}, preds))
+        (params, preds), (params_ref, preds_ref) = runs
+        assert preds == preds_ref
+        for name, ref in params_ref.items():
+            assert params[name].tobytes() == ref.tobytes(), name
+        moved = (params["tok_emb"] != start["tok_emb"]).any(axis=1)
+        assert 0 < moved.sum() < 400  # the row-sparse path ran, and skipped unseen tokens
+        for name in ("head.w", "head.b"):
+            assert params[name].tobytes() == start[name].tobytes()
+
     def test_sequence_head_reads_position_zero(self):
         clf = self._clf(kind=HeadKind.SEQUENCE, n_classes=2)
         ids = np.array([[3, 10, 11], [3, 12, 13]])
@@ -265,6 +374,7 @@ class TestFinetune:
                 down, _, _, _ = classifier_loss_sums(clf64, ids, attn, labels, weights, want_grads=False)
                 flat[i] = orig
                 numeric = (up - down) / (2 * eps)
-                analytic = grads[name].reshape(-1)[i]
+                # the MLM head is off the classifier's path: absent means zero
+                analytic = grads[name].reshape(-1)[i] if name in grads else 0.0
                 worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4))
         assert worst < 1e-4

@@ -80,10 +80,6 @@ class BpeVocab:
     def vocab_size(self) -> int:
         return len(self.token_bytes)
 
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset(range(N_SPECIALS))
-
     # -- encode/decode -----------------------------------------------------
 
     def encode(self, text: str | bytes) -> list[int]:

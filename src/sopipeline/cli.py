@@ -275,6 +275,7 @@ def cmd_finetune(args, config: PipelineConfig) -> dict:
     if not config.checkpoint:
         raise UsageError("finetune requires --checkpoint")
     model = load_checkpoint(config.checkpoint)
+    model.config.check_vocab(vocab.checksum, "tokenizer")
     max_len = min(args.seq_len, model.config.max_positions)
     train_data, truncated = _read_labeled_jsonl(args.train, vocab, max_len)
     eval_data = None

@@ -91,9 +91,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
     "metrics": {"metric_mode": "str"},
 }
 
-_FIELD_BY_KEY = {key: key for section in _SCHEMA.values() for key in section}
-
-
 def _convert(section: str, key: str, raw: str):
     kind = _SCHEMA[section][key]
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -63,6 +63,14 @@ class EncoderConfig:
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
+
+    def check_vocab(self, checksum: Optional[bytes], source: str) -> None:
+        """Refuse token ids made under another vocabulary than the model's."""
+        if None not in (checksum, self.vocab_checksum) and checksum != self.vocab_checksum:
+            raise ChecksumMismatchError(
+                f"{source} vocabulary {checksum.hex()} does not match model "
+                f"vocabulary {self.vocab_checksum.hex()}"
+            )
 
 
 def _param_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -317,21 +325,6 @@ class ClassifierModel:
             return y[:, 0, :] @ self.params["cls_head.w"] + self.params["cls_head.b"]
         return y @ self.params["cls_head.w"] + self.params["cls_head.b"]
 
-    def backward_head(self, y: np.ndarray, dlogits: np.ndarray, grads: dict) -> np.ndarray:
-        dy = np.zeros_like(y)
-        if self.kind is HeadKind.SEQUENCE:
-            grads["cls_head.w"] += y[:, 0, :].T @ dlogits
-            grads["cls_head.b"] += dlogits.sum(axis=0)
-            dy[:, 0, :] = dlogits @ self.params["cls_head.w"].T
-        else:
-            B, T, C = dlogits.shape
-            y2 = y.reshape(B * T, -1)
-            dl2 = dlogits.reshape(B * T, C)
-            grads["cls_head.w"] += y2.T @ dl2
-            grads["cls_head.b"] += dl2.sum(axis=0)
-            dy = (dl2 @ self.params["cls_head.w"].T).reshape(y.shape)
-        return dy
-
 
 # -- numeric pieces -----------------------------------------------------------
 
@@ -379,22 +372,8 @@ _CKPT_VERSION = 1
 def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
     """Versioned header + config JSON + float32 LE tensors in declared order."""
     cfg = model.config
-    config_block = json.dumps(
-        {
-            "n_layers": cfg.n_layers,
-            "hidden": cfg.hidden,
-            "n_heads": cfg.n_heads,
-            "vocab_size": cfg.vocab_size,
-            "ffn_mult": cfg.ffn_mult,
-            "max_positions": cfg.max_positions,
-            "seed": cfg.seed,
-            "tied_head": cfg.tied_head,
-            "sublayers": list(cfg.sublayers),
-            "dtype": cfg.dtype,
-            "vocab_checksum": cfg.vocab_checksum.hex() if cfg.vocab_checksum else None,
-        },
-        sort_keys=True,
-    ).encode()
+    checksum = cfg.vocab_checksum.hex() if cfg.vocab_checksum else None
+    config_block = json.dumps({**asdict(cfg), "vocab_checksum": checksum}, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC + struct.pack("<H", _CKPT_VERSION))
         fh.write(struct.pack("<I", len(config_block)))

@@ -11,6 +11,10 @@ from ..bpe import MASK_ID, N_SPECIALS, PAD_ID
 from ..errors import TrainingError, UsageError
 
 IGNORE_LABEL = -100
+_SPECIAL_IDS = np.arange(N_SPECIALS)
+# a selected position becomes [MASK] below the first cut, a random token
+# below the second, and stays unchanged above it
+_ACTION_CUTS = (0.8, 0.9)
 
 
 @dataclass
@@ -25,11 +29,8 @@ def mask_sequence(
     ids: Sequence[int],
     rate: float,
     rng: np.random.Generator,
-    special_ids: frozenset[int] | set[int] = frozenset(range(N_SPECIALS)),
     *,
     vocab_size: int,
-    mask_id: int = MASK_ID,
-    keep_split: tuple[float, float] = (0.8, 0.9),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mask one sequence; returns (input_ids, labels).
 
@@ -43,7 +44,7 @@ def mask_sequence(
     arr = np.asarray(ids, dtype=np.int64)
     if arr.size == 0:
         raise UsageError("cannot mask an empty sequence")
-    special = np.isin(arr, np.fromiter(special_ids, dtype=np.int64))
+    special = np.isin(arr, _SPECIAL_IDS)
     if special.all():
         raise TrainingError("sequence consists only of special tokens; nothing to mask")
 
@@ -53,9 +54,9 @@ def mask_sequence(
 
     out = arr.copy()
     action = rng.random(arr.size)
-    replace_mask = selected & (action < keep_split[0])
-    replace_random = selected & (action >= keep_split[0]) & (action < keep_split[1])
-    out[replace_mask] = mask_id
+    replace_mask = selected & (action < _ACTION_CUTS[0])
+    replace_random = selected & (action >= _ACTION_CUTS[0]) & (action < _ACTION_CUTS[1])
+    out[replace_mask] = MASK_ID
     if replace_random.any():
         out[replace_random] = rng.integers(N_SPECIALS, vocab_size, size=int(replace_random.sum()))
     return out, labels
@@ -70,7 +71,6 @@ def make_masked_batch(
     seed: int = 0,
     base_index: int = 0,
     indices: Optional[Sequence[int]] = None,
-    special_ids: frozenset[int] = frozenset(range(N_SPECIALS)),
 ) -> MaskedBatch:
     """Mask + pad a batch of sequences to a rectangle.
 
@@ -92,9 +92,7 @@ def make_masked_batch(
         seq = list(seq)[:T]
         key = indices[i] if indices is not None else base_index + i
         rng = np.random.default_rng([seed, key])
-        row_ids, row_labels = mask_sequence(
-            seq, rate, rng, special_ids, vocab_size=vocab_size
-        )
+        row_ids, row_labels = mask_sequence(seq, rate, rng, vocab_size=vocab_size)
         input_ids[i, : len(seq)] = row_ids
         attn_mask[i, : len(seq)] = 1
         labels[i, : len(seq)] = row_labels

@@ -10,10 +10,13 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import ChecksumMismatchError, MetricError, TrainingError, UsageError
+from ..errors import MetricError, TrainingError, UsageError
 from ..metrics import ClassWeights
 from .encoder import ClassifierModel, EncoderModel, HeadKind
 from .masking import IGNORE_LABEL, MaskedBatch, make_masked_batch
+
+MOMENTUM = 0.9
+_PREDICT_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -97,50 +100,49 @@ def classifier_loss_sums(
     """Weighted-CE sums for a classifier; weights index by class label.
 
     loss = sum(w_y * CE) with weight mass sum(w_y) returned alongside, so
-    uniform weights reduce exactly to plain mean cross-entropy.
+    uniform weights reduce exactly to plain mean cross-entropy. As in
+    :func:`mlm_loss_sums`, only the scored rows of the final hidden states
+    go through ``cls_head``: position 0 of each sequence for a sequence
+    head, the labeled positions for a token head.
     """
     labels = np.asarray(labels)
     if labels.size and labels.max() >= clf.n_classes:
         raise MetricError(f"label id {int(labels.max())} >= n_classes {clf.n_classes}")
-    y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=want_grads)
-    logits = clf.logits(y)
-
     if clf.kind is HeadKind.SEQUENCE:
-        flat, targets = logits, labels
-        keep = np.ones(len(labels), dtype=bool)
+        scored, targets = (slice(None), 0), labels
     else:
-        keep = labels != IGNORE_LABEL
-        flat, targets = logits[keep], labels[keep]
+        scored = labels != IGNORE_LABEL
+        targets = labels[scored]
     if targets.size == 0:
         raise TrainingError("batch has no labeled positions")
-    w = np.ones(targets.shape[0], dtype=logits.dtype) if weights is None else np.asarray(weights)[targets]
-    ce, probs = _cross_entropy_rows(flat, targets)
+    y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=want_grads)
+    rows = y[scored]
+    head_w = clf.params["cls_head.w"]
+    ce, probs = _cross_entropy_rows(rows @ head_w + clf.params["cls_head.b"], targets)
+    w = np.ones(len(targets), dtype=probs.dtype) if weights is None else np.asarray(weights)[targets]
     loss_sum = float((w * ce).sum())
     weight_sum = float(w.sum())
     if not want_grads:
-        return loss_sum, weight_sum, logits, None
+        return loss_sum, weight_sum, None
 
-    dflat = probs
-    dflat[np.arange(flat.shape[0]), targets] -= 1.0
-    dflat *= w[:, None]
-    if clf.kind is HeadKind.SEQUENCE:
-        dlogits = dflat
-    else:
-        dlogits = np.zeros_like(logits)
-        dlogits[keep] = dflat
+    probs[np.arange(len(targets)), targets] -= 1.0
+    probs *= w[:, None]
     # the MLM head (head.*) is off the classifier's path: no gradient at all
     params = {**clf.encoder.params, **clf.params}
     grads = {k: np.zeros_like(v) for k, v in params.items() if not k.startswith("head.")}
-    dy = clf.backward_head(y, dlogits, grads)
+    grads["cls_head.w"] += rows.T @ probs
+    grads["cls_head.b"] += probs.sum(axis=0)
+    dy = np.zeros_like(y)
+    dy[scored] = probs @ head_w.T
     clf.encoder.backward(cache, dy, grads)
-    return loss_sum, weight_sum, logits, grads
+    return loss_sum, weight_sum, grads
 
 
 # -- optimizer -------------------------------------------------------------------
 
 
 class MomentumSGD:
-    """Heavy-ball gradient descent with linear LR warmup.
+    """Heavy-ball gradient descent (momentum ``MOMENTUM``) with linear LR warmup.
 
     A 2-D tensor is updated only on its live rows: rows that have had a
     non-zero gradient at some step so far (embedding rows of tokens seen).
@@ -149,9 +151,8 @@ class MomentumSGD:
     Parameters absent from ``grads`` are not touched.
     """
 
-    def __init__(self, lr: float, momentum: float = 0.9, warmup_steps: int = 0):
+    def __init__(self, lr: float, warmup_steps: int = 0):
         self.lr = lr
-        self.momentum = momentum
         self.warmup_steps = warmup_steps
         self.velocity: dict[str, np.ndarray] = {}
         self.live_rows: dict[str, np.ndarray] = {}
@@ -173,11 +174,11 @@ class MomentumSGD:
                 live |= g.any(axis=1)
                 if not live.all():
                     rows = np.flatnonzero(live)
-                    v_rows = self.momentum * v[rows] + g[rows]
+                    v_rows = MOMENTUM * v[rows] + g[rows]
                     v[rows] = v_rows
                     params[name][rows] -= lr_t * v_rows
                     continue
-            v *= self.momentum
+            v *= MOMENTUM
             v += g
             params[name] -= lr_t * v
 
@@ -194,7 +195,6 @@ def train_mlm(
     seed: int = 0,
     *,
     mask_rate: float = 0.15,
-    momentum: float = 0.9,
     warmup_steps: int = 0,
     remask_each_step: bool = True,
     loss_csv: Optional[str | Path] = None,
@@ -207,13 +207,7 @@ def train_mlm(
     ``remask_each_step`` off, positions wrap at the dataset size so every
     pass reuses the same masks (memorization runs).
     """
-    checksum = getattr(reader, "vocab_checksum", None)
-    if checksum is not None and model.config.vocab_checksum is not None:
-        if checksum != model.config.vocab_checksum:
-            raise ChecksumMismatchError(
-                f"shard vocabulary {checksum.hex()} does not match model "
-                f"vocabulary {model.config.vocab_checksum.hex()}"
-            )
+    model.config.check_vocab(getattr(reader, "vocab_checksum", None), "shard")
     if plan.seq_len > model.config.max_positions:
         raise UsageError(f"plan seq_len {plan.seq_len} exceeds model max_positions")
 
@@ -221,9 +215,8 @@ def train_mlm(
     if not seqs:
         raise UsageError("reader yielded no non-empty sequences")
 
-    optimizer = MomentumSGD(lr, momentum=momentum, warmup_steps=warmup_steps)
+    optimizer = MomentumSGD(lr, warmup_steps=warmup_steps)
     losses: list[float] = []
-    batch_cache: dict[tuple[int, ...], MaskedBatch] = {}
     cursor = 0
     for step in range(steps):
         grads_total: Optional[dict[str, np.ndarray]] = None
@@ -232,20 +225,14 @@ def train_mlm(
         for _ in range(plan.accumulation_steps):
             picks = [(cursor + i) % len(seqs) for i in range(plan.micro_batch_seqs)]
             keys = [cursor + i if remask_each_step else picks[i] for i in range(len(picks))]
-            cache_key = tuple(picks)
-            batch = None if remask_each_step else batch_cache.get(cache_key)
-            if batch is None:
-                batch = make_masked_batch(
-                    [seqs[p] for p in picks],
-                    mask_rate,
-                    vocab_size=model.config.vocab_size,
-                    seq_len=plan.seq_len,
-                    seed=seed,
-                    indices=keys,
-                )
-                if not remask_each_step:
-                    # fixed masks per dataset index: identical every epoch
-                    batch_cache[cache_key] = batch
+            batch = make_masked_batch(
+                [seqs[p] for p in picks],
+                mask_rate,
+                vocab_size=model.config.vocab_size,
+                seq_len=plan.seq_len,
+                seed=seed,
+                indices=keys,
+            )
             cursor += plan.micro_batch_seqs
             loss_sum, count, grads = mlm_loss_sums(model, batch)
             loss_sum_total += loss_sum
@@ -369,7 +356,6 @@ def finetune(
     batch_size: int = 32,
     lr: float = 1e-5,
     epochs: int = 1,
-    momentum: float = 0.9,
     warmup_steps: int = 0,
     seed: int = 0,
 ) -> tuple[ClassifierModel, list]:
@@ -394,14 +380,14 @@ def finetune(
     weights = _resolve_weights(class_weights, all_labels, classifier.n_classes)
 
     rng = np.random.default_rng(seed)
-    optimizer = MomentumSGD(lr, momentum=momentum, warmup_steps=warmup_steps)
+    optimizer = MomentumSGD(lr, warmup_steps=warmup_steps)
     step = 0
     for _ in range(epochs):
         order = rng.permutation(len(train_data))
         for start in range(0, len(order), batch_size):
             items = [train_data[i] for i in order[start : start + batch_size]]
             input_ids, attn, labels = _pad_batch(items, kind)
-            loss_sum, weight_sum, _, grads = classifier_loss_sums(
+            loss_sum, weight_sum, grads = classifier_loss_sums(
                 classifier, input_ids, attn, labels, weights
             )
             if not np.isfinite(loss_sum):
@@ -416,11 +402,11 @@ def finetune(
     return classifier, predictions
 
 
-def predict(classifier: ClassifierModel, data: Sequence[tuple], batch_size: int = 32) -> list:
+def predict(classifier: ClassifierModel, data: Sequence[tuple]) -> list:
     """Argmax predictions; token heads yield one label array per item."""
     out: list = []
-    for start in range(0, len(data), batch_size):
-        items = list(data[start : start + batch_size])
+    for start in range(0, len(data), _PREDICT_BATCH):
+        items = list(data[start : start + _PREDICT_BATCH])
         input_ids, attn, _ = _pad_batch(items, classifier.kind)
         y, _ = classifier.encoder.hidden_states(input_ids, attn, want_cache=False)
         logits = classifier.logits(y)

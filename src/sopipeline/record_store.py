@@ -9,6 +9,7 @@ for concurrent readers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sqlite3
 from dataclasses import dataclass, field
@@ -234,37 +235,20 @@ def _insert_all(
     sql: str,
     rows: Iterable[tuple],
 ) -> int:
-    """Batch-insert with commit per batch, naming the id on duplicates."""
+    """Batch-insert inside the build's one transaction, naming the id on duplicates."""
     n = 0
-    batch: list[tuple] = []
-
-    def flush() -> None:
-        nonlocal n
-        if not batch:
-            return
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, _INSERT_BATCH)):
+        before = conn.total_changes
         try:
             conn.executemany(sql, batch)
-            conn.commit()
-        except sqlite3.IntegrityError:
-            # Replay row by row against committed state to find the culprit.
-            conn.rollback()
-            for row in batch:
-                try:
-                    conn.execute(sql, row)
-                except sqlite3.IntegrityError as exc:
-                    conn.rollback()
-                    if "UNIQUE" in str(exc):
-                        raise DuplicateIdError(table, row[0]) from exc
-                    raise StoreError(f"integrity error in {table}: {exc}") from exc
-            conn.commit()
+        except sqlite3.IntegrityError as exc:
+            # executemany stops at the failing row and keeps the rows before it
+            row = batch[conn.total_changes - before]
+            if "UNIQUE" in str(exc):
+                raise DuplicateIdError(table, row[0]) from exc
+            raise StoreError(f"integrity error in {table}: {exc}") from exc
         n += len(batch)
-        batch.clear()
-
-    for row in rows:
-        batch.append(row)
-        if len(batch) >= _INSERT_BATCH:
-            flush()
-    flush()
     return n
 
 
@@ -279,8 +263,9 @@ def build_store(
     """Load parsed records into a fresh sealed store at ``path``.
 
     Rebuilds from scratch each time, so re-running on identical inputs is
-    idempotent. Comments and history rows whose ``post_id`` is unknown are
-    kept but listed in the load report. Duplicate primary ids abort with
+    idempotent. Every row goes in one transaction, committed at the end.
+    Comments and history rows whose ``post_id`` is unknown are kept but
+    listed in the load report. Duplicate primary ids abort with
     :class:`DuplicateIdError`. ``skipped`` lists the rows the caller could
     not parse, as ``(table, row id, reason)``; it is read after the record
     iterators are drained, so they may append to it as they go.

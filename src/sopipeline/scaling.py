@@ -40,25 +40,6 @@ class TrainPlan:
     steps_for_budget: int
     shape: Optional[ModelShape] = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "params": self.params,
-            "min_tokens": self.min_tokens,
-            "tokens_per_hour": self.tokens_per_hour,
-            "gpu_hours": self.gpu_hours,
-            "dollars": self.dollars,
-            "steps_for_budget": self.steps_for_budget,
-        }
-        if self.shape is not None:
-            d["shape"] = {
-                "n_layers": self.shape.n_layers,
-                "hidden": self.shape.hidden,
-                "vocab_size": self.shape.vocab_size,
-                "max_positions": self.shape.max_positions,
-                "head_tied": self.shape.head_tied,
-            }
-        return d
-
 
 def estimate_params(shape: ModelShape) -> int:
     """Closed-form parameter count for a standard pre-norm encoder block

@@ -2,8 +2,9 @@
 
 Layout: magic ``SOTK1``, 8-byte vocabulary checksum, then for each sample a
 little-endian u32 token count followed by that many u32 token ids. A JSON
-sidecar (``<shard>.idx.json``) lists per-sample token offsets and lengths so
-readers can seek without scanning.
+sidecar index (``<shard>.idx.json``, version 2) holds the sample count, the
+total token count and the per-sample lengths, so length statistics need no
+pass over the payload.
 """
 
 from __future__ import annotations
@@ -31,27 +32,24 @@ def write_token_shard(
     """Write sequences to ``path``; returns (n_samples, total_tokens)."""
     if len(vocab_checksum) != 8:
         raise ShardError(f"vocab checksum must be 8 bytes, got {len(vocab_checksum)}")
-    offsets: list[int] = []
     lengths: list[int] = []
     total = 0
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(vocab_checksum)
         for seq in sequences:
-            offsets.append(total)
             lengths.append(len(seq))
             fh.write(_U32.pack(len(seq)))
             fh.write(struct.pack(f"<{len(seq)}I", *seq))
             total += len(seq)
     index = {
-        "version": 1,
-        "n_samples": len(offsets),
+        "version": 2,
+        "n_samples": len(lengths),
         "total_tokens": total,
-        "offsets": offsets,
         "lengths": lengths,
     }
     index_path(path).write_text(json.dumps(index, sort_keys=True) + "\n")
-    return len(offsets), total
+    return len(lengths), total
 
 
 class ShardReader:
@@ -69,12 +67,6 @@ class ShardReader:
                 f"{self.path}: shard written under a different vocabulary "
                 f"({self.vocab_checksum.hex()} != {expected_checksum.hex()})"
             )
-        idx = index_path(self.path)
-        self.index = json.loads(idx.read_text()) if idx.exists() else None
-
-    @property
-    def n_samples(self) -> Optional[int]:
-        return self.index["n_samples"] if self.index else None
 
     def __iter__(self) -> Iterator[list[int]]:
         with open(self.path, "rb") as fh:

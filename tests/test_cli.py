@@ -392,6 +392,32 @@ class TestTokenizerAndTraining:
         assert "weighted_f1" in summary
 
 
+    def test_finetune_refuses_checkpoint_of_other_vocabulary(self, capsys, tmp_path):
+        # same size, different merges
+        vocab_a, vocab_b = bpe.BpeVocab(merges=[(b"a", b"b")]), bpe.BpeVocab(merges=[(b"c", b"d")])
+        assert vocab_a.vocab_size == vocab_b.vocab_size and vocab_a.checksum != vocab_b.checksum
+        vocab_a.save(tmp_path / "a.sovoc")
+        vocab_b.save(tmp_path / "b.sovoc")
+        shards.write_token_shard(tmp_path / "c.sotk", vocab_a.encode_many(["ab cd ab cd"] * 4), vocab_a.checksum)
+        ckpt = str(tmp_path / "m.sockpt")
+        code, _, _ = run_cli(
+            capsys,
+            "pretrain", "--shards", str(tmp_path / "c.sotk"), "--vocab", str(tmp_path / "a.sovoc"),
+            "--checkpoint", ckpt, "--layers", "1", "--hidden", "8", "--heads", "2",
+            "--max-positions", "16", "--seq-len", "16", "--micro-batch", "4", "--target-tokens", "64",
+            "--steps", "1",
+        )
+        assert code == 0
+        train = tmp_path / "t.jsonl"
+        train.write_text("".join(json.dumps({"text": "ab cd", "label": i % 2}) + "\n" for i in range(4)))
+        argv = ["finetune", "--checkpoint", ckpt, "--train", str(train), "--classes", "2", "--epochs", "1"]
+        code, summary, err = run_cli(capsys, *argv, "--vocab", str(tmp_path / "b.sovoc"))
+        assert (code, summary) == (2, None)
+        assert vocab_a.checksum.hex() in err and vocab_b.checksum.hex() in err
+        code, _, _ = run_cli(capsys, *argv, "--vocab", str(tmp_path / "a.sovoc"))
+        assert code == 0
+
+
 def test_read_labeled_jsonl_counts_truncated_tokens(tmp_path):
     vocab = bpe.BpeVocab(merges=[])  # one token per byte
     path = tmp_path / "labeled.jsonl"

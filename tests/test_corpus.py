@@ -372,7 +372,7 @@ class TestWriteCorpus:
         assert a.read_bytes() == b.read_bytes()
         assert m1["sha256"] == m2["sha256"]
 
-    def test_shard_offsets(self, tmp_path):
+    def test_shard_index(self, tmp_path):
         vocab = bpe.BpeVocab(merges=[])
         samples = [
             PretrainSample(answer_id=1, text="0123456789", n_comments=1),      # 10 tokens
@@ -381,8 +381,7 @@ class TestWriteCorpus:
         out = tmp_path / "c.sotk"
         write_corpus(samples, out, fmt="shards", tokenizer=vocab)
         index = json.loads(shards.index_path(out).read_text())
-        assert index["offsets"] == [0, 10]
-        assert index["lengths"] == [10, 12]
+        assert index == {"version": 2, "n_samples": 2, "total_tokens": 22, "lengths": [10, 12]}
         reader = shards.ShardReader(out, expected_checksum=vocab.checksum)
         seqs = list(reader)
         assert [len(s) for s in seqs] == [10, 12]

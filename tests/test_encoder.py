@@ -1,5 +1,6 @@
 """Encoder structure: init determinism, pre-norm wiring, forward oracle."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -257,6 +258,21 @@ class TestCheckpoints:
             assert loaded.params[name].tobytes() == model.params[name].tobytes()
         save_checkpoint(loaded, tmp_path / "again.sockpt")
         assert (tmp_path / "again.sockpt").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra, sha256",
+        [
+            ({}, "d758ef08f47d9433693f311806434e2c1e518e0d744afa1712064c87b1723fb3"),
+            (dict(tied_head=True, vocab_checksum=bytes(range(8)), sublayers=("ffn",)),
+             "40ba3170cc633546c4de328fc3ad6eacd408bd88df92a36ca6a9d98d1af6322c"),
+        ],
+        ids=["untied", "tied-ffn-checksum"],
+    )
+    def test_golden_checkpoint_bytes(self, tmp_path, extra, sha256):
+        config = EncoderConfig(n_layers=2, hidden=16, n_heads=2, vocab_size=50, max_positions=12, seed=3, **extra)
+        path = tmp_path / "m.sockpt"
+        save_checkpoint(build_encoder(config), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_truncated_checkpoint(self, tmp_path):
         from sopipeline.errors import ChecksumMismatchError

@@ -1,6 +1,7 @@
 """Record store: build, indices, referential bookkeeping."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -82,6 +83,19 @@ class TestBuildStore:
         with pytest.raises(DuplicateIdError) as exc_info:
             store_from_rows(tmp_path, posts, name="dup2")
         assert exc_info.value.row_id == 3
+
+    @pytest.mark.parametrize("first", [250, 1234], ids=["earlier-batch", "same-batch"])
+    def test_duplicate_mid_later_batch_rolls_back_everything(self, tmp_path, first):
+        comments = [comment_row(100 + i, 1, f"c{i}", created=ts(2)) for i in range(2600)]
+        comments[1700] = comment_row(100 + first, 1, "again", created=ts(3))
+        comments[1900] = comment_row(100 + 5, 1, "later duplicate", created=ts(3))
+        with pytest.raises(DuplicateIdError) as exc_info:
+            store_from_rows(tmp_path, [question_row(1, created=ts(0))], comments, name="dup3")
+        assert (exc_info.value.table, exc_info.value.row_id) == ("comments", 100 + first)
+        with pytest.raises(StoreError, match="missing meta.json"):
+            RecordStore(tmp_path / "dup3")
+        with sqlite3.connect(tmp_path / "dup3" / "records.db") as conn:
+            assert conn.execute("SELECT COUNT(*) FROM posts").fetchone()[0] == 0
 
     def test_idempotent_rebuild(self, tmp_path):
         posts = [question_row(1, created=ts(0)), answer_row(10, 1, created=ts(1))]

@@ -50,6 +50,38 @@ def dense_head_mlm_loss_sums(model, batch):
     return float(ce.sum()), int(labeled.sum()), grads
 
 
+def dense_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights=None):
+    """Classifier loss and grads through dense [B, C] / [B, T, C] dlogits (oracle)."""
+    y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=True)
+    logits = clf.logits(y)
+    if clf.kind is HeadKind.SEQUENCE:
+        flat, targets = logits, labels
+    else:
+        keep = labels != IGNORE_LABEL
+        flat, targets = logits[keep], labels[keep]
+    w = np.ones(len(targets), dtype=logits.dtype) if weights is None else np.asarray(weights)[targets]
+    ce, dflat = _cross_entropy_rows(flat, targets)
+    dflat[np.arange(len(targets)), targets] -= 1.0
+    dflat *= w[:, None]
+    params = {**clf.encoder.params, **clf.params}
+    grads = {k: np.zeros_like(v) for k, v in params.items() if not k.startswith("head.")}
+    head_w = clf.params["cls_head.w"]
+    if clf.kind is HeadKind.SEQUENCE:
+        grads["cls_head.w"] += y[:, 0, :].T @ dflat
+        grads["cls_head.b"] += dflat.sum(axis=0)
+        dy = np.zeros_like(y)
+        dy[:, 0, :] = dflat @ head_w.T
+    else:
+        dlogits = np.zeros_like(logits)
+        dlogits[keep] = dflat
+        dl2 = dlogits.reshape(-1, clf.n_classes)
+        grads["cls_head.w"] += y.reshape(len(dl2), -1).T @ dl2
+        grads["cls_head.b"] += dl2.sum(axis=0)
+        dy = (dl2 @ head_w.T).reshape(y.shape)
+    clf.encoder.backward(cache, dy, grads)
+    return float((w * ce).sum()), float(w.sum()), grads
+
+
 class DenseMomentumSGD(MomentumSGD):
     """The update over every row of every tensor (oracle for the row-sparse step)."""
 
@@ -59,7 +91,7 @@ class DenseMomentumSGD(MomentumSGD):
             v = self.velocity.get(name)
             if v is None:
                 v = np.zeros_like(g)
-            v = self.momentum * v + g
+            v = training.MOMENTUM * v + g
             self.velocity[name] = v
             params[name] -= lr_t * v
 
@@ -276,8 +308,8 @@ class TestFinetune:
         attn = np.ones_like(ids)
         labels = np.array([[0, 1, 0, 1]])
         uniform = np.array([0.5, 0.5])
-        loss_w, mass_w, _, _ = classifier_loss_sums(clf, ids, attn, labels, uniform)
-        loss_u, mass_u, _, _ = classifier_loss_sums(clf, ids, attn, labels, None)
+        loss_w, mass_w, _ = classifier_loss_sums(clf, ids, attn, labels, uniform)
+        loss_u, mass_u, _ = classifier_loss_sums(clf, ids, attn, labels, None)
         assert loss_w / mass_w == pytest.approx(loss_u / mass_u, rel=1e-12)
 
     def test_absent_class_errors(self):
@@ -340,6 +372,45 @@ class TestFinetune:
         for name in ("head.w", "head.b"):
             assert params[name].tobytes() == start[name].tobytes()
 
+    def test_sequence_finetune_matches_dense_head_oracle(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        data = [([3] + list(rng.integers(6, 300, size=int(rng.integers(3, 14)))), int(i % 3 == 0)) for i in range(48)]
+        runs = []
+        for loss_sums in (classifier_loss_sums, dense_classifier_loss_sums):
+            monkeypatch.setattr(training, "classifier_loss_sums", loss_sums)
+            clf = self._clf(kind=HeadKind.SEQUENCE, vocab_size=300, hidden=32, n_heads=4, n_layers=2, seed=9)
+            clf, preds = finetune(clf, data, batch_size=16, lr=0.05, epochs=2, seed=3)
+            runs.append(({**clf.encoder.params, **clf.params}, preds))
+        (params, preds), (params_ref, preds_ref) = runs
+        assert preds == preds_ref
+        for name, ref in params_ref.items():
+            assert params[name].tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("kind", [HeadKind.SEQUENCE, HeadKind.TOKEN])
+    def test_gathered_rows_match_dense_head(self, kind):
+        # float64, so only summation order separates the two routes
+        for seed in range(3):
+            clf = self._clf(kind=kind, n_classes=3, n_layers=2, vocab_size=64, seed=seed, dtype="float64")
+            rng = np.random.default_rng(seed)
+            lengths = rng.integers(2, 9, size=5)
+            ids = np.zeros((5, 8), dtype=np.int64)
+            attn = np.zeros_like(ids)
+            labels = np.full((5, 8), IGNORE_LABEL) if kind is HeadKind.TOKEN else rng.integers(0, 3, size=5)
+            for i, n in enumerate(lengths):
+                ids[i, :n] = rng.integers(6, 64, size=n)
+                attn[i, :n] = 1
+                if kind is HeadKind.TOKEN:
+                    labels[i, :n] = np.where(rng.random(n) < 0.7, rng.integers(0, 3, size=n), IGNORE_LABEL)
+            weights = rng.uniform(0.2, 2.0, size=3)
+            loss, mass, grads = classifier_loss_sums(clf, ids, attn, labels, weights)
+            loss_ref, mass_ref, grads_ref = dense_classifier_loss_sums(clf, ids, attn, labels, weights)
+            assert mass == mass_ref
+            assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref)
+            assert grads.keys() == grads_ref.keys()
+            for name, ref in grads_ref.items():
+                scale = max(np.abs(ref).max(), 1e-8)  # attn.bk: see the MLM test above
+                assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
+
     def test_sequence_head_reads_position_zero(self):
         clf = self._clf(kind=HeadKind.SEQUENCE, n_classes=2)
         ids = np.array([[3, 10, 11], [3, 12, 13]])
@@ -360,7 +431,7 @@ class TestFinetune:
         labels = ids % 2
         weights = np.array([0.3, 0.7])
 
-        loss_sum, mass, _, grads = classifier_loss_sums(clf64, ids, attn, labels, weights)
+        loss_sum, mass, grads = classifier_loss_sums(clf64, ids, attn, labels, weights)
         eps = 1e-6
         worst = 0.0
         for name, tensor in list(clf64.encoder.params.items()) + list(clf64.params.items()):
@@ -369,9 +440,9 @@ class TestFinetune:
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + eps
-                up, _, _, _ = classifier_loss_sums(clf64, ids, attn, labels, weights, want_grads=False)
+                up, _, _ = classifier_loss_sums(clf64, ids, attn, labels, weights, want_grads=False)
                 flat[i] = orig - eps
-                down, _, _, _ = classifier_loss_sums(clf64, ids, attn, labels, weights, want_grads=False)
+                down, _, _ = classifier_loss_sums(clf64, ids, attn, labels, weights, want_grads=False)
                 flat[i] = orig
                 numeric = (up - down) / (2 * eps)
                 # the MLM head is off the classifier's path: absent means zero

@@ -180,13 +180,7 @@ def cmd_plan(args, config: PipelineConfig) -> dict:
     params = scaling.estimate_params(shape)
     floor = scaling.min_tokens(params)
     summary = {
-        "shape": {
-            "n_layers": shape.n_layers,
-            "hidden": shape.hidden,
-            "vocab_size": shape.vocab_size,
-            "max_positions": shape.max_positions,
-            "head_tied": shape.head_tied,
-        },
+        "shape": dataclasses.asdict(shape),
         "params": params,
         "min_tokens": floor,
         "steps_for_min_tokens": -(-floor // config.target_tokens),
@@ -246,6 +240,7 @@ def cmd_pretrain(args, config: PipelineConfig) -> dict:
         "steps": len(losses),
         "accumulation_steps": plan.accumulation_steps,
         "effective_tokens": plan.effective_tokens,
+        "truncated_tokens": sum(max(0, len(s) - plan.seq_len) for s in reader),
         "first_loss": losses[0] if losses else None,
         "final_loss": losses[-1] if losses else None,
         "seed": config.seed,

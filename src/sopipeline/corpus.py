@@ -13,7 +13,7 @@ import json
 import logging
 import re
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from html import unescape
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -68,14 +68,7 @@ class CorpusStats:
     total_tokens: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_comments_total": self.n_comments_total,
-            "comments_per_post_mean": self.comments_per_post_mean,
-            "comments_per_post_median": self.comments_per_post_median,
-            "length_histogram": self.length_histogram,
-            "total_tokens": self.total_tokens,
-        }
+        return asdict(self)
 
 
 def _replace_emails(text: str) -> str:

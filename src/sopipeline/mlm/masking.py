@@ -62,6 +62,17 @@ def mask_sequence(
     return out, labels
 
 
+def pad_rows(rows: Sequence[Sequence[int]], width: int, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left-align ``rows`` in a [len(rows), width] int64 array of ``fill``;
+    returns it with the 0/1 mask of the cells the rows cover."""
+    out = np.full((len(rows), width), fill, dtype=np.int64)
+    covered = np.zeros((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+        covered[i, : len(row)] = 1
+    return out, covered
+
+
 def make_masked_batch(
     sequences: Sequence[Sequence[int]],
     rate: float,
@@ -69,14 +80,13 @@ def make_masked_batch(
     vocab_size: int,
     seq_len: Optional[int] = None,
     seed: int = 0,
-    base_index: int = 0,
     indices: Optional[Sequence[int]] = None,
 ) -> MaskedBatch:
     """Mask + pad a batch of sequences to a rectangle.
 
     Each sequence's randomness is keyed by (seed, its stream index) --
-    ``base_index + i`` or an explicit ``indices[i]`` -- so the same stream
-    of sequences produces the same masks no matter how it is split into
+    ``indices[i]``, or ``i`` without ``indices`` -- so the same stream of
+    sequences produces the same masks no matter how it is split into
     micro-batches.
     """
     if not sequences:
@@ -84,16 +94,11 @@ def make_masked_batch(
     if indices is not None and len(indices) != len(sequences):
         raise UsageError("indices must align with sequences")
     T = seq_len or max(len(s) for s in sequences)
-    B = len(sequences)
-    input_ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    attn_mask = np.zeros((B, T), dtype=np.int64)
-    labels = np.full((B, T), IGNORE_LABEL, dtype=np.int64)
-    for i, seq in enumerate(sequences):
-        seq = list(seq)[:T]
-        key = indices[i] if indices is not None else base_index + i
-        rng = np.random.default_rng([seed, key])
-        row_ids, row_labels = mask_sequence(seq, rate, rng, vocab_size=vocab_size)
-        input_ids[i, : len(seq)] = row_ids
-        attn_mask[i, : len(seq)] = 1
-        labels[i, : len(seq)] = row_labels
+    keys = range(len(sequences)) if indices is None else indices
+    rows = [
+        mask_sequence(seq[:T], rate, np.random.default_rng([seed, key]), vocab_size=vocab_size)
+        for seq, key in zip(sequences, keys)
+    ]
+    input_ids, attn_mask = pad_rows([ids for ids, _ in rows], T, PAD_ID)
+    labels, _ = pad_rows([lab for _, lab in rows], T, IGNORE_LABEL)
     return MaskedBatch(input_ids=input_ids, attn_mask=attn_mask, labels=labels, mask_rate=rate)

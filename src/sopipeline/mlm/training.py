@@ -10,10 +10,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from ..bpe import PAD_ID
 from ..errors import MetricError, TrainingError, UsageError
 from ..metrics import ClassWeights
 from .encoder import ClassifierModel, EncoderModel, HeadKind
-from .masking import IGNORE_LABEL, MaskedBatch, make_masked_batch
+from .masking import IGNORE_LABEL, MaskedBatch, make_masked_batch, pad_rows
 
 MOMENTUM = 0.9
 _PREDICT_BATCH = 32
@@ -211,7 +212,7 @@ def train_mlm(
     if plan.seq_len > model.config.max_positions:
         raise UsageError(f"plan seq_len {plan.seq_len} exceeds model max_positions")
 
-    seqs = [trimmed for s in reader if (trimmed := list(s)[: plan.seq_len])]
+    seqs = [s[: plan.seq_len] for s in reader if len(s)]
     if not seqs:
         raise UsageError("reader yielded no non-empty sequences")
 
@@ -304,25 +305,13 @@ def attach_head(model: EncoderModel, kind: str | HeadKind, n_classes: int) -> Cl
 
 
 def _pad_batch(items: list, kind: HeadKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    from ..bpe import PAD_ID
-
     T = max(len(ids) for ids, _ in items)
-    B = len(items)
-    input_ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    attn = np.zeros((B, T), dtype=np.int64)
+    input_ids, attn = pad_rows([ids for ids, _ in items], T, PAD_ID)
     if kind is HeadKind.SEQUENCE:
-        labels = np.zeros(B, dtype=np.int64)
-    else:
-        labels = np.full((B, T), IGNORE_LABEL, dtype=np.int64)
-    for i, (ids, lab) in enumerate(items):
-        input_ids[i, : len(ids)] = ids
-        attn[i, : len(ids)] = 1
-        if kind is HeadKind.SEQUENCE:
-            labels[i] = lab
-        else:
-            if len(lab) != len(ids):
-                raise UsageError("token-class labels must align 1:1 with tokens")
-            labels[i, : len(ids)] = lab
+        return input_ids, attn, np.asarray([lab for _, lab in items], dtype=np.int64)
+    if any(len(lab) != len(ids) for ids, lab in items):
+        raise UsageError("token-class labels must align 1:1 with tokens")
+    labels, _ = pad_rows([lab for _, lab in items], T, IGNORE_LABEL)
     return input_ids, attn, labels
 
 
@@ -340,7 +329,6 @@ def _resolve_weights(
     if w.shape != (n_classes,):
         raise MetricError(f"need {n_classes} class weights, got shape {w.shape}")
     observed = np.unique(train_labels)
-    observed = observed[observed != IGNORE_LABEL]
     if (w[observed] <= 0).any():
         bad = int(observed[(w[observed] <= 0).argmax()])
         raise MetricError(f"class {bad} is observed but has non-positive weight")
@@ -375,6 +363,9 @@ def finetune(
         all_labels = np.asarray([lab for _, lab in train_data], dtype=np.int64)
     else:
         all_labels = np.concatenate([np.asarray(lab, dtype=np.int64) for _, lab in train_data])
+        all_labels = all_labels[all_labels != IGNORE_LABEL]
+        if all_labels.size == 0:
+            raise MetricError("no token of the training data is labeled")
     if all_labels.max() >= classifier.n_classes or all_labels.min() < 0:
         raise MetricError(f"labels must lie in [0, {classifier.n_classes})")
     weights = _resolve_weights(class_weights, all_labels, classifier.n_classes)
@@ -387,6 +378,8 @@ def finetune(
         for start in range(0, len(order), batch_size):
             items = [train_data[i] for i in order[start : start + batch_size]]
             input_ids, attn, labels = _pad_batch(items, kind)
+            if (labels == IGNORE_LABEL).all():
+                continue  # every token of the batch is unlabeled: nothing to learn
             loss_sum, weight_sum, grads = classifier_loss_sums(
                 classifier, input_ids, attn, labels, weights
             )

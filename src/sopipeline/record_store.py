@@ -9,7 +9,6 @@ for concurrent readers.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sqlite3
 from dataclasses import dataclass, field
@@ -31,7 +30,6 @@ FORMAT_VERSION = 1
 _DB_NAME = "records.db"
 _META_NAME = "meta.json"
 _REPORT_NAME = "load_report.txt"
-_INSERT_BATCH = 1000
 
 _SCHEMA = """
 CREATE TABLE posts (
@@ -235,21 +233,21 @@ def _insert_all(
     sql: str,
     rows: Iterable[tuple],
 ) -> int:
-    """Batch-insert inside the build's one transaction, naming the id on duplicates."""
-    n = 0
-    rows = iter(rows)
-    while batch := list(itertools.islice(rows, _INSERT_BATCH)):
-        before = conn.total_changes
-        try:
-            conn.executemany(sql, batch)
-        except sqlite3.IntegrityError as exc:
-            # executemany stops at the failing row and keeps the rows before it
-            row = batch[conn.total_changes - before]
-            if "UNIQUE" in str(exc):
-                raise DuplicateIdError(table, row[0]) from exc
-            raise StoreError(f"integrity error in {table}: {exc}") from exc
-        n += len(batch)
-    return n
+    """Insert inside the build's one transaction, naming the id on duplicates."""
+    last: tuple = ()
+
+    def pulled() -> Iterator[tuple]:
+        nonlocal last
+        for last in rows:
+            yield last
+
+    try:
+        return conn.executemany(sql, pulled()).rowcount
+    except sqlite3.IntegrityError as exc:
+        # executemany stops at the failing row, the last one it pulled
+        if "UNIQUE" in str(exc):
+            raise DuplicateIdError(table, last[0]) from exc
+        raise StoreError(f"integrity error in {table}: {exc}") from exc
 
 
 def build_store(

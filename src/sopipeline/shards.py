@@ -5,19 +5,23 @@ little-endian u32 token count followed by that many u32 token ids. A JSON
 sidecar index (``<shard>.idx.json``, version 2) holds the sample count, the
 total token count and the per-sample lengths, so length statistics need no
 pass over the payload.
+
+The reader reads the payload in one call and yields each sample as a
+read-only ``uint32`` view into it, so a loaded shard costs 4 bytes per token.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import ChecksumMismatchError, ShardError
 
 MAGIC = b"SOTK1"
-_U32 = struct.Struct("<I")
+_HEADER_BYTES = len(MAGIC) + 8
 
 
 def index_path(shard_path: str | Path) -> Path:
@@ -33,15 +37,13 @@ def write_token_shard(
     if len(vocab_checksum) != 8:
         raise ShardError(f"vocab checksum must be 8 bytes, got {len(vocab_checksum)}")
     lengths: list[int] = []
-    total = 0
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(vocab_checksum)
         for seq in sequences:
             lengths.append(len(seq))
-            fh.write(_U32.pack(len(seq)))
-            fh.write(struct.pack(f"<{len(seq)}I", *seq))
-            total += len(seq)
+            fh.write(np.array([len(seq), *seq], dtype="<u4"))
+    total = sum(lengths)
     index = {
         "version": 2,
         "n_samples": len(lengths),
@@ -58,8 +60,8 @@ class ShardReader:
     def __init__(self, path: str | Path, expected_checksum: Optional[bytes] = None):
         self.path = Path(path)
         with open(self.path, "rb") as fh:
-            header = fh.read(len(MAGIC) + 8)
-        if len(header) < len(MAGIC) + 8 or header[: len(MAGIC)] != MAGIC:
+            header = fh.read(_HEADER_BYTES)
+        if len(header) < _HEADER_BYTES or header[: len(MAGIC)] != MAGIC:
             raise ShardError(f"{self.path}: not a token shard (bad magic)")
         self.vocab_checksum: bytes = header[len(MAGIC) :]
         if expected_checksum is not None and self.vocab_checksum != expected_checksum:
@@ -68,17 +70,17 @@ class ShardReader:
                 f"({self.vocab_checksum.hex()} != {expected_checksum.hex()})"
             )
 
-    def __iter__(self) -> Iterator[list[int]]:
+    def __iter__(self) -> Iterator[np.ndarray]:
         with open(self.path, "rb") as fh:
-            fh.seek(len(MAGIC) + 8)
-            while True:
-                raw = fh.read(4)
-                if not raw:
-                    break
-                if len(raw) < 4:
-                    raise ShardError(f"{self.path}: truncated sample header")
-                (count,) = _U32.unpack(raw)
-                payload = fh.read(4 * count)
-                if len(payload) < 4 * count:
-                    raise ShardError(f"{self.path}: truncated sample payload")
-                yield list(struct.unpack(f"<{count}I", payload))
+            fh.seek(_HEADER_BYTES)
+            payload = fh.read()
+        if len(payload) % 4:
+            raise ShardError(f"{self.path}: truncated payload ({len(payload)} bytes is not whole u32 words)")
+        words = np.frombuffer(payload, dtype="<u4")
+        pos = 0
+        while pos < len(words):
+            end = pos + 1 + int(words[pos])
+            if end > len(words):
+                raise ShardError(f"{self.path}: truncated sample payload at word {pos}")
+            yield words[pos + 1 : end]
+            pos = end

@@ -330,8 +330,10 @@ class TestFlagsOverConfig:
         # --max-positions widens the model, not the sequences: 4 x 16 tokens, 2 accumulation steps
         code, summary, _ = run_cli(capsys, *argv, "--max-positions", "32")
         assert code == 0 and summary["accumulation_steps"] == 2
+        assert summary["truncated_tokens"] == 4 * (21 - 16)  # 21 byte tokens a sample
         code, summary, _ = run_cli(capsys, *argv, "--max-positions", "32", "--seq-len", "32")
         assert code == 0 and summary["accumulation_steps"] == 1
+        assert summary["truncated_tokens"] == 0
 
         train = tmp / "t.jsonl"
         train.write_text("".join(json.dumps({"text": "ab", "label": i % 2}) + "\n" for i in range(4)))

@@ -24,7 +24,7 @@ from sopipeline.corpus import (
     write_corpus,
 )
 from sopipeline.dump_ingest import parse_comment, parse_post
-from sopipeline.errors import UsageError
+from sopipeline.errors import ShardError, UsageError
 from sopipeline.mining import extract_code
 
 
@@ -402,14 +402,61 @@ class TestWriteCorpus:
             tokenizer=vocab,
         )
         reader = shards.ShardReader(out)
-        first = list(reader)
-        second = list(reader)
+        first = [s.tolist() for s in reader]
+        second = [s.tolist() for s in reader]
         assert first == second
         iter_a, iter_b = iter(reader), iter(reader)
-        assert next(iter_a) == next(iter_b)
+        assert next(iter_a).tolist() == next(iter_b).tolist()
 
     def test_manifest_extra_counts_final(self, tmp_path, filter_store):
         counters: dict = {}
         samples = build_samples(filter_store, counters=counters)
         manifest = write_corpus(samples, tmp_path / "c.jsonl", manifest_extra=counters)
         assert "skipped_empty" in manifest
+
+
+class TestShardReader:
+    def _shard(self, tmp_path, sequences):
+        path = tmp_path / "s.sotk"
+        shards.write_token_shard(path, sequences, b"\x01" * 8)
+        return path
+
+    def test_header_cut_short_is_refused_at_open(self, tmp_path):
+        path = self._shard(tmp_path, [[7, 8]])
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(ShardError, match="bad magic"):
+            shards.ShardReader(path)
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_payload_cut_mid_word_raises(self, tmp_path, cut):
+        path = self._shard(tmp_path, [[7, 8], [9]])
+        path.write_bytes(path.read_bytes()[:-cut])
+        reader = shards.ShardReader(path)
+        with pytest.raises(ShardError, match=str(path)):
+            list(reader)
+
+    def test_count_word_past_the_end_raises(self, tmp_path):
+        path = self._shard(tmp_path, [[7, 8], [9, 10, 11]])
+        blob = bytearray(path.read_bytes())
+        blob[13 + 12 : 13 + 16] = (4).to_bytes(4, "little")  # second sample claims 4 of its 3 ids
+        path.write_bytes(bytes(blob))
+        reader = shards.ShardReader(path)
+        it = iter(reader)
+        assert next(it).tolist() == [7, 8]
+        with pytest.raises(ShardError, match=str(path)):
+            next(it)
+
+    def test_zero_sample_shard_yields_nothing(self, tmp_path):
+        path = self._shard(tmp_path, [])
+        assert path.stat().st_size == 13
+        assert list(shards.ShardReader(path)) == []
+
+    def test_sequences_are_read_only_uint32_arrays(self, tmp_path):
+        path = self._shard(tmp_path, [[7, 8, 2**32 - 1], [], [9]])
+        seqs = list(shards.ShardReader(path))
+        assert [s.tolist() for s in seqs] == [[7, 8, 2**32 - 1], [], [9]]
+        for s in seqs:
+            assert isinstance(s, np.ndarray) and s.dtype == np.uint32
+            assert not s.flags.writeable
+            with pytest.raises(ValueError):
+                s[:1] = 0

@@ -84,9 +84,9 @@ class TestMakeMaskedBatch:
 
     def test_masks_keyed_by_stream_index(self):
         seqs = [list(range(10, 40)) for _ in range(8)]
-        whole = make_masked_batch(seqs, 0.3, vocab_size=VOCAB, seed=5, base_index=0)
-        first = make_masked_batch(seqs[:4], 0.3, vocab_size=VOCAB, seed=5, base_index=0)
-        second = make_masked_batch(seqs[4:], 0.3, vocab_size=VOCAB, seed=5, base_index=4)
+        whole = make_masked_batch(seqs, 0.3, vocab_size=VOCAB, seed=5, indices=range(0, 8))
+        first = make_masked_batch(seqs[:4], 0.3, vocab_size=VOCAB, seed=5, indices=range(0, 4))
+        second = make_masked_batch(seqs[4:], 0.3, vocab_size=VOCAB, seed=5, indices=range(4, 8))
         assert (whole.input_ids == np.vstack([first.input_ids, second.input_ids])).all()
         assert (whole.labels == np.vstack([first.labels, second.labels])).all()
 

@@ -1,5 +1,7 @@
 """Batch planning, optimization, gradient checking, fine-tuning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,21 @@ class TestTrainMlm:
         with pytest.raises(UsageError):
             train_mlm(model, [[], []], plan_batches(10, 1, 10), steps=1, lr=0.01)
 
+    def test_loading_a_shard_costs_at_most_8_bytes_per_token(self, tmp_path):
+        # about 1 M tokens; sequences stay views into one read of the payload
+        shard = tmp_path / "big.sotk"
+        rows = np.random.default_rng(11).integers(6, 1000, size=(6250, 160))
+        _, total = shards.write_token_shard(shard, rows, b"\x00" * 8)
+        model = tiny_model(vocab_size=1000, max_positions=128)
+        reader = shards.ShardReader(shard)
+        tracemalloc.start()
+        try:
+            train_mlm(model, reader, plan_batches(128, 1, 128), steps=0, lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / total <= 8.0
+
 
 class TestFinetune:
     def _clf(self, kind=HeadKind.TOKEN, n_classes=2, **kw):
@@ -322,6 +339,38 @@ class TestFinetune:
         clf = self._clf(kind=HeadKind.SEQUENCE, n_classes=2)
         with pytest.raises(MetricError):
             finetune(clf, [([3, 10], 5)], epochs=1)
+
+    def test_token_head_trains_with_ignored_labels(self):
+        rng = np.random.default_rng(8)
+        data = []
+        for _ in range(24):
+            ids = rng.integers(6, 40, size=10)
+            labels = ids % 2
+            labels[rng.random(10) < 0.2] = IGNORE_LABEL
+            data.append((list(ids), list(labels)))
+        for weights in (None, [0.5, 0.5]):
+            clf, preds = finetune(self._clf(), data, weights, batch_size=8, lr=0.01, epochs=2)
+            assert [len(p) for p in preds] == [10] * len(data)
+            assert all(np.isfinite(v).all() for v in clf.params.values())
+
+    def test_token_head_refuses_all_ignored_labels(self):
+        data = [([10, 11, 12], [IGNORE_LABEL] * 3), ([13, 14], [IGNORE_LABEL] * 2)]
+        with pytest.raises(MetricError, match="labeled"):
+            finetune(self._clf(), data, epochs=1)
+
+    def test_batch_without_labeled_token_is_skipped(self, monkeypatch):
+        steps = []
+        step = MomentumSGD.step
+
+        def recording_step(self, params, grads, step_index):
+            steps.append(step_index)
+            step(self, params, grads, step_index)
+
+        monkeypatch.setattr(MomentumSGD, "step", recording_step)
+        data = [([10, 11, 12], [0, 1, 0]), ([13, 14], [IGNORE_LABEL] * 2), ([15, 16, 17], [1, 1, 0])]
+        _, preds = finetune(self._clf(), data, batch_size=1, lr=0.01, epochs=2)
+        assert steps == [0, 1, 2, 3]  # two labeled items a pass; the unlabeled one takes no step
+        assert [len(p) for p in preds] == [3, 2, 3]
 
     def test_token_labels_must_align(self):
         clf = self._clf()

@@ -114,6 +114,40 @@ def _init_param(name: str, shape: tuple[int, ...], rng: np.random.Generator, dty
     return (rng.normal(0.0, 0.02, size=shape)).astype(dtype)
 
 
+@dataclass
+class RowGrad:
+    """Gradient of an embedding table that is zero outside ``rows``.
+
+    ``rows`` are sorted unique row ids and ``values[i]`` is the gradient of
+    row ``rows[i]``. A batch touches a few hundred of the table's rows, so
+    this replaces a dense [V, d] tensor that would be zeroed, divided and
+    scanned every step (the sparse embedding gradient of TensorFlow's
+    ``IndexedSlices`` and PyTorch's ``Embedding(sparse=True)``).
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def empty(cls, table: np.ndarray) -> "RowGrad":
+        return cls(np.empty(0, dtype=np.int64), np.empty((0, table.shape[1]), dtype=table.dtype))
+
+    def at(self, rows: np.ndarray) -> np.ndarray:
+        """The dense gradient on ``rows``, sorted ids that include ``self.rows``."""
+        out = np.zeros((len(rows), self.values.shape[1]), dtype=self.values.dtype)
+        out[np.searchsorted(rows, self.rows)] = self.values
+        return out
+
+    def __add__(self, other: "RowGrad") -> "RowGrad":
+        # the dense sum restricted to the union of rows, element for element
+        rows = np.union1d(self.rows, other.rows)
+        return RowGrad(rows, self.at(rows) + other.at(rows))
+
+    def __itruediv__(self, divisor: float) -> "RowGrad":
+        self.values /= divisor
+        return self
+
+
 class EncoderModel:
     def __init__(self, config: EncoderConfig, params: Optional[dict[str, np.ndarray]] = None):
         """Seeded random init, or adopt ``params`` (keyed in declared order)."""
@@ -206,14 +240,24 @@ class EncoderModel:
     def logits_mlm(self, y: np.ndarray) -> np.ndarray:
         if self.config.tied_head:
             return y @ self.params["tok_emb"].T
-        return y @ self.params["head.w"] + self.params["head.b"]
+        logits = y @ self.params["head.w"]
+        logits += self.params["head.b"]
+        return logits
 
     # ------------------------------------------------------------------ #
     # backward                                                           #
     # ------------------------------------------------------------------ #
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+    def zero_grads(self) -> dict:
+        """Zero gradients to accumulate a step's micro-batches into.
+
+        ``tok_emb`` gets an empty :class:`RowGrad`, except under a tied
+        head, which writes every row of it.
+        """
+        tok_emb = self.params["tok_emb"]
+        grads: dict = {k: np.zeros_like(v) for k, v in self.params.items() if k != "tok_emb"}
+        grads["tok_emb"] = np.zeros_like(tok_emb) if self.config.tied_head else RowGrad.empty(tok_emb)
+        return grads
 
     def backward_mlm_head(self, y: np.ndarray, dlogits: np.ndarray, grads: dict) -> np.ndarray:
         """Gradient through the vocabulary projection; returns dY."""
@@ -241,7 +285,14 @@ class EncoderModel:
                 dh = self._attn_backward(dx, layer_cache["attn"], grads, pre)
                 dx = dx + _ln_backward(dh, layer_cache["ln1"], grads, pre + "ln1")
         ids, T = cache["ids"], cache["T"]
-        np.add.at(grads["tok_emb"], ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
+        dx2 = dx.reshape(-1, dx.shape[-1])
+        if isinstance(grads["tok_emb"], RowGrad):
+            rows, inverse = np.unique(ids, return_inverse=True)
+            values = np.zeros((len(rows), dx2.shape[1]), dtype=dx2.dtype)
+            np.add.at(values, inverse.reshape(-1), dx2)
+            grads["tok_emb"] += RowGrad(rows, values)
+        else:
+            np.add.at(grads["tok_emb"], ids.reshape(-1), dx2)
         grads["pos_emb"][:T] += dx.sum(axis=0)
 
     def _ffn_backward(self, dout: np.ndarray, c: dict, grads: dict, pre: str) -> np.ndarray:
@@ -320,6 +371,16 @@ class ClassifierModel:
                 "cls_head.b": np.zeros(self.n_classes, dtype=self.encoder.config.np_dtype),
             }
 
+    def zero_grads(self) -> dict:
+        """Zero gradients for every tensor the classification loss reaches:
+        all but the MLM head's ``head.*``, with ``tok_emb``'s a :class:`RowGrad`."""
+        params = {**self.encoder.params, **self.params}
+        grads: dict = {
+            k: np.zeros_like(v) for k, v in params.items() if k != "tok_emb" and not k.startswith("head.")
+        }
+        grads["tok_emb"] = RowGrad.empty(params["tok_emb"])
+        return grads
+
     def logits(self, y: np.ndarray) -> np.ndarray:
         if self.kind is HeadKind.SEQUENCE:
             return y[:, 0, :] @ self.params["cls_head.w"] + self.params["cls_head.b"]
@@ -335,13 +396,15 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# Python-float constants keep float32 activations float32 under NumPy 2's
+# promotion rules (NEP 50); a NumPy float64 scalar would promote them.
 def _gauss_cdf(x: np.ndarray) -> np.ndarray:
-    return (0.5 * (1.0 + erf(x / np.sqrt(2.0)))).astype(x.dtype)
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return cdf + x * pdf.astype(x.dtype)
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return cdf + x * pdf
 
 
 def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):

@@ -13,7 +13,7 @@ import numpy as np
 from ..bpe import PAD_ID
 from ..errors import MetricError, TrainingError, UsageError
 from ..metrics import ClassWeights
-from .encoder import ClassifierModel, EncoderModel, HeadKind
+from .encoder import ClassifierModel, EncoderModel, HeadKind, RowGrad
 from .masking import IGNORE_LABEL, MaskedBatch, make_masked_batch, pad_rows
 
 MOMENTUM = 0.9
@@ -43,48 +43,53 @@ def plan_batches(target_tokens: int, micro_batch_seqs: int, seq_len: int) -> Bat
 
 
 def _cross_entropy_rows(flat_logits: np.ndarray, targets: np.ndarray):
-    """Per-row CE and softmax probs for [N, V] logits, numerically stable."""
+    """Per-row CE and softmax probs for [N, V] logits, numerically stable.
+
+    Overwrites ``flat_logits``: the returned probs are that same array, so
+    an [N, V] head costs one array. Pass a copy to keep the logits.
+    """
+    target_logits = flat_logits[np.arange(flat_logits.shape[0]), targets]
     m = flat_logits.max(axis=-1, keepdims=True)
-    probs = flat_logits - m
+    probs = flat_logits
+    probs -= m
     np.exp(probs, out=probs)
     total = probs.sum(axis=-1, keepdims=True)
     lse = np.log(total) + m
-    rows = np.arange(flat_logits.shape[0])
-    ce = lse[:, 0] - flat_logits[rows, targets]
+    ce = lse[:, 0] - target_logits
     probs /= total
     return ce, probs
 
 
-def mlm_loss_sums(model: EncoderModel, batch: MaskedBatch, *, want_grads: bool = True):
-    """Summed CE over labeled positions plus the label count (and grads).
+def mlm_loss_sums(model: EncoderModel, batch: MaskedBatch, *, grads: Optional[dict] = None):
+    """Summed CE over labeled positions plus the label count.
 
-    Returning sums (not means) keeps gradient accumulation exactly linear:
-    micro-batch sums add, and the caller divides once by the total count.
-    Only the labeled rows of the final hidden states go through the
-    vocabulary head (BERT's ``gather_indexes``), as one [1, N, d] batch.
+    With ``grads`` (from ``model.zero_grads()``) the batch's gradient sums
+    are added into it. Returning sums (not means) keeps gradient
+    accumulation exactly linear: micro-batches add into one dict, and the
+    caller divides once by the total count. Only the labeled rows of the
+    final hidden states go through the vocabulary head (BERT's
+    ``gather_indexes``), as one [1, N, d] batch.
     """
     labeled = batch.labels != IGNORE_LABEL
     count = int(labeled.sum())
     if count == 0:
         raise TrainingError("batch has no labeled (masked) positions")
-    y, cache = model.hidden_states(batch.input_ids, batch.attn_mask, want_cache=want_grads)
+    y, cache = model.hidden_states(batch.input_ids, batch.attn_mask, want_cache=grads is not None)
     rows = y[labeled][None]
     targets = batch.labels[labeled]
     ce, probs = _cross_entropy_rows(model.logits_mlm(rows)[0], targets)
     loss_sum = float(ce.sum())
-    if not want_grads:
-        return loss_sum, count, None
-    probs[np.arange(count), targets] -= 1.0
-    grads = model.zero_grads()
-    dy = np.zeros_like(y)
-    dy[labeled] = model.backward_mlm_head(rows, probs[None], grads)[0]
-    model.backward(cache, dy, grads)
-    return loss_sum, count, grads
+    if grads is not None:
+        probs[np.arange(count), targets] -= 1.0
+        dy = np.zeros_like(y)
+        dy[labeled] = model.backward_mlm_head(rows, probs[None], grads)[0]
+        model.backward(cache, dy, grads)
+    return loss_sum, count
 
 
 def forward_mlm(model: EncoderModel, batch: MaskedBatch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over masked positions only, plus the full logits."""
-    loss_sum, count, _ = mlm_loss_sums(model, batch, want_grads=False)
+    loss_sum, count = mlm_loss_sums(model, batch)
     y, _ = model.hidden_states(batch.input_ids, batch.attn_mask)
     return loss_sum / count, model.logits_mlm(y)
 
@@ -96,15 +101,16 @@ def classifier_loss_sums(
     labels: np.ndarray,
     weights: Optional[np.ndarray] = None,
     *,
-    want_grads: bool = True,
+    grads: Optional[dict] = None,
 ):
     """Weighted-CE sums for a classifier; weights index by class label.
 
     loss = sum(w_y * CE) with weight mass sum(w_y) returned alongside, so
     uniform weights reduce exactly to plain mean cross-entropy. As in
-    :func:`mlm_loss_sums`, only the scored rows of the final hidden states
-    go through ``cls_head``: position 0 of each sequence for a sequence
-    head, the labeled positions for a token head.
+    :func:`mlm_loss_sums`, gradient sums are added into ``grads`` (from
+    ``clf.zero_grads()``) when it is given, and only the scored rows of the
+    final hidden states go through ``cls_head``: position 0 of each
+    sequence for a sequence head, the labeled positions for a token head.
     """
     labels = np.asarray(labels)
     if labels.size and labels.max() >= clf.n_classes:
@@ -116,27 +122,22 @@ def classifier_loss_sums(
         targets = labels[scored]
     if targets.size == 0:
         raise TrainingError("batch has no labeled positions")
-    y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=want_grads)
+    y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=grads is not None)
     rows = y[scored]
     head_w = clf.params["cls_head.w"]
     ce, probs = _cross_entropy_rows(rows @ head_w + clf.params["cls_head.b"], targets)
     w = np.ones(len(targets), dtype=probs.dtype) if weights is None else np.asarray(weights)[targets]
     loss_sum = float((w * ce).sum())
     weight_sum = float(w.sum())
-    if not want_grads:
-        return loss_sum, weight_sum, None
-
-    probs[np.arange(len(targets)), targets] -= 1.0
-    probs *= w[:, None]
-    # the MLM head (head.*) is off the classifier's path: no gradient at all
-    params = {**clf.encoder.params, **clf.params}
-    grads = {k: np.zeros_like(v) for k, v in params.items() if not k.startswith("head.")}
-    grads["cls_head.w"] += rows.T @ probs
-    grads["cls_head.b"] += probs.sum(axis=0)
-    dy = np.zeros_like(y)
-    dy[scored] = probs @ head_w.T
-    clf.encoder.backward(cache, dy, grads)
-    return loss_sum, weight_sum, grads
+    if grads is not None:
+        probs[np.arange(len(targets)), targets] -= 1.0
+        probs *= w[:, None]
+        grads["cls_head.w"] += rows.T @ probs
+        grads["cls_head.b"] += probs.sum(axis=0)
+        dy = np.zeros_like(y)
+        dy[scored] = probs @ head_w.T
+        clf.encoder.backward(cache, dy, grads)
+    return loss_sum, weight_sum
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -146,10 +147,11 @@ class MomentumSGD:
     """Heavy-ball gradient descent (momentum ``MOMENTUM``) with linear LR warmup.
 
     A 2-D tensor is updated only on its live rows: rows that have had a
-    non-zero gradient at some step so far (embedding rows of tokens seen).
-    Every other row has zero velocity and zero gradient, and the dense
-    update would leave it bit-for-bit unchanged (0.9 * 0 + 0 = 0).
-    Parameters absent from ``grads`` are not touched.
+    non-zero gradient at some step so far (embedding rows of tokens seen),
+    or, for a :class:`RowGrad`, rows it has held. Every other row has zero
+    velocity and zero gradient, and the dense update would leave it
+    bit-for-bit unchanged (0.9 * 0 + 0 = 0). Parameters absent from
+    ``grads`` are not touched.
     """
 
     def __init__(self, lr: float, warmup_steps: int = 0):
@@ -167,15 +169,19 @@ class MomentumSGD:
         lr_t = self.rate(step_index)
         for name, g in grads.items():
             if name not in self.velocity:
-                self.velocity[name] = np.zeros_like(g)
-                self.live_rows[name] = np.zeros(len(g), dtype=bool)
+                self.velocity[name] = np.zeros_like(params[name])
+                self.live_rows[name] = np.zeros(len(params[name]), dtype=bool)
             v = self.velocity[name]
-            if g.ndim == 2:
+            if v.ndim == 2:
                 live = self.live_rows[name]
-                live |= g.any(axis=1)
-                if not live.all():
+                sparse = isinstance(g, RowGrad)
+                if sparse:
+                    live[g.rows] = True
+                else:
+                    live |= g.any(axis=1)
+                if sparse or not live.all():
                     rows = np.flatnonzero(live)
-                    v_rows = MOMENTUM * v[rows] + g[rows]
+                    v_rows = MOMENTUM * v[rows] + (g.at(rows) if sparse else g[rows])
                     v[rows] = v_rows
                     params[name][rows] -= lr_t * v_rows
                     continue
@@ -220,7 +226,7 @@ def train_mlm(
     losses: list[float] = []
     cursor = 0
     for step in range(steps):
-        grads_total: Optional[dict[str, np.ndarray]] = None
+        grads = model.zero_grads()
         loss_sum_total = 0.0
         count_total = 0
         for _ in range(plan.accumulation_steps):
@@ -235,21 +241,15 @@ def train_mlm(
                 indices=keys,
             )
             cursor += plan.micro_batch_seqs
-            loss_sum, count, grads = mlm_loss_sums(model, batch)
+            loss_sum, count = mlm_loss_sums(model, batch, grads=grads)
             loss_sum_total += loss_sum
             count_total += count
-            if grads_total is None:
-                grads_total = grads
-            else:
-                for name in grads_total:
-                    grads_total[name] += grads[name]
         loss = loss_sum_total / count_total
         if not np.isfinite(loss):
             raise TrainingError("loss is not finite", step=step)
-        assert grads_total is not None
-        for name in grads_total:
-            grads_total[name] /= count_total
-        optimizer.step(model.params, grads_total, step)
+        for name in grads:
+            grads[name] /= count_total
+        optimizer.step(model.params, grads, step)
         losses.append(loss)
 
     if loss_csv is not None:
@@ -273,18 +273,20 @@ def grad_check(model: EncoderModel, batch: MaskedBatch, epsilon: float = 1e-5) -
     """
     m64 = model.astype("float64")
 
-    loss_sum, count, grads = mlm_loss_sums(m64, batch)
+    grads = m64.zero_grads()
+    _, count = mlm_loss_sums(m64, batch, grads=grads)
     worst = 0.0
     for name in m64.param_names:
         tensor = m64.params[name]
-        analytic = grads[name] / count
+        g = grads[name]
+        analytic = (g.at(np.arange(len(tensor))) if isinstance(g, RowGrad) else g) / count
         flat = tensor.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon
-            up, cnt, _ = mlm_loss_sums(m64, batch, want_grads=False)
+            up, cnt = mlm_loss_sums(m64, batch)
             flat[i] = orig - epsilon
-            down, _, _ = mlm_loss_sums(m64, batch, want_grads=False)
+            down, _ = mlm_loss_sums(m64, batch)
             flat[i] = orig
             numeric = (up / cnt - down / cnt) / (2 * epsilon)
             a = analytic.reshape(-1)[i]
@@ -380,8 +382,9 @@ def finetune(
             input_ids, attn, labels = _pad_batch(items, kind)
             if (labels == IGNORE_LABEL).all():
                 continue  # every token of the batch is unlabeled: nothing to learn
-            loss_sum, weight_sum, grads = classifier_loss_sums(
-                classifier, input_ids, attn, labels, weights
+            grads = classifier.zero_grads()
+            loss_sum, weight_sum = classifier_loss_sums(
+                classifier, input_ids, attn, labels, weights, grads=grads
             )
             if not np.isfinite(loss_sum):
                 raise TrainingError("loss is not finite", step=step)

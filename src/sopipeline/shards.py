@@ -13,6 +13,7 @@ read-only ``uint32`` view into it, so a loaded shard costs 4 bytes per token.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -33,24 +34,44 @@ def write_token_shard(
     sequences: Iterable[list[int]],
     vocab_checksum: bytes,
 ) -> tuple[int, int]:
-    """Write sequences to ``path``; returns (n_samples, total_tokens)."""
+    """Write sequences to ``path``; returns (n_samples, total_tokens).
+
+    The shard and its index are written to ``.tmp`` siblings and renamed
+    into place only after the last sample, so a write that fails (such as
+    on a token id outside [0, 2**32)) leaves any earlier shard as it was.
+    """
     if len(vocab_checksum) != 8:
         raise ShardError(f"vocab checksum must be 8 bytes, got {len(vocab_checksum)}")
+    path, idx_path = Path(path), index_path(path)
+    tmp, idx_tmp = Path(f"{path}.tmp"), Path(f"{idx_path}.tmp")
     lengths: list[int] = []
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(vocab_checksum)
-        for seq in sequences:
-            lengths.append(len(seq))
-            fh.write(np.array([len(seq), *seq], dtype="<u4"))
-    total = sum(lengths)
-    index = {
-        "version": 2,
-        "n_samples": len(lengths),
-        "total_tokens": total,
-        "lengths": lengths,
-    }
-    index_path(path).write_text(json.dumps(index, sort_keys=True) + "\n")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(vocab_checksum)
+            for i, seq in enumerate(sequences):
+                ids = np.asarray(seq)
+                out_of_range = (ids < 0) | (ids >= 2**32)
+                if out_of_range.any():
+                    raise ShardError(
+                        f"{path}: sample {i} holds token id {ids[out_of_range][0]} outside [0, 2**32)"
+                    )
+                lengths.append(len(ids))
+                fh.write(np.array([len(ids)], dtype="<u4"))
+                fh.write(ids.astype("<u4"))
+        total = sum(lengths)
+        index = {
+            "version": 2,
+            "n_samples": len(lengths),
+            "total_tokens": total,
+            "lengths": lengths,
+        }
+        idx_tmp.write_text(json.dumps(index, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+        os.replace(idx_tmp, idx_path)
+    finally:
+        tmp.unlink(missing_ok=True)
+        idx_tmp.unlink(missing_ok=True)
     return len(lengths), total
 
 

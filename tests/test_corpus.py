@@ -421,6 +421,22 @@ class TestShardReader:
         shards.write_token_shard(path, sequences, b"\x01" * 8)
         return path
 
+    def test_out_of_range_id_leaves_the_earlier_shard(self, tmp_path):
+        path = self._shard(tmp_path, [[7, 8], [9]])
+        before = path.read_bytes(), shards.index_path(path).read_bytes()
+        with pytest.raises(ShardError, match="sample 1 holds token id -1"):
+            shards.write_token_shard(path, [[1, 2], [-1]], b"\x01" * 8)
+        assert (path.read_bytes(), shards.index_path(path).read_bytes()) == before
+        assert [s.tolist() for s in shards.ShardReader(path)] == [[7, 8], [9]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.sotk", "s.sotk.idx.json"]
+
+    def test_out_of_range_id_writes_nothing_new(self, tmp_path):
+        path = tmp_path / "s.sotk"
+        for bad in ([-1], [2**32]):
+            with pytest.raises(ShardError, match="sample 1"):
+                shards.write_token_shard(path, [[1, 2], bad], b"\x01" * 8)
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_cut_short_is_refused_at_open(self, tmp_path):
         path = self._shard(tmp_path, [[7, 8]])
         path.write_bytes(path.read_bytes()[:12])

@@ -21,7 +21,18 @@ from sopipeline.mlm import (
     train_mlm,
 )
 from sopipeline.mlm import training
+from sopipeline.mlm.encoder import RowGrad
 from sopipeline.mlm.training import MomentumSGD, _cross_entropy_rows, classifier_loss_sums, mlm_loss_sums
+
+
+def densified(grads, params):
+    """``grads`` with each :class:`RowGrad` spread over its whole table."""
+    return {k: g.at(np.arange(len(params[k]))) if isinstance(g, RowGrad) else g for k, g in grads.items()}
+
+
+def dense_zero_grads(model):
+    """Zero gradients with a dense ``tok_emb``: the embedding's dense route."""
+    return {k: np.zeros_like(v) for k, v in model.params.items()}
 
 
 def two_exp_cross_entropy(flat_logits, targets):
@@ -46,14 +57,18 @@ def dense_head_mlm_loss_sums(model, batch):
     probs[np.arange(flat.shape[0]), targets] -= 1.0
     dlogits = np.zeros_like(logits)
     dlogits[labeled] = probs
-    grads = model.zero_grads()
+    grads = dense_zero_grads(model)
     dy = model.backward_mlm_head(y, dlogits, grads)
     model.backward(cache, dy, grads)
     return float(ce.sum()), int(labeled.sum()), grads
 
 
-def dense_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights=None):
-    """Classifier loss and grads through dense [B, C] / [B, T, C] dlogits (oracle)."""
+def dense_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights=None, *, grads=None):
+    """Classifier loss and grads through dense [B, C] / [B, T, C] dlogits (oracle).
+
+    The gradients are computed into a fresh dense dict and then added into
+    ``grads``; a :class:`RowGrad` entry takes them over every row.
+    """
     y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=True)
     logits = clf.logits(y)
     if clf.kind is HeadKind.SEQUENCE:
@@ -66,22 +81,51 @@ def dense_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights=None):
     dflat[np.arange(len(targets)), targets] -= 1.0
     dflat *= w[:, None]
     params = {**clf.encoder.params, **clf.params}
-    grads = {k: np.zeros_like(v) for k, v in params.items() if not k.startswith("head.")}
+    dense = {k: np.zeros_like(v) for k, v in params.items() if not k.startswith("head.")}
     head_w = clf.params["cls_head.w"]
     if clf.kind is HeadKind.SEQUENCE:
-        grads["cls_head.w"] += y[:, 0, :].T @ dflat
-        grads["cls_head.b"] += dflat.sum(axis=0)
+        dense["cls_head.w"] += y[:, 0, :].T @ dflat
+        dense["cls_head.b"] += dflat.sum(axis=0)
         dy = np.zeros_like(y)
         dy[:, 0, :] = dflat @ head_w.T
     else:
         dlogits = np.zeros_like(logits)
         dlogits[keep] = dflat
         dl2 = dlogits.reshape(-1, clf.n_classes)
-        grads["cls_head.w"] += y.reshape(len(dl2), -1).T @ dl2
-        grads["cls_head.b"] += dl2.sum(axis=0)
+        dense["cls_head.w"] += y.reshape(len(dl2), -1).T @ dl2
+        dense["cls_head.b"] += dl2.sum(axis=0)
         dy = (dl2 @ head_w.T).reshape(y.shape)
-    clf.encoder.backward(cache, dy, grads)
-    return float((w * ce).sum()), float(w.sum()), grads
+    clf.encoder.backward(cache, dy, dense)
+    if grads is not None:
+        for name, g in dense.items():
+            grads[name] += RowGrad(np.arange(len(g)), g) if isinstance(grads[name], RowGrad) else g
+    return float((w * ce).sum()), float(w.sum())
+
+
+def per_micro_batch_train_mlm(model, seqs, plan, steps, lr, seed, mask_rate=0.15):
+    """train_mlm's step loop with a fresh dense gradient dict per micro-batch,
+    the dicts added together (oracle for the one shared dict and ``RowGrad``)."""
+    optimizer = MomentumSGD(lr)
+    losses, cursor = [], 0
+    for step in range(steps):
+        total, loss_sum, count = None, 0.0, 0
+        for _ in range(plan.accumulation_steps):
+            keys = [cursor + i for i in range(plan.micro_batch_seqs)]
+            batch = make_masked_batch(
+                [seqs[k % len(seqs)] for k in keys], mask_rate,
+                vocab_size=model.config.vocab_size, seq_len=plan.seq_len, seed=seed, indices=keys,
+            )
+            cursor += plan.micro_batch_seqs
+            grads = dense_zero_grads(model)
+            batch_loss, batch_count = mlm_loss_sums(model, batch, grads=grads)
+            loss_sum += batch_loss
+            count += batch_count
+            total = grads if total is None else {k: total[k] + grads[k] for k in total}
+        for g in total.values():
+            g /= count
+        optimizer.step(model.params, total, step)
+        losses.append(loss_sum / count)
+    return losses
 
 
 class DenseMomentumSGD(MomentumSGD):
@@ -89,7 +133,7 @@ class DenseMomentumSGD(MomentumSGD):
 
     def step(self, params, grads, step_index):
         lr_t = self.rate(step_index)
-        for name, g in grads.items():
+        for name, g in densified(grads, params).items():
             v = self.velocity.get(name)
             if v is None:
                 v = np.zeros_like(g)
@@ -146,16 +190,51 @@ class TestMlmLoss:
             rng = np.random.default_rng(seed)
             seqs = [list(rng.integers(6, 64, size=int(rng.integers(3, 9)))) for _ in range(5)]
             batch = make_masked_batch(seqs, 0.3, vocab_size=64, seq_len=8, seed=seed)
-            loss, count, grads = mlm_loss_sums(model, batch)
+            grads = model.zero_grads()
+            loss, count = mlm_loss_sums(model, batch, grads=grads)
             loss_ref, count_ref, grads_ref = dense_head_mlm_loss_sums(model, batch)
             assert count == count_ref
             assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref)
             assert grads.keys() == grads_ref.keys() == model.params.keys()
+            grads = densified(grads, model.params)
             for name, ref in grads_ref.items():
                 # attn.bk's true gradient is 0 (softmax ignores a shift), so
                 # its entries are ~1e-19 rounding noise: floor the scale
                 scale = max(np.abs(ref).max(), 1e-8)
                 assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
+
+    def test_row_grad_sum_is_the_dense_sum(self):
+        rng = np.random.default_rng(3)
+        a = RowGrad(np.array([1, 4, 7]), rng.normal(size=(3, 2)).astype(np.float32))
+        b = RowGrad(np.array([0, 4, 9]), rng.normal(size=(3, 2)).astype(np.float32))
+        total = RowGrad.empty(np.zeros((10, 2), np.float32)) + a + b
+        assert total.rows.tolist() == [0, 1, 4, 7, 9]
+        dense_sum = a.at(np.arange(10)) + b.at(np.arange(10))
+        assert total.at(np.arange(10)).tobytes() == dense_sum.tobytes()
+        total /= np.float32(3.0)
+        assert total.at(np.arange(10)).tobytes() == (dense_sum / np.float32(3.0)).tobytes()
+
+    def test_head_allocates_one_logits_array_and_no_table_gradient(self):
+        # V = 50,000, d = 64, about 150 labeled rows. Bound on the traced peak:
+        # the [N, V] logits (which become the probs in place), the [d, V]
+        # head.w gradient product and 4 MB for the small [B, T, d] arrays.
+        # A [V, d] tok_emb gradient (12.8 MB) or a second [N, V] array
+        # (about 29 MB) does not fit; the dense route peaks about 27 MB over.
+        V, d = 50_000, 64
+        model = build_encoder(EncoderConfig(n_layers=0, hidden=d, n_heads=4, vocab_size=V, max_positions=64))
+        rng = np.random.default_rng(0)
+        batch = make_masked_batch([rng.integers(6, V, size=64) for _ in range(16)], 0.15, vocab_size=V, seed=1)
+        n = int((batch.labels != IGNORE_LABEL).sum())
+        assert 120 <= n <= 180
+        grads = model.zero_grads()
+        tracemalloc.start()
+        try:
+            mlm_loss_sums(model, batch, grads=grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * V * 4 + d * V * 4 + 4_000_000
+        assert len(grads["tok_emb"].rows) <= 16 * 64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cross_entropy_loss_bits_match_two_exp_formula(self, dtype):
@@ -163,7 +242,7 @@ class TestMlmLoss:
         for n, v in ((1, 2), (37, 50), (154, 5000)):
             logits = (rng.normal(size=(n, v)) * 4).astype(dtype)
             targets = rng.integers(0, v, size=n)
-            ce, probs = _cross_entropy_rows(logits, targets)
+            ce, probs = _cross_entropy_rows(logits.copy(), targets)
             ce_ref, probs_ref = two_exp_cross_entropy(logits, targets)
             assert ce.tobytes() == ce_ref.tobytes()
             np.testing.assert_allclose(probs, probs_ref, rtol=64 * np.finfo(dtype).eps, atol=0)
@@ -242,6 +321,32 @@ class TestTrainMlm:
             denom = np.maximum(np.abs(a), 1e-12)
             assert (np.abs(a - b) / denom).max() < 1e-6, name
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_shared_gradient_dict_matches_per_micro_batch_dicts(self, tied):
+        # ids from ten tokens repeat within and across micro-batches, and the
+        # short sequences pad; two micro-batches per step
+        rng = np.random.default_rng(21)
+        seqs = [list(rng.integers(6, 16, size=int(rng.integers(4, 11)))) for _ in range(12)]
+        plan = plan_batches(2 * 3 * 10, 3, 10)
+        assert plan.accumulation_steps == 2
+        runs = []
+        for train in (train_mlm, per_micro_batch_train_mlm):
+            # a tied head writes tok_emb twice per micro-batch, and the two
+            # routes add those writes in another order: float64 and a tolerance
+            model = tiny_model(vocab_size=40, max_positions=16, hidden=16, tied_head=tied, seed=4,
+                               dtype="float64" if tied else "float32")
+            runs.append((train(model, seqs, plan, steps=5, lr=0.1, seed=3), model.params))
+        (losses, params), (losses_ref, params_ref) = runs
+        if tied:
+            np.testing.assert_allclose(losses, losses_ref, rtol=1e-12)
+        else:
+            assert losses == losses_ref
+        for name, ref in params_ref.items():
+            if tied:
+                np.testing.assert_allclose(params[name], ref, rtol=1e-10, atol=1e-14, err_msg=name)
+            else:
+                assert params[name].tobytes() == ref.tobytes(), name
+
     def test_checksum_mismatch(self, tmp_path):
         vocab = train_bpe(["aa bb cc " * 4], MIN_VOCAB_SIZE + 2, sample_fraction=1.0)
         shard = tmp_path / "s.sotk"
@@ -264,18 +369,21 @@ class TestTrainMlm:
         assert exc_info.value.step is not None
 
     def test_row_seen_once_keeps_moving_by_momentum(self):
-        params = {"tok_emb": np.ones((6, 3), np.float32)}
-        dense = {"tok_emb": params["tok_emb"].copy()}
-        opt, oracle = MomentumSGD(0.1), DenseMomentumSGD(0.1)
-        for step in range(4):
-            g = np.zeros((6, 3), np.float32)
-            g[2 if step == 0 else 4] = step + 1.0  # row 2 has a gradient at step 0 only
-            before = params["tok_emb"][2].copy()
-            opt.step(params, {"tok_emb": g}, step)
-            oracle.step(dense, {"tok_emb": g}, step)
-            assert (params["tok_emb"][2] != before).all()
-            assert params["tok_emb"].tobytes() == dense["tok_emb"].tobytes()
-        assert (params["tok_emb"][[0, 1, 3, 5]] == 1.0).all()
+        for sparse in (False, True):  # a dense gradient, then a RowGrad
+            params = {"tok_emb": np.ones((6, 3), np.float32)}
+            dense = {"tok_emb": params["tok_emb"].copy()}
+            opt, oracle = MomentumSGD(0.1), DenseMomentumSGD(0.1)
+            for step in range(4):
+                row = 2 if step == 0 else 4  # row 2 has a gradient at step 0 only
+                g = RowGrad(np.array([row]), np.full((1, 3), step + 1.0, np.float32))
+                if not sparse:
+                    g = g.at(np.arange(6))
+                before = params["tok_emb"][2].copy()
+                opt.step(params, {"tok_emb": g}, step)
+                oracle.step(dense, {"tok_emb": g}, step)
+                assert (params["tok_emb"][2] != before).all()
+                assert params["tok_emb"].tobytes() == dense["tok_emb"].tobytes()
+            assert (params["tok_emb"][[0, 1, 3, 5]] == 1.0).all()
 
     def test_warmup_schedule(self):
         opt = MomentumSGD(1.0, warmup_steps=10)
@@ -325,8 +433,8 @@ class TestFinetune:
         attn = np.ones_like(ids)
         labels = np.array([[0, 1, 0, 1]])
         uniform = np.array([0.5, 0.5])
-        loss_w, mass_w, _ = classifier_loss_sums(clf, ids, attn, labels, uniform)
-        loss_u, mass_u, _ = classifier_loss_sums(clf, ids, attn, labels, None)
+        loss_w, mass_w = classifier_loss_sums(clf, ids, attn, labels, uniform)
+        loss_u, mass_u = classifier_loss_sums(clf, ids, attn, labels, None)
         assert loss_w / mass_w == pytest.approx(loss_u / mass_u, rel=1e-12)
 
     def test_absent_class_errors(self):
@@ -451,11 +559,14 @@ class TestFinetune:
                 if kind is HeadKind.TOKEN:
                     labels[i, :n] = np.where(rng.random(n) < 0.7, rng.integers(0, 3, size=n), IGNORE_LABEL)
             weights = rng.uniform(0.2, 2.0, size=3)
-            loss, mass, grads = classifier_loss_sums(clf, ids, attn, labels, weights)
-            loss_ref, mass_ref, grads_ref = dense_classifier_loss_sums(clf, ids, attn, labels, weights)
+            grads, grads_ref = clf.zero_grads(), clf.zero_grads()
+            loss, mass = classifier_loss_sums(clf, ids, attn, labels, weights, grads=grads)
+            loss_ref, mass_ref = dense_classifier_loss_sums(clf, ids, attn, labels, weights, grads=grads_ref)
             assert mass == mass_ref
             assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref)
             assert grads.keys() == grads_ref.keys()
+            params = {**clf.encoder.params, **clf.params}
+            grads, grads_ref = densified(grads, params), densified(grads_ref, params)
             for name, ref in grads_ref.items():
                 scale = max(np.abs(ref).max(), 1e-8)  # attn.bk: see the MLM test above
                 assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
@@ -480,7 +591,9 @@ class TestFinetune:
         labels = ids % 2
         weights = np.array([0.3, 0.7])
 
-        loss_sum, mass, grads = classifier_loss_sums(clf64, ids, attn, labels, weights)
+        grads = clf64.zero_grads()
+        classifier_loss_sums(clf64, ids, attn, labels, weights, grads=grads)
+        grads = densified(grads, {**clf64.encoder.params, **clf64.params})
         eps = 1e-6
         worst = 0.0
         for name, tensor in list(clf64.encoder.params.items()) + list(clf64.params.items()):
@@ -489,9 +602,9 @@ class TestFinetune:
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + eps
-                up, _, _ = classifier_loss_sums(clf64, ids, attn, labels, weights, want_grads=False)
+                up, _ = classifier_loss_sums(clf64, ids, attn, labels, weights)
                 flat[i] = orig - eps
-                down, _, _ = classifier_loss_sums(clf64, ids, attn, labels, weights, want_grads=False)
+                down, _ = classifier_loss_sums(clf64, ids, attn, labels, weights)
                 flat[i] = orig
                 numeric = (up - down) / (2 * eps)
                 # the MLM head is off the classifier's path: absent means zero

@@ -299,6 +299,7 @@ def cmd_finetune(args, config: PipelineConfig) -> dict:
 def cmd_mine(args, config: PipelineConfig) -> dict:
     if not config.store_dir or not args.out:
         raise UsageError("mine requires --store-dir and --out")
+    counters: dict = {"skipped_no_revisions": 0}
     with RecordStore(config.store_dir) as store:
         candidates = mining.mine_all(
             store,
@@ -306,12 +307,13 @@ def cmd_mine(args, config: PipelineConfig) -> dict:
             levenshtein_min=config.levenshtein_min,
             late_years=config.late_years,
             late_min_score=config.late_min_score,
+            counters=counters,
         )
     n = mining.export_candidates(candidates, args.out)
     counts = {h.value: 0 for h in mining.Heuristic}
     for cand in candidates:
         counts[cand.heuristic.value] += 1
-    return {"out": str(args.out), "total": n, "per_heuristic": counts}
+    return {"out": str(args.out), "total": n, "per_heuristic": counts, **counters}
 
 
 def cmd_sample_annotations(args, config: PipelineConfig) -> dict:

@@ -173,10 +173,9 @@ def filter_answers(
     Comments come back creation-date-ascending. Questions and answers below
     either floor are never yielded; an empty result is valid.
     """
-    for answer in store.iter_answers(min_score=min_score):
-        comments = store.comments_for(answer.id)
-        if len(comments) >= min_comments:
-            yield answer, comments
+    for thread in store.iter_threads(min_score, comments=True):
+        if len(thread.comments) >= min_comments:
+            yield thread.answer, thread.comments
 
 
 def assemble_sample(

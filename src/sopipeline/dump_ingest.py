@@ -147,9 +147,15 @@ def stream_rows(source: BinaryIO, table: str | None = None) -> Iterator[dict]:
 _TAG_RE = re.compile(r"<([^<>]+)>")
 
 
+# The dump's and the store's form, millisecond fraction and no offset.
+_CANONICAL_TS = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}", re.ASCII)
+
+
 def parse_timestamp(value: str, *, row_id=None) -> datetime:
     """Dump timestamps are naive ISO strings with fractional seconds; treat as UTC."""
     try:
+        if _CANONICAL_TS.fullmatch(value):
+            return datetime.fromisoformat(value + "+00:00")
         ts = datetime.fromisoformat(value)
     except ValueError as exc:
         raise RowError(f"bad timestamp {value!r}", row_id=row_id) from exc
@@ -162,6 +168,10 @@ def parse_timestamp(value: str, *, row_id=None) -> datetime:
 
 def format_timestamp(ts: datetime) -> str:
     """Fixed-width UTC form whose lexicographic order matches time order."""
+    if ts.tzinfo is timezone.utc and ts.year >= 1000:
+        return "%04d-%02d-%02dT%02d:%02d:%02d.%03d" % (
+            ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second, ts.microsecond // 1000
+        )
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}"
 
 

@@ -20,14 +20,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .corpus import clean_text, split_code
-from .dump_ingest import HistoryType, PostType
+from .dump_ingest import HistoryType
 from .errors import MetricError, UsageError
-from .record_store import RecordStore
+from .record_store import AnswerThread, RecordStore
 
 logger = logging.getLogger(__name__)
 
 OBSOLETION_KEYWORDS = ("deprecated", "outdated", "obsolete", "out of date")
 REFERENCE_PHRASES = ("'s answers", "answer by", "accepted answer", "other answer")
+DEFAULT_MIN_SCORE = 1
 DEFAULT_LEVENSHTEIN_MIN = 100
 DEFAULT_LATE_YEARS = 1.5
 DEFAULT_LATE_MIN_SCORE = 2
@@ -117,47 +118,109 @@ def _keyword_pattern(keywords: Sequence[str]) -> re.Pattern:
     return re.compile(r"\b(?:" + "|".join(alts) + r")\b", re.IGNORECASE)
 
 
+def _candidate(answer, heuristic: Heuristic, evidence: str, text: str) -> ObsoleteCandidate:
+    return ObsoleteCandidate(answer.id, answer.parent_id, heuristic, evidence, text, answer.score)
+
+
+class _KeywordCheck:
+    """An answer with an obsoletion-keyword comment on a keyword-free question.
+
+    Keyword matching is case-insensitive and whole-word (phrase for multi
+    word entries). The parent post's title+body must contain none of the
+    keywords; evidence is the first matching comment. Each parent is
+    cleaned once: its verdict is kept, for parents reached through a
+    matching comment only.
+    """
+
+    def __init__(self, keywords: Sequence[str]):
+        self.pattern = _keyword_pattern(keywords)
+        self.question_clean: dict[int, bool] = {}
+
+    def __call__(self, thread: AnswerThread) -> Optional[ObsoleteCandidate]:
+        answer, question, comments, _ = thread
+        match_text = next((c.text for c in comments if self.pattern.search(c.text)), None)
+        if match_text is None:
+            return None
+        qid = answer.parent_id
+        if qid not in self.question_clean:
+            if question is None:
+                self.question_clean[qid] = False
+            else:
+                qtext = (question.title or "") + " " + clean_text(question.body, post_id=qid)
+                self.question_clean[qid] = self.pattern.search(qtext) is None
+        if not self.question_clean[qid]:
+            return None
+        cleaned = clean_text(answer.body, post_id=answer.id)
+        return _candidate(answer, Heuristic.KEYWORD_COMMENT, match_text, cleaned)
+
+
+def _edited_check(
+    thread: AnswerThread, levenshtein_min: int, counters: dict
+) -> Optional[ObsoleteCandidate]:
+    """An answer substantially edited after a comment.
+
+    Requires a body edit revision dated after some comment on the answer,
+    and an edit distance of at least ``levenshtein_min`` (inclusive)
+    between the code of the earliest and latest body revisions. An answer
+    marked edited that has no edit revision is counted in
+    ``counters["skipped_no_revisions"]``.
+    """
+    answer, _, comments, revisions = thread
+    if not comments:
+        return None
+    edits = [h for h in revisions if h.history_type is HistoryType.EDIT_BODY]
+    if not edits:
+        if answer.last_edit_date is not None:
+            logger.warning("answer %d edited but has no body revisions; skipped", answer.id)
+            counters["skipped_no_revisions"] = counters.get("skipped_no_revisions", 0) + 1
+        return None
+    first_comment_date = comments[0].creation_date
+    if not any(e.creation_date > first_comment_date for e in edits):
+        return None
+    distance = levenshtein(extract_code(revisions[0].text), extract_code(revisions[-1].text))
+    if distance < levenshtein_min:
+        return None
+    cleaned = clean_text(answer.body, post_id=answer.id)
+    return _candidate(answer, Heuristic.EDITED_AFTER_COMMENT, f"levenshtein={distance}", cleaned)
+
+
+def _late_check(
+    thread: AnswerThread, delay: timedelta, lowered: Sequence[str]
+) -> Optional[ObsoleteCandidate]:
+    """A late answer (``delay`` or more after its question, boundary
+    inclusive) that references another answer by a lower-cased phrase.
+
+    Phrase matching is a case-insensitive substring test over the cleaned
+    answer text, so URLs cannot hide a reference.
+    """
+    answer, question, _, _ = thread
+    if question is None or question.post_type_id != 1:
+        return None
+    if answer.creation_date < question.creation_date + delay:
+        return None
+    cleaned = clean_text(answer.body, post_id=answer.id)
+    folded = cleaned.lower()
+    matched = next((p for p in lowered if p in folded), None)
+    return None if matched is None else _candidate(answer, Heuristic.LATE_ANSWER, matched, cleaned)
+
+
+def _passing(threads: Iterable[AnswerThread], check, exclusions: Iterable[int]) -> Iterator:
+    """The candidates ``check`` finds among threads whose answer is not excluded."""
+    excluded = set(exclusions)
+    for thread in threads:
+        if thread.answer.id not in excluded and (cand := check(thread)) is not None:
+            yield cand
+
+
 def mine_keyword_comments(
     store: RecordStore,
     *,
     keywords: Sequence[str] = OBSOLETION_KEYWORDS,
-    min_score: int = 1,
+    min_score: int = DEFAULT_MIN_SCORE,
 ) -> Iterator[ObsoleteCandidate]:
-    """Answers with an obsoletion-keyword comment on a keyword-free question.
-
-    Keyword matching is case-insensitive and whole-word (phrase for multi
-    word entries). The parent question's title+body must contain none of
-    the keywords; evidence is the first matching comment.
-    """
-    pattern = _keyword_pattern(keywords)
-    question_clean: dict[int, bool] = {}
-    for answer in store.iter_answers(min_score=min_score):
-        comments = store.comments_for(answer.id)
-        match_text = None
-        for comment in comments:
-            if pattern.search(comment.text):
-                match_text = comment.text
-                break
-        if match_text is None:
-            continue
-        qid = answer.parent_id
-        if qid not in question_clean:
-            question = store.get_post(qid) if qid is not None else None
-            if question is None:
-                question_clean[qid] = False
-            else:
-                qtext = (question.title or "") + " " + clean_text(question.body, post_id=qid)
-                question_clean[qid] = pattern.search(qtext) is None
-        if not question_clean[qid]:
-            continue
-        yield ObsoleteCandidate(
-            answer_id=answer.id,
-            question_id=qid,
-            heuristic=Heuristic.KEYWORD_COMMENT,
-            evidence=match_text,
-            answer_text=clean_text(answer.body, post_id=answer.id),
-            score=answer.score,
-        )
+    """Answers with an obsoletion-keyword comment on a keyword-free question
+    (see :class:`_KeywordCheck`)."""
+    return _passing(store.iter_threads(min_score, comments=True), _KeywordCheck(keywords), ())
 
 
 def mine_edited_after_comment(
@@ -165,48 +228,13 @@ def mine_edited_after_comment(
     exclusions: Iterable[int] = (),
     *,
     levenshtein_min: int = DEFAULT_LEVENSHTEIN_MIN,
-    min_score: int = 1,
+    min_score: int = DEFAULT_MIN_SCORE,
 ) -> Iterator[ObsoleteCandidate]:
-    """Answers substantially edited after a comment.
-
-    Requires a body edit revision dated after some comment on the answer,
-    and an edit distance of at least ``levenshtein_min`` (inclusive)
-    between the code of the earliest and latest body revisions. Pass the
-    keyword-comment answer ids as ``exclusions`` to keep the sets disjoint.
-    """
-    excluded = set(exclusions)
-    for answer in store.iter_answers(min_score=min_score):
-        if answer.id in excluded:
-            continue
-        comments = store.comments_for(answer.id)
-        if not comments:
-            continue
-        revisions = [
-            h
-            for h in store.history_for(answer.id)
-            if h.history_type in (HistoryType.INITIAL_BODY, HistoryType.EDIT_BODY)
-        ]
-        edits = [h for h in revisions if h.history_type is HistoryType.EDIT_BODY]
-        if not edits:
-            if answer.last_edit_date is not None:
-                logger.warning("answer %d edited but has no body revisions; skipped", answer.id)
-            continue
-        first_comment_date = comments[0].creation_date
-        if not any(e.creation_date > first_comment_date for e in edits):
-            continue
-        before = extract_code(revisions[0].text)
-        after = extract_code(revisions[-1].text)
-        distance = levenshtein(before, after)
-        if distance < levenshtein_min:
-            continue
-        yield ObsoleteCandidate(
-            answer_id=answer.id,
-            question_id=answer.parent_id,
-            heuristic=Heuristic.EDITED_AFTER_COMMENT,
-            evidence=f"levenshtein={distance}",
-            answer_text=clean_text(answer.body, post_id=answer.id),
-            score=answer.score,
-        )
+    """Answers substantially edited after a comment (see :func:`_edited_check`).
+    Pass the keyword-comment answer ids as ``exclusions`` to keep the sets
+    disjoint."""
+    threads = store.iter_threads(min_score, comments=True, history=True)
+    return _passing(threads, lambda t: _edited_check(t, levenshtein_min, {}), exclusions)
 
 
 def mine_late_answers(
@@ -218,42 +246,11 @@ def mine_late_answers(
     phrases: Sequence[str] = REFERENCE_PHRASES,
 ) -> Iterator[ObsoleteCandidate]:
     """Late answers (>= 1.5 years after the question, boundary inclusive)
-    that reference another answer by phrase, with more than one upvote.
-
-    Phrase matching is a case-insensitive substring test over the cleaned
-    answer text, so URLs cannot hide a reference.
-    """
-    excluded = set(exclusions)
+    that reference another answer by phrase, with more than one upvote
+    (see :func:`_late_check`)."""
     delay = timedelta(days=late_years * _DAYS_PER_YEAR)
     lowered = [p.lower() for p in phrases]
-    question_dates: dict[int, Optional[object]] = {}
-    for answer in store.iter_answers(min_score=min_score):
-        if answer.id in excluded or answer.parent_id is None:
-            continue
-        qid = answer.parent_id
-        if qid not in question_dates:
-            question = store.get_post(qid)
-            question_dates[qid] = (
-                question.creation_date
-                if question is not None and question.post_type is PostType.QUESTION
-                else None
-            )
-        qdate = question_dates[qid]
-        if qdate is None or answer.creation_date < qdate + delay:
-            continue
-        cleaned = clean_text(answer.body, post_id=answer.id)
-        folded = cleaned.lower()
-        matched = next((p for p in lowered if p in folded), None)
-        if matched is None:
-            continue
-        yield ObsoleteCandidate(
-            answer_id=answer.id,
-            question_id=qid,
-            heuristic=Heuristic.LATE_ANSWER,
-            evidence=matched,
-            answer_text=cleaned,
-            score=answer.score,
-        )
+    return _passing(store.iter_threads(min_score), lambda t: _late_check(t, delay, lowered), exclusions)
 
 
 def mine_all(
@@ -263,15 +260,32 @@ def mine_all(
     levenshtein_min: int = DEFAULT_LEVENSHTEIN_MIN,
     late_years: float = DEFAULT_LATE_YEARS,
     late_min_score: int = DEFAULT_LATE_MIN_SCORE,
+    counters: Optional[dict] = None,
 ) -> list[ObsoleteCandidate]:
     """All three heuristics with precedence keyword > edited > late, so any
-    answer appears at most once."""
-    keyword = list(mine_keyword_comments(store, keywords=keywords))
-    seen = {c.answer_id for c in keyword}
-    edited = list(mine_edited_after_comment(store, seen, levenshtein_min=levenshtein_min))
-    seen |= {c.answer_id for c in edited}
-    late = list(mine_late_answers(store, seen, late_years=late_years, min_score=late_min_score))
-    return keyword + edited + late
+    answer appears at most once: the keyword, then the edited, then the
+    late candidates, each in answer-id order.
+
+    One pass over the store's answer threads; skip counts land in
+    ``counters``.
+    """
+    counters = {} if counters is None else counters
+    counters.setdefault("skipped_no_revisions", 0)
+    keyword_check = _KeywordCheck(keywords)
+    delay = timedelta(days=late_years * _DAYS_PER_YEAR)
+    lowered = [p.lower() for p in REFERENCE_PHRASES]
+    found: dict[Heuristic, list[ObsoleteCandidate]] = {h: [] for h in Heuristic}
+    floor = min(DEFAULT_MIN_SCORE, late_min_score)
+    for thread in store.iter_threads(floor, comments=True, history=True):
+        score = thread.answer.score
+        cand = None
+        if score >= DEFAULT_MIN_SCORE:
+            cand = keyword_check(thread) or _edited_check(thread, levenshtein_min, counters)
+        if cand is None and score >= late_min_score:
+            cand = _late_check(thread, delay, lowered)
+        if cand is not None:
+            found[cand.heuristic].append(cand)
+    return [c for h in Heuristic for c in found[h]]
 
 
 @dataclass

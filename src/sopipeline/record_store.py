@@ -3,8 +3,9 @@
 The original workflow loads dump tables into a SQL database; here the store
 is an embedded sqlite file inside a small versioned directory, giving the
 same query surface (post by id, answers by parent, comments/history by post)
-without an external database server. A sealed store is read-only and safe
-for concurrent readers.
+without an external database server. Bulk readers take ordered scans merged
+in Python (``RecordStore.iter_threads``) rather than point reads per answer.
+A sealed store is read-only and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass, field
+from datetime import datetime
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .dump_ingest import (
     CommentRecord,
@@ -108,41 +112,81 @@ def _post_to_row(p: PostRecord) -> tuple:
     )
 
 
-def _row_to_post(row: sqlite3.Row) -> PostRecord:
+# Converters index columns by position, in the schema order above.
+
+
+def _row_to_post(row) -> PostRecord:
     return PostRecord(
-        id=row["id"],
-        post_type=PostType.from_id(row["post_type_id"]),
-        post_type_id=row["post_type_id"],
-        parent_id=row["parent_id"],
-        accepted_answer_id=row["accepted_answer_id"],
-        score=row["score"],
-        title=row["title"],
-        body=row["body"],
-        tags=json.loads(row["tags"]) if row["tags"] is not None else None,
-        creation_date=parse_timestamp(row["creation_date"]),
-        last_edit_date=parse_timestamp(row["last_edit_date"]) if row["last_edit_date"] else None,
+        id=row[0],
+        post_type=PostType.from_id(row[1]),
+        post_type_id=row[1],
+        parent_id=row[2],
+        accepted_answer_id=row[3],
+        score=row[4],
+        title=row[5],
+        body=row[6],
+        tags=json.loads(row[7]) if row[7] is not None else None,
+        creation_date=parse_timestamp(row[8]),
+        last_edit_date=parse_timestamp(row[9]) if row[9] else None,
     )
 
 
-def _row_to_comment(row: sqlite3.Row) -> CommentRecord:
+def _row_to_comment(row) -> CommentRecord:
     return CommentRecord(
-        id=row["id"],
-        post_id=row["post_id"],
-        text=row["text"],
-        score=row["score"],
-        creation_date=parse_timestamp(row["creation_date"]),
+        id=row[0],
+        post_id=row[1],
+        text=row[2],
+        score=row[3],
+        creation_date=parse_timestamp(row[4]),
     )
 
 
-def _row_to_history(row: sqlite3.Row) -> PostHistoryRecord:
+def _row_to_history(row) -> PostHistoryRecord:
     return PostHistoryRecord(
-        id=row["id"],
-        post_id=row["post_id"],
-        history_type=HistoryType.from_id(row["history_type_id"]),
-        history_type_id=row["history_type_id"],
-        text=row["text"],
-        creation_date=parse_timestamp(row["creation_date"]),
+        id=row[0],
+        post_id=row[1],
+        history_type=HistoryType.from_id(row[2]),
+        history_type_id=row[2],
+        text=row[3],
+        creation_date=parse_timestamp(row[4]),
     )
+
+
+class Question(NamedTuple):
+    """The parent post's fields an answer's checks read."""
+
+    post_type_id: int
+    title: Optional[str]
+    body: str
+    creation_date: datetime
+
+
+class AnswerThread(NamedTuple):
+    """One answer with its parent post (None when missing), its comments
+    and its body revisions (history types 2 and 5), each list ordered by
+    (creation_date, id). Lists not asked for are empty."""
+
+    answer: PostRecord
+    question: Optional[Question]
+    comments: list[CommentRecord]
+    revisions: list[PostHistoryRecord]
+
+
+class _ByPost:
+    """Rows of one scan ordered by post_id (column 1), handed out per post
+    for ascending post ids; rows of posts never asked for are skipped."""
+
+    def __init__(self, cursor: sqlite3.Cursor, convert):
+        self._groups = groupby(cursor, key=itemgetter(1))
+        self._convert = convert
+        self._post_id, self._rows = next(self._groups, (None, ()))
+
+    def take(self, post_id: int) -> list:
+        while self._post_id is not None and self._post_id < post_id:
+            self._post_id, self._rows = next(self._groups, (None, ()))
+        if self._post_id != post_id:
+            return []
+        return [self._convert(r) for r in self._rows]
 
 
 class RecordStore:
@@ -160,7 +204,6 @@ class RecordStore:
         if not self.meta.get("sealed"):
             raise StoreError(f"store at {self.path} was never sealed")
         self._conn = sqlite3.connect(f"file:{self.path / _DB_NAME}?mode=ro", uri=True)
-        self._conn.row_factory = sqlite3.Row
 
     def close(self) -> None:
         self._conn.close()
@@ -203,7 +246,7 @@ class RecordStore:
         rows = self._conn.execute(
             "SELECT id FROM posts WHERE parent_id = ? ORDER BY id", (question_id,)
         ).fetchall()
-        return [r["id"] for r in rows]
+        return [r[0] for r in rows]
 
     def comments_for(self, post_id: int) -> list[CommentRecord]:
         rows = self._conn.execute(
@@ -222,9 +265,46 @@ class RecordStore:
         ).fetchall()
         return [_row_to_history(r) for r in rows]
 
-    def load_report_text(self) -> str:
-        report = self.path / _REPORT_NAME
-        return report.read_text() if report.exists() else ""
+    # -- merged scans ------------------------------------------------------
+
+    def iter_threads(
+        self, min_score: Optional[int] = None, *, comments: bool = False, history: bool = False
+    ) -> Iterator[AnswerThread]:
+        """Every answer (with ``score >= min_score``) in id order, joined
+        with its parent post and, when asked for, its comments and body
+        revisions.
+
+        One ordered scan per table, merged here (a sort-merge join), in
+        place of point reads per answer.
+        """
+        sql = (
+            "SELECT a.*, q.post_type_id, q.title, q.body, q.creation_date"
+            " FROM posts a LEFT JOIN posts q ON q.id = a.parent_id WHERE a.post_type_id = 2"
+        )
+        args: tuple = ()
+        if min_score is not None:
+            sql += " AND a.score >= ?"
+            args = (min_score,)
+        answers = self._conn.execute(sql + " ORDER BY a.id", args)
+        order = " ORDER BY post_id, creation_date, id"
+        comment_rows = revision_rows = None
+        if comments:
+            rows = self._conn.execute("SELECT * FROM comments" + order)
+            comment_rows = _ByPost(rows, _row_to_comment)
+        if history:
+            rows = self._conn.execute("SELECT * FROM post_history WHERE history_type_id IN (2, 5)" + order)
+            revision_rows = _ByPost(rows, _row_to_history)
+        for row in answers:
+            answer = _row_to_post(row)
+            question = None
+            if row[10] is not None:
+                question = Question(row[10], row[11], row[12], parse_timestamp(row[13]))
+            yield AnswerThread(
+                answer,
+                question,
+                comment_rows.take(answer.id) if comment_rows else [],
+                revision_rows.take(answer.id) if revision_rows else [],
+            )
 
 
 def _insert_all(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import answer_row, comment_row, question_row, rows_xml, store_from_rows, ts
+from conftest import answer_row, comment_row, history_row, question_row, rows_xml, store_from_rows, ts
 from sopipeline import bpe, shards
 from sopipeline.cli import _read_labeled_jsonl, main
 from sopipeline.errors import StoreError
@@ -166,6 +166,7 @@ class TestPipelineCommands:
             expected["edited_after_comment"]
         )
         assert summary["per_heuristic"]["late_answer"] == len(expected["late_answer"])
+        assert summary["skipped_no_revisions"] == 0
 
         sampled = tmp_path / "sampled.jsonl"
         code, summary, _ = run_cli(
@@ -189,6 +190,25 @@ class TestPipelineCommands:
         code, summary, _ = run_cli(capsys, "kappa", "--a", str(a_path), "--b", str(b_path))
         assert code == 0
         assert -1.0 <= summary["kappa"] <= 1.0
+
+    def test_mine_counts_edited_answers_without_body_revisions(self, capsys, tmp_path):
+        # 10 and 11 are marked edited and commented on, but only 11 has an
+        # edit revision; 12 has none and is not marked edited.
+        posts = [question_row(1, created=ts(0))] + [
+            answer_row(aid, 1, score=2, created=ts(1), last_edit=None if aid == 12 else ts(9))
+            for aid in (10, 11, 12)
+        ]
+        comments = [comment_row(100 + aid, aid, "please update", created=ts(2)) for aid in (10, 11, 12)]
+        history = [history_row(200 + aid, aid, 2, "<p>v0</p>", created=ts(1)) for aid in (10, 11)]
+        history.append(history_row(300, 11, 5, "<p>v1</p>", created=ts(9)))
+        store = store_from_rows(tmp_path, posts, comments, history)
+        store.close()
+        code, summary, _ = run_cli(
+            capsys, "mine", "--store-dir", str(store.path), "--out", str(tmp_path / "c.jsonl")
+        )
+        assert code == 0
+        assert summary["total"] == 0
+        assert summary["skipped_no_revisions"] == 1
 
     def test_eval_subcommand(self, capsys, tmp_path):
         pred = tmp_path / "preds.tsv"

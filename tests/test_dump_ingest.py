@@ -1,19 +1,24 @@
 """Streaming XML ingestion and row parsing."""
 
+import calendar
 import io
+import time
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from conftest import comment_row, rows_xml, ts
 from sopipeline.dump_ingest import (
     HistoryType,
     PostType,
+    format_timestamp,
     parse_comment,
     parse_history,
     parse_post,
     parse_tags,
+    parse_timestamp,
     stream_rows,
 )
 from sopipeline.errors import DumpParseError, RowError
@@ -199,3 +204,86 @@ class TestParseCommentAndHistory:
     def test_comment_missing_text(self):
         with pytest.raises(RowError):
             parse_comment({"Id": "1", "PostId": "7", "CreationDate": ts(0)})
+
+
+def slow_parse_timestamp(value: str) -> datetime:
+    """The general path, kept as the oracle for the canonical-form fast path."""
+    ts = datetime.fromisoformat(value)
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc).replace(microsecond=ts.microsecond // 1000 * 1000)
+
+
+def slow_format_timestamp(ts: datetime) -> str:
+    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}"
+
+
+@pytest.fixture
+def local_tz_east_of_utc(monkeypatch):
+    """Local time three hours east of UTC, so naive datetimes are not UTC."""
+    monkeypatch.setenv("TZ", "XYZ-03")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+class TestTimestamps:
+    def _canonical(self, rng, n):
+        out = [
+            "1000-01-01T00:00:00.000",
+            "9999-12-31T23:59:59.999",
+            "2000-02-29T12:00:00.000",
+            "2024-02-29T23:59:59.999",
+            "1600-02-29T00:00:00.500",
+        ]
+        for _ in range(n):
+            year = int(rng.integers(1000, 10000))
+            month = int(rng.integers(1, 13))
+            day = int(rng.integers(1, calendar.monthrange(year, month)[1] + 1))
+            hms = (int(rng.integers(0, 24)), int(rng.integers(0, 60)), int(rng.integers(0, 60)))
+            ms = int(rng.choice([0, 999, int(rng.integers(0, 1000))]))
+            out.append(f"{year:04d}-{month:02d}-{day:02d}T{hms[0]:02d}:{hms[1]:02d}:{hms[2]:02d}.{ms:03d}")
+        return out
+
+    def test_canonical_form_matches_slow_path(self):
+        for s in self._canonical(np.random.default_rng(17), 3000):
+            got = parse_timestamp(s)
+            want = slow_parse_timestamp(s)
+            assert got == want, s
+            assert got.tzinfo is want.tzinfo is timezone.utc, s
+            assert format_timestamp(got) == slow_format_timestamp(want) == s
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "2019-06-01T12:00:00",  # no fraction
+            "2019-06-01T12:00:00.123456",  # microseconds, truncated to ms
+            "2019-06-01T12:00:00.123+02:00",  # an offset, moved to UTC
+            "2019-06-01 12:00:00.123",  # space separator
+        ],
+    )
+    def test_other_forms_take_the_general_path(self, value):
+        got = parse_timestamp(value)
+        assert got == slow_parse_timestamp(value)
+        assert got.tzinfo is timezone.utc
+        assert format_timestamp(got) == slow_format_timestamp(got)
+
+    def test_format_converts_other_zones_and_naive_local_time(self, local_tz_east_of_utc):
+        values = [
+            datetime(2019, 6, 1, 12, 0, 0, 123456),  # naive: local time
+            datetime(2019, 6, 1, 1, 30, tzinfo=timezone(timedelta(hours=2))),
+            datetime(2019, 6, 1, 12, 0, 0, 999999, tzinfo=timezone(timedelta(0))),
+            datetime(999, 12, 31, 23, 0, tzinfo=timezone.utc),  # three-digit year
+        ]
+        for ts in values:
+            assert format_timestamp(ts) == slow_format_timestamp(ts), ts
+        assert format_timestamp(values[0]) == "2019-06-01T09:00:00.123"
+
+    def test_impossible_canonical_date_names_the_row(self):
+        with pytest.raises(RowError) as exc_info:
+            parse_timestamp("2019-02-30T00:00:00.000", row_id=42)
+        assert exc_info.value.row_id == 42
+        with pytest.raises(RowError) as exc_info:
+            parse_comment({"Id": "7", "PostId": "1", "Text": "t", "CreationDate": "2019-02-30T00:00:00.000"})
+        assert exc_info.value.row_id == 7

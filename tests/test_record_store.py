@@ -58,7 +58,7 @@ class TestBuildStore:
 
     def test_dangling_comment_flagged(self, small_store):
         assert small_store.load_report.dangling_comment_ids == [103]
-        assert "dangling comments" in small_store.load_report_text()
+        assert "dangling comments" in (small_store.path / "load_report.txt").read_text()
 
     def test_roundtrip_every_row_once(self, small_store):
         ids = sorted(p.id for p in small_store.iter_posts())

@@ -46,7 +46,6 @@ _SPECIAL_SPLIT_BYTES = re.compile(
     b"(" + b"|".join(re.escape(lit.encode()) for lit in sorted(_SPECIAL_LITERALS, key=len, reverse=True)) + b")"
 )
 _SPECIAL_ID_BY_BYTES = {lit.encode(): i for i, (_, lit) in enumerate(SPECIAL_TOKENS)}
-_DIGIT_BOUNDARY = re.compile(rb"(\d+)")
 
 _MAGIC = b"SOVOC"
 _VERSION = 1
@@ -110,43 +109,7 @@ class BpeVocab:
             yield from self._encode_batch(batch)
 
     def _encode_batch(self, datas: list[bytes]) -> Iterator[list[int]]:
-        # One int32 token array for the batch: bytes as BYTE_BASE + b and each
-        # special literal as its id, inline (no pair contains a special). The
-        # prv/nxt links are -1 at text ends and, with isolate_digits, between
-        # a digit and a non-digit. A slot consumed by a merge holds -1, and so
-        # does a last, extra slot, which a -1 link reads.
-        starts = np.zeros(len(datas) + 1, dtype=np.int64)
-        np.cumsum([len(d) for d in datas], out=starts[1:])
-        ids = np.full(int(starts[-1]) + 1, -1, dtype=np.int32)
-        ids[:-1] = np.frombuffer(b"".join(datas), dtype=np.uint8)
-        ids[:-1] += BYTE_BASE
-        literal_tails: list[int] = []
-        for start, data in zip(starts.tolist(), datas):
-            for m in _SPECIAL_SPLIT_BYTES.finditer(data):
-                at = start + m.start()
-                ids[at] = _SPECIAL_ID_BY_BYTES[m.group()]
-                literal_tails.extend(range(at + 1, start + m.end()))
-        if literal_tails:
-            keep = np.ones(len(ids), dtype=bool)
-            keep[literal_tails] = False
-            ids = ids[keep]
-            kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
-            np.cumsum(keep, out=kept_before[1:])
-            starts = kept_before[starts]
-            del keep, kept_before
-
-        n = len(ids)
-        nxt = np.arange(1, n + 1, dtype=np.int32)
-        prv = np.arange(-1, n - 1, dtype=np.int32)
-        nonempty = starts[1:] > starts[:-1]
-        nxt[starts[1:][nonempty] - 1] = -1
-        prv[starts[:-1][nonempty]] = -1
-        if self.isolate_digits:
-            digit = (ids >= BYTE_BASE + ord("0")) & (ids <= BYTE_BASE + ord("9"))
-            cut = np.flatnonzero(digit[:-1] != digit[1:])
-            nxt[cut] = -1
-            prv[cut + 1] = -1
-            del digit, cut
+        ids, prv, nxt, starts = _links(datas, self.isolate_digits)
         self._merge(ids, prv, nxt)
 
         bounds = starts.tolist()
@@ -205,20 +168,9 @@ class BpeVocab:
             # one filing holds a position at most once per rank
             pos = np.sort(parts[0]) if len(parts) == 1 else np.unique(np.concatenate(parts))
             a, b, m = pair_ids[r]
-            right_of = nxt[pos]
-            valid = (ids[pos] == a) & (ids[right_of] == b)
-            pos, right_of = pos[valid], right_of[valid]
-            if not len(pos):
+            pos, p, q = _matches(ids, nxt, pos, a, b)
+            if not len(p):
                 continue
-            p, q = pos, right_of
-            if a == b:
-                chained = q[:-1] == p[1:]
-                if chained.any():
-                    at = np.arange(len(p))
-                    run_start = np.where(np.concatenate(([True], ~chained)), at, 0)
-                    np.maximum.accumulate(run_start, out=run_start)
-                    take = (at - run_start) % 2 == 0
-                    p, q = p[take], q[take]
             left, right = prv[p], nxt[q]
             # A left neighbour that is the right partner of the previous merge
             # is that merge's M, at its position.
@@ -355,16 +307,75 @@ def load_vocab(path: str | Path) -> BpeVocab:
     return BpeVocab(merges=merges, isolate_digits=bool(isolate_digits))
 
 
-# -- pre-tokenization -------------------------------------------------------
+# -- token arrays ----------------------------------------------------------
 
 
-def _pretoken_chunks(piece: bytes, isolate_digits: bool) -> Iterator[bytes]:
-    if not isolate_digits:
-        yield piece
-        return
-    for chunk in _DIGIT_BOUNDARY.split(piece):
-        if chunk:
-            yield chunk
+def _links(datas: list[bytes], isolate_digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One int32 token array for ``datas`` with its ``prv``/``nxt`` links,
+    and each text's first slot.
+
+    Bytes are ``BYTE_BASE + b`` and each special literal is its id, inline.
+    The links are -1 at text ends, on both sides of a special (no pair has a
+    special side) and, with ``isolate_digits``, between a digit and a
+    non-digit. A slot consumed by a merge holds -1, and so does a last,
+    extra slot, which a -1 link reads; ``starts`` ends with it.
+    """
+    starts = np.zeros(len(datas) + 1, dtype=np.int64)
+    np.cumsum([len(d) for d in datas], out=starts[1:])
+    ids = np.full(int(starts[-1]) + 1, -1, dtype=np.int32)
+    ids[:-1] = np.frombuffer(b"".join(datas), dtype=np.uint8)
+    ids[:-1] += BYTE_BASE
+    literal_tails: list[int] = []
+    for start, data in zip(starts.tolist(), datas):
+        for m in _SPECIAL_SPLIT_BYTES.finditer(data):
+            at = start + m.start()
+            ids[at] = _SPECIAL_ID_BY_BYTES[m.group()]
+            literal_tails.extend(range(at + 1, start + m.end()))
+    if literal_tails:
+        keep = np.ones(len(ids), dtype=bool)
+        keep[literal_tails] = False
+        ids = ids[keep]
+        kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        starts = kept_before[starts]
+        del keep, kept_before
+
+    # cut[i]: slots i and i + 1 never pair. The extra slot counts as a
+    # special, and the text starting at slot 0 cuts at -1, that same slot.
+    special = ids < BYTE_BASE
+    cut = special.copy()
+    cut[:-1] |= special[1:]
+    cut[starts[:-1] - 1] = True
+    if isolate_digits:
+        digit = (ids >= BYTE_BASE + ord("0")) & (ids <= BYTE_BASE + ord("9"))
+        cut[:-1] |= digit[:-1] != digit[1:]
+    n = len(ids)
+    nxt = np.arange(1, n + 1, dtype=np.int32)
+    prv = np.arange(-1, n - 1, dtype=np.int32)
+    nxt[cut] = -1
+    prv[1:][cut[:-1]] = -1
+    return ids, prv, nxt, starts
+
+
+def _matches(ids: np.ndarray, nxt: np.ndarray, pos: np.ndarray, a: int, b: int) -> tuple[np.ndarray, ...]:
+    """Of the sorted positions ``pos``, those still holding the pair (a, b),
+    and the matches ``(p, q)`` a left-to-right pass merges among them: all
+    of them, or when a == b every other one of an overlapping run, from its
+    left. ``q`` is the right partner of each ``p``.
+    """
+    q = nxt[pos]
+    valid = (ids[pos] == a) & (ids[q] == b)
+    pos, q = pos[valid], q[valid]
+    p = pos
+    if a == b:
+        chained = q[:-1] == p[1:]
+        if chained.any():
+            at = np.arange(len(p))
+            run_start = np.where(np.concatenate(([True], ~chained)), at, 0)
+            np.maximum.accumulate(run_start, out=run_start)
+            take = (at - run_start) % 2 == 0
+            p, q = p[take], q[take]
+    return pos, p, q
 
 
 # -- training ----------------------------------------------------------------
@@ -385,11 +396,12 @@ def train_bpe(
     occurs at least twice. Frequency ties break lexicographically on the
     pair's byte strings, which makes the merge list reproducible.
 
-    All sampled pieces live in one doubly linked list of token ids, and each
-    pair maps to the set of positions where it is the left token; a pair's
-    count is the size of that set. A merge visits only the positions of its
-    pair and updates the pairs on either side, so it costs time in the
-    number of occurrences, not in the length of the samples holding them.
+    The sample is one linked token array, built as for encoding (see
+    :func:`_links`). Each pair code ``a * (vocab_size + 1) + b`` keeps an
+    exact count and append-only arrays of the positions where the pair
+    arose; merging it checks those with :func:`_matches` and counts the
+    neighbour pairs it removes and creates. A merge thus costs time in the
+    number of places its pair arose, not in the length of the samples.
     """
     if not 0 < sample_fraction <= 1:
         raise VocabError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
@@ -397,73 +409,53 @@ def train_bpe(
         raise VocabError(f"vocab_size must be at least {MIN_VOCAB_SIZE} (256 bytes + {N_SPECIALS} specials)")
     n_target_merges = vocab_size - MIN_VOCAB_SIZE
 
-    # Token id t stands for tok[t]; ids 0-255 are the bytes themselves. -1
-    # marks a piece boundary (including sentinels at both ends), and later
-    # also a slot consumed by a merge. Pieces split at special literals and,
-    # optionally, digit runs.
     rng = np.random.default_rng(seed)
-    ids: list[int] = [-1]
+    datas: list[bytes] = []
     saw_any = False
     for text in corpus:
         saw_any = True
         if sample_fraction < 1 and rng.random() >= sample_fraction:
             continue
-        for piece in _SPECIAL_SPLIT_BYTES.split(text.encode("utf-8")):
-            if piece and piece not in _SPECIAL_ID_BY_BYTES:
-                for chunk in _pretoken_chunks(piece, isolate_digits):
-                    ids.extend(chunk)
-                    ids.append(-1)
+        datas.append(text.encode("utf-8"))
     if not saw_any:
         raise VocabError("corpus is empty")
-    if len(ids) == 1:
+    ids, prv, nxt, _ = _links(datas, isolate_digits)
+    del datas
+    if ids.max() < BYTE_BASE:
         raise VocabError(f"corpus empty after sampling at fraction {sample_fraction}")
-    # The links and position sets share one int object per position.
-    index = list(range(len(ids) + 1))
-    prv = [-1] + index[:-2]
-    nxt = index[1:]
 
-    where: dict[tuple[int, int], set[int]] = {}
-    for i, a, j in zip(index, ids, nxt[:-1]):
-        if a >= 0 and ids[j] >= 0:
-            pair = (a, ids[j])
-            at = where.get(pair)
-            if at is None:
-                where[pair] = {i}
-            else:
-                at.add(i)
+    w = vocab_size + 1  # ids stay below vocab_size
+    counts: dict[int, int] = {}
+    filed: dict[int, list[np.ndarray]] = {}
 
-    tok = [bytes([b]) for b in range(256)]
+    def file(codes: np.ndarray, pos: np.ndarray) -> list[int]:
+        """Count and file the pairs ``codes`` at ``pos``; return their codes."""
+        order = np.argsort(codes)
+        codes, pos = codes[order], pos[order]
+        firsts = np.flatnonzero(np.diff(codes, prepend=-1))
+        kinds = codes[firsts].tolist()
+        for code, part in zip(kinds, np.split(pos, firsts[1:])):
+            counts[code] = counts.get(code, 0) + len(part)
+            filed.setdefault(code, []).append(part)
+        return kinds
+
+    pos = np.flatnonzero(ids[nxt[:-1]] >= 0).astype(np.int32)
+    file(ids[pos].astype(np.int64) * w + ids[nxt[pos]], pos)
+    del pos
+
+    tok = [lit.encode() for lit in _SPECIAL_LITERALS] + [bytes([b]) for b in range(256)]
     tok_id = {t: i for i, t in enumerate(tok)}
-    heap = [(-len(at), tok[a], tok[b], a, b) for (a, b), at in where.items()]
+    heap = [(-k, tok[code // w], tok[code % w], code) for code, k in counts.items()]
     heapq.heapify(heap)
-    touched: set[tuple[int, int]] = set()
-
-    def drop(pair: tuple[int, int], pos: int) -> None:
-        at = where[pair]
-        at.remove(pos)
-        if not at:
-            del where[pair]
-        touched.add(pair)
-
-    def add(pair: tuple[int, int], pos: int) -> None:
-        at = where.get(pair)
-        if at is None:
-            where[pair] = {pos}
-        else:
-            at.add(pos)
-        touched.add(pair)
-
-    forbidden = {lit.encode() for _, lit in SPECIAL_TOKENS}
     merges: list[tuple[bytes, bytes]] = []
     while len(merges) < n_target_merges and heap:
-        neg, left, right, a, b = heapq.heappop(heap)
-        positions = where.get((a, b), ())
-        if -neg != len(positions):
+        neg, left, right, code = heapq.heappop(heap)
+        if counts.get(code) != -neg:
             continue  # stale entry
-        if len(positions) < 2:
+        if -neg < 2:
             break
         merged = left + right
-        if merged in forbidden:
+        if merged in _SPECIAL_ID_BY_BYTES:
             continue  # a merge may not fabricate a special literal
         merges.append((left, right))
         # A token is its bytes: a merge that spells an existing token's
@@ -473,27 +465,32 @@ def train_bpe(
             m = tok_id[merged] = len(tok)
             tok.append(merged)
 
-        # Left to right, so in a run like "aaa" the first match consumes
-        # the middle token and the overlapping second one is skipped.
-        for i in sorted(positions):
-            if ids[i] != a:
-                continue
-            j = nxt[i]
-            p, q = prv[i], nxt[j]
-            drop((a, b), i)
-            if ids[p] >= 0:
-                drop((ids[p], a), p)
-                add((ids[p], m), p)
-            if ids[q] >= 0:
-                drop((b, ids[q]), j)
-                add((m, ids[q]), i)
-            ids[i], ids[j] = m, -1
-            nxt[i], prv[q] = q, i
-
+        a, b = divmod(code, w)
+        # a position is filed under a code at most once: its pair only grows
+        _, p, q = _matches(ids, nxt, np.sort(np.concatenate(filed.pop(code))), a, b)
+        before, after = prv[p], nxt[q]
+        nxt[p] = after
+        prv[after] = p  # a -1 link writes the unused last slot
+        # A left neighbour that is the previous match's right partner holds
+        # that match's right pair, counted there, and after the merge (m, m).
+        before = before[(before >= 0) & np.concatenate(([True], before[1:] != q[:-1]))]
+        after_at = p[after >= 0]
+        after = after[after >= 0]
+        lost = np.concatenate((ids[before].astype(np.int64) * w + a, ids[after].astype(np.int64) + b * w))
+        ids[p] = m
+        ids[q] = -1
+        gained = np.concatenate((ids[before].astype(np.int64) * w + m, ids[after].astype(np.int64) + m * w))
+        counts[code] -= len(p)
+        touched = {code, *file(gained, np.concatenate((before, after_at)))}
+        for lost_code, k in zip(*(x.tolist() for x in np.unique(lost, return_counts=True))):
+            counts[lost_code] -= k
+            touched.add(lost_code)
         for pair in touched:
-            at = where.get(pair)
-            if at:
-                heapq.heappush(heap, (-len(at), tok[pair[0]], tok[pair[1]], pair[0], pair[1]))
-        touched.clear()
+            k = counts[pair]
+            if k:
+                heapq.heappush(heap, (-k, tok[pair // w], tok[pair % w], pair))
+            else:
+                del counts[pair]
+                filed.pop(pair, None)
 
     return BpeVocab(merges=merges, isolate_digits=isolate_digits)

@@ -163,7 +163,9 @@ def cmd_stats(args, config: PipelineConfig) -> dict:
     if not config.corpus:
         raise UsageError("stats requires --corpus")
     tokenizer = None
-    if (args.vocab or args.use_config_vocab) and config.vocab:
+    if args.vocab or args.use_config_vocab:
+        if not config.vocab:
+            raise UsageError("stats --use-config-vocab requires [paths] vocab in the config")
         tokenizer = bpe.load_vocab(config.vocab)
     stats = corpus.corpus_stats(corpus.read_corpus_jsonl(config.corpus), tokenizer, config.bucket_edges)
     return stats.to_dict()

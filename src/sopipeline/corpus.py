@@ -50,12 +50,6 @@ class PretrainSample:
     answer_id: int
     text: str
     n_comments: int
-    char_len: int = 0
-    token_len: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.char_len:
-            self.char_len = len(self.text)
 
 
 @dataclass
@@ -251,9 +245,8 @@ def corpus_stats(
 ) -> CorpusStats:
     """Comment-count statistics plus a sequence-length histogram.
 
-    With a tokenizer, buckets are over token counts (filling ``token_len``
-    on the way through); otherwise over character counts. An empty corpus
-    gives all-zero stats.
+    With a tokenizer, buckets are over token counts; otherwise over
+    character counts. An empty corpus gives all-zero stats.
     """
     edges = [int(e) for e in bucket_edges]
     if any(b <= a for a, b in zip(edges, edges[1:])) or not edges:
@@ -273,11 +266,10 @@ def corpus_stats(
         n_samples += 1
         comment_counts.append(sample.n_comments)
         if tokenizer is not None:
-            sample.token_len = next(lengths)
-            length = sample.token_len
+            length = next(lengths)
             total_tokens += length
         else:
-            length = sample.char_len
+            length = len(sample.text)
         histogram[labels[_bucket_index(length, edges)]] += 1
 
     if n_samples == 0:

@@ -146,12 +146,12 @@ def classifier_loss_sums(
 class MomentumSGD:
     """Heavy-ball gradient descent (momentum ``MOMENTUM``) with linear LR warmup.
 
-    A 2-D tensor is updated only on its live rows: rows that have had a
-    non-zero gradient at some step so far (embedding rows of tokens seen),
-    or, for a :class:`RowGrad`, rows it has held. Every other row has zero
-    velocity and zero gradient, and the dense update would leave it
-    bit-for-bit unchanged (0.9 * 0 + 0 = 0). Parameters absent from
-    ``grads`` are not touched.
+    A :class:`RowGrad` tensor is updated only on its live rows: rows it has
+    held at some step so far (embedding rows of tokens seen). Every other
+    row has zero velocity and zero gradient, and the dense update would
+    leave it bit-for-bit unchanged (0.9 * 0 + 0 = 0). Every other gradient
+    updates its tensor densely. Parameters absent from ``grads`` are not
+    touched.
     """
 
     def __init__(self, lr: float, warmup_steps: int = 0):
@@ -170,21 +170,15 @@ class MomentumSGD:
         for name, g in grads.items():
             if name not in self.velocity:
                 self.velocity[name] = np.zeros_like(params[name])
-                self.live_rows[name] = np.zeros(len(params[name]), dtype=bool)
             v = self.velocity[name]
-            if v.ndim == 2:
-                live = self.live_rows[name]
-                sparse = isinstance(g, RowGrad)
-                if sparse:
-                    live[g.rows] = True
-                else:
-                    live |= g.any(axis=1)
-                if sparse or not live.all():
-                    rows = np.flatnonzero(live)
-                    v_rows = MOMENTUM * v[rows] + (g.at(rows) if sparse else g[rows])
-                    v[rows] = v_rows
-                    params[name][rows] -= lr_t * v_rows
-                    continue
+            if isinstance(g, RowGrad):
+                live = self.live_rows.setdefault(name, np.zeros(len(v), dtype=bool))
+                live[g.rows] = True
+                rows = np.flatnonzero(live)
+                v_rows = MOMENTUM * v[rows] + g.at(rows)
+                v[rows] = v_rows
+                params[name][rows] -= lr_t * v_rows
+                continue
             v *= MOMENTUM
             v += g
             params[name] -= lr_t * v

@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import re
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -77,6 +78,83 @@ def brute_force_merges(texts, n_merges, isolate_digits=False):
     return merges
 
 
+def position_set_merges(corpus, vocab_size, sample_fraction, seed=0, isolate_digits=False):
+    """Reference trainer: the merge list of greedy training over a Python
+    linked list of byte ids, with the exact set of left positions per pair
+    updated at every merge (the trainer's former design)."""
+    n_target_merges = vocab_size - MIN_VOCAB_SIZE
+    rng = np.random.default_rng(seed)
+    ids = [-1]  # -1: piece boundary, or a slot consumed by a merge
+    for text in corpus:
+        if sample_fraction < 1 and rng.random() >= sample_fraction:
+            continue
+        for piece in bpe._SPECIAL_SPLIT_BYTES.split(text.encode("utf-8")):
+            if piece and piece not in bpe._SPECIAL_ID_BY_BYTES:
+                for chunk in re.split(rb"(\d+)", piece) if isolate_digits else [piece]:
+                    if chunk:
+                        ids.extend(chunk)
+                        ids.append(-1)
+    index = list(range(len(ids) + 1))
+    prv = [-1] + index[:-2]
+    nxt = index[1:]
+    where = {}
+    for i, a, j in zip(index, ids, nxt[:-1]):
+        if a >= 0 and ids[j] >= 0:
+            where.setdefault((a, ids[j]), set()).add(i)
+
+    tok = [bytes([b]) for b in range(256)]
+    tok_id = {t: i for i, t in enumerate(tok)}
+    heap = [(-len(at), tok[a], tok[b], a, b) for (a, b), at in where.items()]
+    heapq.heapify(heap)
+    touched = set()
+
+    def drop(pair, pos):
+        where[pair].remove(pos)
+        if not where[pair]:
+            del where[pair]
+        touched.add(pair)
+
+    def add(pair, pos):
+        where.setdefault(pair, set()).add(pos)
+        touched.add(pair)
+
+    forbidden = {lit.encode() for _, lit in SPECIAL_TOKENS}
+    merges = []
+    while len(merges) < n_target_merges and heap:
+        neg, left, right, a, b = heapq.heappop(heap)
+        positions = where.get((a, b), ())
+        if -neg != len(positions):
+            continue
+        if len(positions) < 2:
+            break
+        if left + right in forbidden:
+            continue
+        merges.append((left, right))
+        m = tok_id.get(left + right)
+        if m is None:
+            m = tok_id[left + right] = len(tok)
+            tok.append(left + right)
+        for i in sorted(positions):
+            if ids[i] != a:
+                continue  # consumed by the previous match of an overlapping run
+            j = nxt[i]
+            p, q = prv[i], nxt[j]
+            drop((a, b), i)
+            if ids[p] >= 0:
+                drop((ids[p], a), p)
+                add((ids[p], m), p)
+            if ids[q] >= 0:
+                drop((b, ids[q]), j)
+                add((m, ids[q]), i)
+            ids[i], ids[j] = m, -1
+            nxt[i], prv[q] = q, i
+        for pair in touched:
+            if where.get(pair):
+                heapq.heappush(heap, (-len(where[pair]), tok[pair[0]], tok[pair[1]], pair[0], pair[1]))
+        touched.clear()
+    return merges
+
+
 def _apply_merges(piece, rank):
     """Merge byte symbols in learned priority order (linked list + heap).
 
@@ -147,7 +225,8 @@ def oracle_encode(vocab, text):
         if special is not None:
             ids.append(special)
             continue
-        for chunk in bpe._pretoken_chunks(piece, vocab.isolate_digits):
+        chunks = re.split(rb"(\d+)", piece) if vocab.isolate_digits else [piece]
+        for chunk in chunks:
             ids.extend(bytes_to_id[tok] for tok in _apply_merges(chunk, rank))
     return ids
 
@@ -186,6 +265,55 @@ class TestTrainBpe:
                 texts, MIN_VOCAB_SIZE + n_merges, sample_fraction=1.0, isolate_digits=isolate_digits
             )
             assert vocab.merges == brute_force_merges(texts, n_merges, isolate_digits), texts
+
+    def test_matches_position_set_trainer(self):
+        # adversarial corpora: long same-byte runs, abab chains, specials
+        # next to bytes and near-literals, digit runs, pieces that offer two
+        # spellings of one string (ab|c, a|bc; aa|a after a left merge), and
+        # sampling below 1
+        rng = np.random.default_rng(1212)
+        pieces = ["a" * 9, "b" * 6, "abababab", "ba", "<RS>", "[URL]", "[EMAIL]", "<R", "S>", "<", ">",
+                  "[URL", "12", "1111", "9a9", "c", "abc", "bc", "baaa", "caa", " "]
+        for trial in range(40):
+            weights = rng.random(len(pieces)) ** 3
+            texts = [
+                "".join(rng.choice(pieces, p=weights / weights.sum(), size=int(rng.integers(0, 30))))
+                for _ in range(int(rng.integers(1, 30)))
+            ]
+            vocab_size = MIN_VOCAB_SIZE + int(rng.integers(1, 80))
+            fraction = 1.0 if trial % 2 else float(rng.uniform(0.2, 1.0))
+            for isolate_digits in (False, True):
+                want = position_set_merges(texts, vocab_size, fraction, trial, isolate_digits)
+                try:
+                    vocab = train_bpe(
+                        texts, vocab_size, sample_fraction=fraction, seed=trial, isolate_digits=isolate_digits
+                    )
+                except VocabError:  # no byte outside a special was sampled
+                    assert want == []
+                    continue
+                assert vocab.merges == want, (texts, fraction)
+
+    def test_memory_per_sampled_byte(self):
+        # ids, links and pair positions are int32 arrays; a trainer keeping
+        # them as Python lists and sets peaks at about 117 bytes per byte here
+        texts, size = [], 0
+        rng = np.random.default_rng(77)
+        words = ["def", "return", "self", "value", "the", "answer", "error", "<RS>", "été", "x", "=", "\n"]
+        while size < 200_000:
+            text = " ".join(
+                str(int(rng.integers(0, 10_000))) if rng.random() < 0.1 else words[int(rng.integers(len(words)))]
+                for _ in range(int(rng.integers(5, 80)))
+            )
+            texts.append(text)
+            size += len(text.encode("utf-8"))
+        tracemalloc.start()
+        try:
+            vocab = train_bpe(texts, MIN_VOCAB_SIZE + 300, sample_fraction=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vocab.merges) == 300
+        assert peak / size <= 100, f"{peak / size:.0f} bytes per sampled byte"
 
     @pytest.mark.parametrize(
         "isolate_digits, checksum", [(False, "ac0e1e8385674726"), (True, "17b5fccd78efac61")]

@@ -304,6 +304,16 @@ class TestFlagsOverConfig:
         assert f"config value {key}:" in err
         assert not (small_inputs["tmp"] / "v.sovoc").exists()
 
+    def test_use_config_vocab_without_vocab_is_usage_error(self, capsys, small_inputs):
+        # no [paths] vocab: refused, not bucketed by characters
+        conf = small_inputs["tmp"] / "p.conf"
+        conf.write_text("[sequence]\nbucket_edges = 10, 20\n")
+        code, summary, err = run_cli(
+            capsys, "--config", str(conf), "stats", "--corpus", str(small_inputs["corpus"]), "--use-config-vocab"
+        )
+        assert (code, summary) == (1, None)
+        assert "--use-config-vocab requires [paths] vocab" in err
+
     @pytest.mark.parametrize(
         "config, argv, flag, get, file_value, flag_value",
         [

@@ -181,7 +181,10 @@ class BpeVocab:
                 left_pos = left.copy()
                 left_pos[1:][after] = p[:-1][after]
             n_kept = len(p)
-            new_ranks = ranks_of(np.concatenate((left_ids * np.int64(w) + m, ids[right] + np.int64(m * w))))
+            # int64 before the product: under NumPy 1.x value-based casting an
+            # int32 array times a scalar stays int32 and wraps at large vocabs
+            gained = (left_ids.astype(np.int64) * w + m, ids[right].astype(np.int64) + m * w)
+            new_ranks = ranks_of(np.concatenate(gained))
             inverted = new_ranks < r
             if inverted.any():
                 c = int((inverted[:n_kept] | inverted[n_kept:]).argmax()) + 1
@@ -434,9 +437,10 @@ def train_bpe(
         codes, pos = codes[order], pos[order]
         firsts = np.flatnonzero(np.diff(codes, prepend=-1))
         kinds = codes[firsts].tolist()
-        for code, part in zip(kinds, np.split(pos, firsts[1:])):
-            counts[code] = counts.get(code, 0) + len(part)
-            filed.setdefault(code, []).append(part)
+        bounds = firsts.tolist() + [len(pos)]
+        for code, lo, hi in zip(kinds, bounds, bounds[1:]):
+            counts[code] = counts.get(code, 0) + hi - lo
+            filed.setdefault(code, []).append(pos[lo:hi])
         return kinds
 
     pos = np.flatnonzero(ids[nxt[:-1]] >= 0).astype(np.int32)

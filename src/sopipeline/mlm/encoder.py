@@ -173,8 +173,20 @@ class EncoderModel:
     # forward                                                            #
     # ------------------------------------------------------------------ #
 
-    def hidden_states(self, ids: np.ndarray, attn_mask: np.ndarray, want_cache: bool = False):
-        """Embed, run the block stack, final-norm. Returns (y, cache)."""
+    def hidden_states(
+        self, ids: np.ndarray, attn_mask: np.ndarray, want_cache: bool = False, rows: Optional[np.ndarray] = None
+    ):
+        """Embed, run the block stack, final-norm. Returns (y, cache).
+
+        With ``rows``, a boolean [B, T] mask, ``y`` is ``[n, d]``: the
+        selected rows only, in row-major order. Every op after the last
+        attention sublayer works row by row, so ``x`` is gathered right
+        after that sublayer's residual add (at the embedding output when the
+        stack has no attention sublayer) and the rest runs on n rows, as in
+        FlashAttention's BERT ``last_layer_subset``. Two rows or more get
+        the full route's values bit for bit; numpy takes a lone row's
+        products through matrix-vector BLAS, which rounds differently.
+        """
         cfg = self.config
         ids = np.asarray(ids)
         if ids.ndim != 2:
@@ -186,8 +198,17 @@ class EncoderModel:
             raise UsageError("token id out of vocabulary range")
         mask = np.asarray(attn_mask, dtype=self.config.np_dtype)
 
+        gather_at = None  # the layer whose attention output is gathered; -1: the embedding
+        if rows is not None:
+            rows = np.asarray(rows, dtype=bool)
+            if rows.shape != ids.shape:
+                raise UsageError("rows must be a [batch, time] mask")
+            gather_at = cfg.n_layers - 1 if ATTENTION in cfg.sublayers else -1
+
         x = self.params["tok_emb"][ids] + self.params["pos_emb"][:T][None, :, :]
-        cache: dict = {"ids": ids, "mask": mask, "T": T, "layers": []}
+        if gather_at == -1:
+            x = x[rows]
+        cache: dict = {"ids": ids, "mask": mask, "T": T, "layers": [], "rows": rows, "gather_at": gather_at}
         for layer in range(cfg.n_layers):
             pre = f"L{layer}."
             layer_cache: dict = {}
@@ -197,6 +218,8 @@ class EncoderModel:
                 layer_cache["ln1"] = ln_cache
                 layer_cache["attn"] = attn_cache
                 x = x + out
+                if layer == gather_at:
+                    x = x[rows]
             if FFN in cfg.sublayers:
                 h, ln_cache = _ln_forward(x, self.params[pre + "ln2.g"], self.params[pre + "ln2.b"])
                 out, ffn_cache = self._ffn_forward(h, pre)
@@ -272,8 +295,19 @@ class EncoderModel:
         return (dl2 @ self.params["head.w"].T).reshape(y.shape)
 
     def backward(self, cache: dict, dy: np.ndarray, grads: dict) -> None:
-        """Backprop dLoss/dY through final norm, blocks, and embeddings."""
+        """Backprop dLoss/dY through final norm, blocks, and embeddings.
+
+        ``dy`` has the shape of the forward's ``y``: ``[n, d]`` when it took
+        ``rows``, scattered into a [B, T, d] zero array where it gathered.
+        """
         cfg = self.config
+        rows, gather_at = cache["rows"], cache["gather_at"]
+
+        def scatter(dx: np.ndarray) -> np.ndarray:
+            full = np.zeros(rows.shape + dx.shape[-1:], dtype=dx.dtype)
+            full[rows] = dx
+            return full
+
         dx = _ln_backward(dy, cache["final_ln"], grads, "final_ln")
         for layer in reversed(range(cfg.n_layers)):
             pre = f"L{layer}."
@@ -282,8 +316,12 @@ class EncoderModel:
                 dh = self._ffn_backward(dx, layer_cache["ffn"], grads, pre)
                 dx = dx + _ln_backward(dh, layer_cache["ln2"], grads, pre + "ln2")
             if ATTENTION in cfg.sublayers:
+                if layer == gather_at:
+                    dx = scatter(dx)
                 dh = self._attn_backward(dx, layer_cache["attn"], grads, pre)
                 dx = dx + _ln_backward(dh, layer_cache["ln1"], grads, pre + "ln1")
+        if gather_at == -1:
+            dx = scatter(dx)
         ids, T = cache["ids"], cache["T"]
         dx2 = dx.reshape(-1, dx.shape[-1])
         if isinstance(grads["tok_emb"], RowGrad):
@@ -297,7 +335,7 @@ class EncoderModel:
 
     def _ffn_backward(self, dout: np.ndarray, c: dict, grads: dict, pre: str) -> np.ndarray:
         p = self.params
-        B, T, d = dout.shape
+        d = dout.shape[-1]
         f = c["g"].shape[-1]
         do2 = dout.reshape(-1, d)
         g2 = c["g"].reshape(-1, f)

@@ -66,24 +66,21 @@ def mlm_loss_sums(model: EncoderModel, batch: MaskedBatch, *, grads: Optional[di
     With ``grads`` (from ``model.zero_grads()``) the batch's gradient sums
     are added into it. Returning sums (not means) keeps gradient
     accumulation exactly linear: micro-batches add into one dict, and the
-    caller divides once by the total count. Only the labeled rows of the
-    final hidden states go through the vocabulary head (BERT's
+    caller divides once by the total count. Only the labeled rows go
+    through the encoder's last block and the vocabulary head (BERT's
     ``gather_indexes``), as one [1, N, d] batch.
     """
     labeled = batch.labels != IGNORE_LABEL
     count = int(labeled.sum())
     if count == 0:
         raise TrainingError("batch has no labeled (masked) positions")
-    y, cache = model.hidden_states(batch.input_ids, batch.attn_mask, want_cache=grads is not None)
-    rows = y[labeled][None]
+    y, cache = model.hidden_states(batch.input_ids, batch.attn_mask, want_cache=grads is not None, rows=labeled)
     targets = batch.labels[labeled]
-    ce, probs = _cross_entropy_rows(model.logits_mlm(rows)[0], targets)
+    ce, probs = _cross_entropy_rows(model.logits_mlm(y[None])[0], targets)
     loss_sum = float(ce.sum())
     if grads is not None:
         probs[np.arange(count), targets] -= 1.0
-        dy = np.zeros_like(y)
-        dy[labeled] = model.backward_mlm_head(rows, probs[None], grads)[0]
-        model.backward(cache, dy, grads)
+        model.backward(cache, model.backward_mlm_head(y[None], probs[None], grads)[0], grads)
     return loss_sum, count
 
 
@@ -108,22 +105,21 @@ def classifier_loss_sums(
     loss = sum(w_y * CE) with weight mass sum(w_y) returned alongside, so
     uniform weights reduce exactly to plain mean cross-entropy. As in
     :func:`mlm_loss_sums`, gradient sums are added into ``grads`` (from
-    ``clf.zero_grads()``) when it is given, and only the scored rows of the
-    final hidden states go through ``cls_head``: position 0 of each
+    ``clf.zero_grads()``) when it is given, and only the scored rows go
+    through the encoder's last block and ``cls_head``: position 0 of each
     sequence for a sequence head, the labeled positions for a token head.
     """
     labels = np.asarray(labels)
     if labels.size and labels.max() >= clf.n_classes:
         raise MetricError(f"label id {int(labels.max())} >= n_classes {clf.n_classes}")
     if clf.kind is HeadKind.SEQUENCE:
-        scored, targets = (slice(None), 0), labels
+        scored, targets = _first_positions(np.shape(input_ids)), labels
     else:
         scored = labels != IGNORE_LABEL
         targets = labels[scored]
     if targets.size == 0:
         raise TrainingError("batch has no labeled positions")
-    y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=grads is not None)
-    rows = y[scored]
+    rows, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=grads is not None, rows=scored)
     head_w = clf.params["cls_head.w"]
     ce, probs = _cross_entropy_rows(rows @ head_w + clf.params["cls_head.b"], targets)
     w = np.ones(len(targets), dtype=probs.dtype) if weights is None else np.asarray(weights)[targets]
@@ -134,10 +130,15 @@ def classifier_loss_sums(
         probs *= w[:, None]
         grads["cls_head.w"] += rows.T @ probs
         grads["cls_head.b"] += probs.sum(axis=0)
-        dy = np.zeros_like(y)
-        dy[scored] = probs @ head_w.T
-        clf.encoder.backward(cache, dy, grads)
+        clf.encoder.backward(cache, probs @ head_w.T, grads)
     return loss_sum, weight_sum
+
+
+def _first_positions(shape: tuple[int, int]) -> np.ndarray:
+    """The [B, T] mask of position 0, the row a sequence head scores."""
+    first = np.zeros(shape, dtype=bool)
+    first[:, 0] = True
+    return first
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -398,12 +399,13 @@ def predict(classifier: ClassifierModel, data: Sequence[tuple]) -> list:
     for start in range(0, len(data), _PREDICT_BATCH):
         items = list(data[start : start + _PREDICT_BATCH])
         input_ids, attn, _ = _pad_batch(items, classifier.kind)
-        y, _ = classifier.encoder.hidden_states(input_ids, attn, want_cache=False)
-        logits = classifier.logits(y)
         if classifier.kind is HeadKind.SEQUENCE:
+            rows, _ = classifier.encoder.hidden_states(input_ids, attn, rows=_first_positions(input_ids.shape))
+            logits = rows @ classifier.params["cls_head.w"] + classifier.params["cls_head.b"]
             out.extend(int(i) for i in logits.argmax(axis=-1))
         else:
-            preds = logits.argmax(axis=-1)
+            y, _ = classifier.encoder.hidden_states(input_ids, attn)
+            preds = classifier.logits(y).argmax(axis=-1)
             for i, (ids, _) in enumerate(items):
                 out.append(preds[i, : len(ids)].copy())
     return out

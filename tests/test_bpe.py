@@ -570,6 +570,24 @@ class TestEncodeMany:
             split.extend(vocab.encode_many(texts[lo:hi]))
         assert split == each
 
+    def test_pair_codes_past_int32_at_large_vocab(self):
+        # A pair code is a * (V + 1) + b. Above 46,341 ids a left id past
+        # 2**31 / (V + 1) makes it exceed int32, so it must be formed in
+        # int64: under NumPy 1.x value-based casting an int32 array times a
+        # scalar stays int32 and wraps (NumPy 2 promotes, NEP 50).
+        n_merges = 50_000 - MIN_VOCAB_SIZE
+        pairs = [(bytes([i]), bytes([j])) for i in range(256) for j in range(256)][: n_merges - 1]
+        # both formed late, and their inner pair (250, 181) is never merged
+        left, right = bytes([180, 250]), bytes([181, 250])
+        vocab = BpeVocab(pairs + [(left, right)])
+        w = vocab.vocab_size + 1
+        a, b = vocab._bytes_to_id[left], vocab._bytes_to_id[right]
+        assert vocab.vocab_size > 46_341 and a * w > 2**31 and a < b
+        texts = [b"xy" + (left + right) * 3 + b"z", left + right + left]
+        want = [oracle_encode(vocab, t) for t in texts]
+        assert want[0][1:4] == [vocab.vocab_size - 1] * 3  # the last merge applied
+        assert list(vocab.encode_many(texts)) == want
+
     def test_lazy_over_a_stream(self, monkeypatch):
         monkeypatch.setattr(bpe, "_BATCH_BYTES", 10)
         vocab = BpeVocab([(b"a", b"b")])

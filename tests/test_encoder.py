@@ -93,6 +93,52 @@ class TestPreNormWiring:
         assert "L0.attn.wq" not in ffn_only.params
 
 
+ROW_CONFIGS = {
+    "default": {},
+    "attention_only": {"sublayers": (ATTENTION,)},
+    "ffn_only": {"sublayers": (FFN,)},  # gathers at the embedding output
+    "no_layers": {"n_layers": 0},
+    "tied_head": {"tied_head": True},
+}
+
+
+class TestScoredRows:
+    @pytest.mark.parametrize("kw", ROW_CONFIGS.values(), ids=ROW_CONFIGS.keys())
+    def test_rows_equal_the_full_route_bit_for_bit(self, kw):
+        model = build_encoder(small_config(**kw))
+        rng = np.random.default_rng(7)
+        ids = rng.integers(0, 50, size=(4, 12))
+        mask = np.ones_like(ids)
+        mask[1, 7:] = 0
+        mask[3, 3:] = 0
+        y, _ = model.hidden_states(ids, mask)
+        for rate in (0.15, 0.5, 1.0):
+            rows = rng.random(ids.shape) < rate
+            rows[0, :2] = True  # two rows at least: numpy takes one row through gemv
+            y_rows, _ = model.hidden_states(ids, mask, want_cache=True, rows=rows)
+            assert y_rows.shape == (rows.sum(), 16)
+            assert y_rows.tobytes() == y[rows].tobytes()
+        first = np.zeros(ids.shape, dtype=bool)
+        first[:, 0] = True
+        assert model.hidden_states(ids, mask, rows=first)[0].tobytes() == y[:, 0].tobytes()
+
+    def test_rows_must_be_a_batch_time_mask(self):
+        model = build_encoder(small_config())
+        ids, mask = np.array([[7, 8, 9], [10, 11, 12]]), np.ones((2, 3))
+        with pytest.raises(UsageError):
+            model.hidden_states(ids, mask, rows=np.array([True, False]))  # would select whole sequences
+
+    def test_gather_point(self):
+        ids, mask = np.array([[7, 8, 9]]), np.ones((1, 3))
+        rows = np.array([[True, False, True]])
+        for kw, at in (({}, 1), ({"sublayers": (FFN,)}, -1), ({"n_layers": 0}, -1), ({"n_layers": 3}, 2)):
+            _, cache = build_encoder(small_config(**kw)).hidden_states(ids, mask, want_cache=True, rows=rows)
+            assert cache["gather_at"] == at
+            ffn = cache["layers"][-1].get("ffn") if cache["layers"] else None
+            if ffn is not None:
+                assert ffn["h"].shape == (2, 16)  # the last FFN ran on the two rows
+
+
 class TestForwardMlm:
     def test_initial_loss_near_log_vocab(self):
         cfg = EncoderConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=1000, max_positions=64, seed=0)

@@ -102,6 +102,41 @@ def dense_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights=None, 
     return float((w * ce).sum()), float(w.sum())
 
 
+def full_route_mlm_loss_sums(model, batch, grads):
+    """mlm_loss_sums with the encoder on every [B, T] row: the head on the
+    labeled rows, its dY scattered into a [B, T, d] zero array (oracle for
+    the ``rows`` route)."""
+    labeled = batch.labels != IGNORE_LABEL
+    y, cache = model.hidden_states(batch.input_ids, batch.attn_mask, want_cache=True)
+    rows = y[labeled][None]
+    targets = batch.labels[labeled]
+    ce, probs = _cross_entropy_rows(model.logits_mlm(rows)[0], targets)
+    probs[np.arange(len(targets)), targets] -= 1.0
+    dy = np.zeros_like(y)
+    dy[labeled] = model.backward_mlm_head(rows, probs[None], grads)[0]
+    model.backward(cache, dy, grads)
+    return float(ce.sum())
+
+
+def full_route_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights, grads):
+    """classifier_loss_sums with the encoder on every [B, T] row (oracle)."""
+    scored = (slice(None), 0) if clf.kind is HeadKind.SEQUENCE else labels != IGNORE_LABEL
+    targets = labels if clf.kind is HeadKind.SEQUENCE else labels[scored]
+    y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=True)
+    rows = y[scored]
+    head_w = clf.params["cls_head.w"]
+    ce, probs = _cross_entropy_rows(rows @ head_w + clf.params["cls_head.b"], targets)
+    w = np.asarray(weights)[targets]
+    probs[np.arange(len(targets)), targets] -= 1.0
+    probs *= w[:, None]
+    grads["cls_head.w"] += rows.T @ probs
+    grads["cls_head.b"] += probs.sum(axis=0)
+    dy = np.zeros_like(y)
+    dy[scored] = probs @ head_w.T
+    clf.encoder.backward(cache, dy, grads)
+    return float((w * ce).sum())
+
+
 def per_micro_batch_train_mlm(model, seqs, plan, steps, lr, seed, mask_rate=0.15):
     """train_mlm's step loop with a fresh dense gradient dict per micro-batch,
     the dicts added together (oracle for the one shared dict and ``RowGrad``)."""
@@ -248,6 +283,61 @@ class TestMlmLoss:
             np.testing.assert_allclose(probs, probs_ref, rtol=64 * np.finfo(dtype).eps, atol=0)
 
 
+ROW_CONFIGS = {
+    "default": {},
+    "attention_only": {"sublayers": ("attention",)},
+    "ffn_only": {"sublayers": ("ffn",)},  # gathers at the embedding output
+    "no_layers": {"n_layers": 0},
+    "tied_head": {"tied_head": True},
+}
+
+
+def assert_within_float32_rounding(grads, grads_ref, params):
+    grads, grads_ref = densified(grads, params), densified(grads_ref, params)
+    assert grads.keys() == grads_ref.keys()
+    for name, ref in grads_ref.items():
+        scale = max(np.abs(ref).max(), 1e-3)  # attn.bk: see TestMlmLoss
+        assert np.abs(grads[name] - ref).max() <= 1e-6 * scale, name
+
+
+class TestScoredRowRoute:
+    """The last block on scored rows against the full [B, T] route, in float32:
+    the same loss bits, the gradients within rounding (a K sum over fewer rows
+    may group differently in BLAS)."""
+
+    @pytest.mark.parametrize("kw", ROW_CONFIGS.values(), ids=ROW_CONFIGS.keys())
+    def test_mlm(self, kw):
+        for seed in range(3):
+            model = tiny_model(**{"n_layers": 2, "hidden": 16, "vocab_size": 64, "seed": seed, **kw})
+            rng = np.random.default_rng(seed)
+            seqs = [list(rng.integers(6, 64, size=int(rng.integers(3, 9)))) for _ in range(5)]
+            batch = make_masked_batch(seqs, 0.3, vocab_size=64, seq_len=8, seed=seed)
+            grads, grads_ref = model.zero_grads(), model.zero_grads()
+            loss, _ = mlm_loss_sums(model, batch, grads=grads)
+            assert loss == full_route_mlm_loss_sums(model, batch, grads_ref)
+            assert_within_float32_rounding(grads, grads_ref, model.params)
+
+    @pytest.mark.parametrize("kind", [HeadKind.SEQUENCE, HeadKind.TOKEN])
+    @pytest.mark.parametrize("kw", ROW_CONFIGS.values(), ids=ROW_CONFIGS.keys())
+    def test_classifier(self, kw, kind):
+        for seed in range(3):
+            base = dict(n_layers=2, hidden=16, n_heads=2, vocab_size=64, max_positions=16, seed=seed)
+            clf = attach_head(build_encoder(EncoderConfig(**{**base, **kw})), kind, 3)
+            rng = np.random.default_rng(seed)
+            ids = rng.integers(6, 64, size=(6, 10))
+            attn = (np.arange(10) < rng.integers(2, 11, size=(6, 1))).astype(np.int64)
+            if kind is HeadKind.SEQUENCE:
+                labels = rng.integers(0, 3, size=6)
+            else:
+                scored = (rng.random(ids.shape) < 0.4) & (attn > 0)
+                labels = np.where(scored, rng.integers(0, 3, size=ids.shape), IGNORE_LABEL)
+            weights = rng.uniform(0.2, 2.0, size=3)
+            grads, grads_ref = clf.zero_grads(), clf.zero_grads()
+            loss, _ = classifier_loss_sums(clf, ids, attn, labels, weights, grads=grads)
+            assert loss == full_route_classifier_loss_sums(clf, ids, attn, labels, weights, grads_ref)
+            assert_within_float32_rounding(grads, grads_ref, {**clf.encoder.params, **clf.params})
+
+
 class TestGradCheck:
     def test_attention_only(self):
         assert grad_check(tiny_model(sublayers=("attention",)), tiny_batch()) < 1e-4
@@ -263,6 +353,15 @@ class TestGradCheck:
 
     def test_tied_head(self):
         assert grad_check(tiny_model(tied_head=True), tiny_batch()) < 1e-4
+
+    def test_ffn_only_gathers_at_the_embedding(self):
+        # no attention sublayer: the labeled rows are gathered right after
+        # the embedding, and every block runs on them alone
+        model = tiny_model(n_layers=2, sublayers=("ffn",))
+        batch = tiny_batch()
+        _, cache = model.hidden_states(batch.input_ids, batch.attn_mask, True, batch.labels != IGNORE_LABEL)
+        assert cache["gather_at"] == -1
+        assert grad_check(model, batch) < 1e-4
 
     def test_large_epsilon_exceeds_tolerance(self):
         assert grad_check(tiny_model(), tiny_batch(), epsilon=1e-1) > 1e-4

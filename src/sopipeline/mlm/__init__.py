@@ -21,7 +21,6 @@ from .training import (
     BatchPlan,
     attach_head,
     finetune,
-    forward_mlm,
     grad_check,
     plan_batches,
     train_mlm,
@@ -40,7 +39,6 @@ __all__ = [
     "attach_head",
     "build_encoder",
     "finetune",
-    "forward_mlm",
     "grad_check",
     "load_checkpoint",
     "make_masked_batch",

@@ -419,11 +419,6 @@ class ClassifierModel:
         grads["tok_emb"] = RowGrad.empty(params["tok_emb"])
         return grads
 
-    def logits(self, y: np.ndarray) -> np.ndarray:
-        if self.kind is HeadKind.SEQUENCE:
-            return y[:, 0, :] @ self.params["cls_head.w"] + self.params["cls_head.b"]
-        return y @ self.params["cls_head.w"] + self.params["cls_head.b"]
-
 
 # -- numeric pieces -----------------------------------------------------------
 
@@ -487,10 +482,14 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     blob = Path(path).read_bytes()
     if blob[:4] != _CKPT_MAGIC:
         raise ChecksumMismatchError(f"{path}: not a checkpoint file")
+    if len(blob) < 10:
+        raise ChecksumMismatchError(f"{path}: truncated checkpoint")
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != _CKPT_VERSION:
         raise ChecksumMismatchError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack_from("<I", blob, 6)
+    if 10 + cfg_len > len(blob):
+        raise ChecksumMismatchError(f"{path}: truncated checkpoint")
     cfg_raw = json.loads(blob[10 : 10 + cfg_len])
     checksum = cfg_raw.pop("vocab_checksum", None)
     config = EncoderConfig(

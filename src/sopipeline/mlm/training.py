@@ -84,13 +84,6 @@ def mlm_loss_sums(model: EncoderModel, batch: MaskedBatch, *, grads: Optional[di
     return loss_sum, count
 
 
-def forward_mlm(model: EncoderModel, batch: MaskedBatch) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over masked positions only, plus the full logits."""
-    loss_sum, count = mlm_loss_sums(model, batch)
-    y, _ = model.hidden_states(batch.input_ids, batch.attn_mask)
-    return loss_sum / count, model.logits_mlm(y)
-
-
 def classifier_loss_sums(
     clf: ClassifierModel,
     input_ids: np.ndarray,
@@ -103,22 +96,20 @@ def classifier_loss_sums(
     """Weighted-CE sums for a classifier; weights index by class label.
 
     loss = sum(w_y * CE) with weight mass sum(w_y) returned alongside, so
-    uniform weights reduce exactly to plain mean cross-entropy. As in
+    uniform weights reduce exactly to plain mean cross-entropy. ``labels``
+    is a [B, T] grid like the MLM labels: a sequence head's label sits at
+    position 0, and ``IGNORE_LABEL`` marks every row not scored. As in
     :func:`mlm_loss_sums`, gradient sums are added into ``grads`` (from
     ``clf.zero_grads()``) when it is given, and only the scored rows go
-    through the encoder's last block and ``cls_head``: position 0 of each
-    sequence for a sequence head, the labeled positions for a token head.
+    through the encoder's last block and ``cls_head``.
     """
     labels = np.asarray(labels)
-    if labels.size and labels.max() >= clf.n_classes:
-        raise MetricError(f"label id {int(labels.max())} >= n_classes {clf.n_classes}")
-    if clf.kind is HeadKind.SEQUENCE:
-        scored, targets = _first_positions(np.shape(input_ids)), labels
-    else:
-        scored = labels != IGNORE_LABEL
-        targets = labels[scored]
+    scored = labels != IGNORE_LABEL
+    targets = labels[scored]
     if targets.size == 0:
         raise TrainingError("batch has no labeled positions")
+    if targets.min() < 0 or targets.max() >= clf.n_classes:
+        raise MetricError(f"labels must lie in [0, {clf.n_classes}) or be IGNORE_LABEL")
     rows, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=grads is not None, rows=scored)
     head_w = clf.params["cls_head.w"]
     ce, probs = _cross_entropy_rows(rows @ head_w + clf.params["cls_head.b"], targets)
@@ -132,13 +123,6 @@ def classifier_loss_sums(
         grads["cls_head.b"] += probs.sum(axis=0)
         clf.encoder.backward(cache, probs @ head_w.T, grads)
     return loss_sum, weight_sum
-
-
-def _first_positions(shape: tuple[int, int]) -> np.ndarray:
-    """The [B, T] mask of position 0, the row a sequence head scores."""
-    first = np.zeros(shape, dtype=bool)
-    first[:, 0] = True
-    return first
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -305,7 +289,8 @@ def _pad_batch(items: list, kind: HeadKind) -> tuple[np.ndarray, np.ndarray, np.
     T = max(len(ids) for ids, _ in items)
     input_ids, attn = pad_rows([ids for ids, _ in items], T, PAD_ID)
     if kind is HeadKind.SEQUENCE:
-        return input_ids, attn, np.asarray([lab for _, lab in items], dtype=np.int64)
+        labels, _ = pad_rows([[lab] for _, lab in items], T, IGNORE_LABEL)
+        return input_ids, attn, labels
     if any(len(lab) != len(ids) for ids, lab in items):
         raise UsageError("token-class labels must align 1:1 with tokens")
     labels, _ = pad_rows([lab for _, lab in items], T, IGNORE_LABEL)
@@ -394,18 +379,22 @@ def finetune(
 
 
 def predict(classifier: ClassifierModel, data: Sequence[tuple]) -> list:
-    """Argmax predictions; token heads yield one label array per item."""
+    """Argmax predictions; token heads yield one label array per item.
+
+    A sequence head scores position 0 of every item, even an empty one; a
+    token head scores every real token.
+    """
+    sequence = classifier.kind is HeadKind.SEQUENCE
     out: list = []
     for start in range(0, len(data), _PREDICT_BATCH):
         items = list(data[start : start + _PREDICT_BATCH])
         input_ids, attn, _ = _pad_batch(items, classifier.kind)
-        if classifier.kind is HeadKind.SEQUENCE:
-            rows, _ = classifier.encoder.hidden_states(input_ids, attn, rows=_first_positions(input_ids.shape))
-            logits = rows @ classifier.params["cls_head.w"] + classifier.params["cls_head.b"]
-            out.extend(int(i) for i in logits.argmax(axis=-1))
+        sizes = np.array([1 if sequence else len(ids) for ids, _ in items])
+        scored = np.arange(input_ids.shape[1]) < sizes[:, None]
+        rows, _ = classifier.encoder.hidden_states(input_ids, attn, rows=scored)
+        preds = (rows @ classifier.params["cls_head.w"] + classifier.params["cls_head.b"]).argmax(axis=-1)
+        if sequence:
+            out.extend(int(i) for i in preds)
         else:
-            y, _ = classifier.encoder.hidden_states(input_ids, attn)
-            preds = classifier.logits(y).argmax(axis=-1)
-            for i, (ids, _) in enumerate(items):
-                out.append(preds[i, : len(ids)].copy())
+            out.extend(np.split(preds, np.cumsum(sizes)[:-1]))
     return out

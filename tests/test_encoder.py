@@ -14,11 +14,16 @@ from sopipeline.mlm import (
     IGNORE_LABEL,
     MaskedBatch,
     build_encoder,
-    forward_mlm,
     load_checkpoint,
     make_masked_batch,
     save_checkpoint,
 )
+from sopipeline.mlm.training import mlm_loss_sums
+
+
+def mean_mlm_loss(model, batch):
+    loss_sum, count = mlm_loss_sums(model, batch)
+    return loss_sum / count
 
 
 def small_config(**kw):
@@ -145,20 +150,20 @@ class TestForwardMlm:
         model = build_encoder(cfg)
         seqs = [list(np.random.default_rng(i).integers(6, 1000, size=48)) for i in range(8)]
         batch = make_masked_batch(seqs, 0.15, vocab_size=1000, seed=1)
-        loss, logits = forward_mlm(model, batch)
+        loss = mean_mlm_loss(model, batch)
         assert abs(loss - math.log(1000)) / math.log(1000) < 0.05
-        assert logits.shape == (8, 48, 1000)
 
     def test_loss_reads_only_labeled_logits(self):
-        # loss equals CE computed from the labeled rows of the returned
-        # logits alone, so logits at ignored positions cannot contribute
+        # loss equals CE computed from the labeled rows of the full logits
+        # alone, so logits at ignored positions cannot contribute
         model = build_encoder(small_config(dtype="float64"))
         ids = np.array([[10, 11, 12, 13], [14, 15, 16, 17]])
         mask = np.ones_like(ids)
         labels = np.array(
             [[IGNORE_LABEL, 11, IGNORE_LABEL, IGNORE_LABEL], [14, IGNORE_LABEL, IGNORE_LABEL, 17]]
         )
-        loss, logits = forward_mlm(model, MaskedBatch(ids, mask, labels, 0.15))
+        loss = mean_mlm_loss(model, MaskedBatch(ids, mask, labels, 0.15))
+        logits = model.logits_mlm(model.hidden_states(ids, mask)[0])
         labeled = labels != IGNORE_LABEL
         rows = logits[labeled]
         targets = labels[labeled]
@@ -172,14 +177,14 @@ class TestForwardMlm:
         ids = np.array([[10, 11]])
         labels = np.full_like(ids, IGNORE_LABEL)
         with pytest.raises(TrainingError):
-            forward_mlm(model, MaskedBatch(ids, np.ones_like(ids), labels, 0.15))
+            mlm_loss_sums(model, MaskedBatch(ids, np.ones_like(ids), labels, 0.15))
 
     def test_too_long_sequence_rejected(self):
         model = build_encoder(small_config(max_positions=4))
         ids = np.arange(10, 16).reshape(1, 6)
         labels = ids.copy()
         with pytest.raises(UsageError):
-            forward_mlm(model, MaskedBatch(ids, np.ones_like(ids), labels, 0.15))
+            mlm_loss_sums(model, MaskedBatch(ids, np.ones_like(ids), labels, 0.15))
 
     def test_micro_model_matches_scalar_oracle(self):
         """1 layer, d=2, V=8, T=2: compare against an independent
@@ -216,7 +221,7 @@ class TestForwardMlm:
         ids = np.array([[6, 7]])
         labels = np.array([[7, IGNORE_LABEL]])
         batch = MaskedBatch(ids, np.ones_like(ids), labels, 0.5)
-        loss, _ = forward_mlm(model, batch)
+        loss = mean_mlm_loss(model, batch)
 
         oracle = _scalar_forward_loss(p, ids[0].tolist(), {0: 7})
         assert loss == pytest.approx(oracle, rel=1e-12)
@@ -330,6 +335,20 @@ class TestCheckpoints:
         path.write_bytes(blob[:-100])
         with pytest.raises(ChecksumMismatchError):
             load_checkpoint(path)
+
+    def test_every_truncation_is_refused(self, tmp_path):
+        # a cut inside the header or the config block is refused like a cut
+        # inside the tensors, not with a struct or JSON error
+        from sopipeline.errors import ChecksumMismatchError
+
+        config = EncoderConfig(n_layers=0, hidden=2, n_heads=1, vocab_size=8, max_positions=1)
+        path = tmp_path / "m.sockpt"
+        save_checkpoint(build_encoder(config), path)
+        blob = path.read_bytes()
+        for k in range(len(blob)):
+            path.write_bytes(blob[:k])
+            with pytest.raises(ChecksumMismatchError):
+                load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         from sopipeline.errors import ChecksumMismatchError

@@ -66,14 +66,17 @@ def dense_head_mlm_loss_sums(model, batch):
 def dense_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights=None, *, grads=None):
     """Classifier loss and grads through dense [B, C] / [B, T, C] dlogits (oracle).
 
-    The gradients are computed into a fresh dense dict and then added into
+    A sequence head reads position 0 of ``y`` and of the label grid. The
+    gradients are computed into a fresh dense dict and then added into
     ``grads``; a :class:`RowGrad` entry takes them over every row.
     """
     y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=True)
-    logits = clf.logits(y)
+    head_w, head_b = clf.params["cls_head.w"], clf.params["cls_head.b"]
     if clf.kind is HeadKind.SEQUENCE:
-        flat, targets = logits, labels
+        logits = y[:, 0] @ head_w + head_b
+        flat, targets = logits, labels[:, 0]
     else:
+        logits = y @ head_w + head_b
         keep = labels != IGNORE_LABEL
         flat, targets = logits[keep], labels[keep]
     w = np.ones(len(targets), dtype=logits.dtype) if weights is None else np.asarray(weights)[targets]
@@ -82,7 +85,6 @@ def dense_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights=None, 
     dflat *= w[:, None]
     params = {**clf.encoder.params, **clf.params}
     dense = {k: np.zeros_like(v) for k, v in params.items() if not k.startswith("head.")}
-    head_w = clf.params["cls_head.w"]
     if clf.kind is HeadKind.SEQUENCE:
         dense["cls_head.w"] += y[:, 0, :].T @ dflat
         dense["cls_head.b"] += dflat.sum(axis=0)
@@ -120,8 +122,8 @@ def full_route_mlm_loss_sums(model, batch, grads):
 
 def full_route_classifier_loss_sums(clf, input_ids, attn_mask, labels, weights, grads):
     """classifier_loss_sums with the encoder on every [B, T] row (oracle)."""
-    scored = (slice(None), 0) if clf.kind is HeadKind.SEQUENCE else labels != IGNORE_LABEL
-    targets = labels if clf.kind is HeadKind.SEQUENCE else labels[scored]
+    scored = labels != IGNORE_LABEL
+    targets = labels[scored]
     y, cache = clf.encoder.hidden_states(input_ids, attn_mask, want_cache=True)
     rows = y[scored]
     head_w = clf.params["cls_head.w"]
@@ -327,7 +329,7 @@ class TestScoredRowRoute:
             ids = rng.integers(6, 64, size=(6, 10))
             attn = (np.arange(10) < rng.integers(2, 11, size=(6, 1))).astype(np.int64)
             if kind is HeadKind.SEQUENCE:
-                labels = rng.integers(0, 3, size=6)
+                labels = np.where(np.arange(10) == 0, rng.integers(0, 3, size=(6, 1)), IGNORE_LABEL)
             else:
                 scored = (rng.random(ids.shape) < 0.4) & (attn > 0)
                 labels = np.where(scored, rng.integers(0, 3, size=ids.shape), IGNORE_LABEL)
@@ -546,6 +548,9 @@ class TestFinetune:
         clf = self._clf(kind=HeadKind.SEQUENCE, n_classes=2)
         with pytest.raises(MetricError):
             finetune(clf, [([3, 10], 5)], epochs=1)
+        # an ignored sequence label would look like an unscored row on the label grid
+        with pytest.raises(MetricError):
+            finetune(clf, [([3, 10, 11], 0), ([3, 12, 13], 1), ([3, 14], IGNORE_LABEL)], epochs=1)
 
     def test_token_head_trains_with_ignored_labels(self):
         rng = np.random.default_rng(8)
@@ -651,7 +656,9 @@ class TestFinetune:
             lengths = rng.integers(2, 9, size=5)
             ids = np.zeros((5, 8), dtype=np.int64)
             attn = np.zeros_like(ids)
-            labels = np.full((5, 8), IGNORE_LABEL) if kind is HeadKind.TOKEN else rng.integers(0, 3, size=5)
+            labels = np.full((5, 8), IGNORE_LABEL)
+            if kind is HeadKind.SEQUENCE:
+                labels[:, 0] = rng.integers(0, 3, size=5)
             for i, n in enumerate(lengths):
                 ids[i, :n] = rng.integers(6, 64, size=n)
                 attn[i, :n] = 1
@@ -672,12 +679,27 @@ class TestFinetune:
 
     def test_sequence_head_reads_position_zero(self):
         clf = self._clf(kind=HeadKind.SEQUENCE, n_classes=2)
-        ids = np.array([[3, 10, 11], [3, 12, 13]])
-        attn = np.ones_like(ids)
+        items = [([3, 10, 11], 0), ([3, 12, 13], 1)]
+        ids, attn, labels = training._pad_batch(items, HeadKind.SEQUENCE)
+        assert (labels == [[0, IGNORE_LABEL, IGNORE_LABEL], [1, IGNORE_LABEL, IGNORE_LABEL]]).all()
         y, _ = clf.encoder.hidden_states(ids, attn)
-        logits = clf.logits(y)
         manual = y[:, 0, :] @ clf.params["cls_head.w"] + clf.params["cls_head.b"]
-        np.testing.assert_allclose(logits, manual)
+        ce, _ = _cross_entropy_rows(manual.copy(), labels[:, 0])
+        loss, mass = classifier_loss_sums(clf, ids, attn, labels)
+        assert mass == 2
+        np.testing.assert_allclose(loss, ce.sum(), rtol=1e-6)
+        assert training.predict(clf, items) == [int(i) for i in manual.argmax(axis=-1)]
+
+    @pytest.mark.parametrize("kind", [HeadKind.SEQUENCE, HeadKind.TOKEN])
+    def test_negative_label_refused(self, kind):
+        # -1 would index the weights and probs from the end: class 1 of 2
+        clf = self._clf(kind=kind, n_classes=2)
+        ids = np.array([[3, 10, 11], [3, 12, 13]])
+        labels = np.array([[0, 1, 0], [-1, 0, 1]])
+        if kind is HeadKind.SEQUENCE:
+            labels[:, 1:] = IGNORE_LABEL
+        with pytest.raises(MetricError):
+            classifier_loss_sums(clf, ids, np.ones_like(ids), labels, np.array([0.5, 0.5]))
 
     def test_classifier_gradients_match_finite_differences(self):
         # spot-check the fine-tune path's gradients too

@@ -459,8 +459,6 @@ def train_bpe(
         if -neg < 2:
             break
         merged = left + right
-        if merged in _SPECIAL_ID_BY_BYTES:
-            continue  # a merge may not fabricate a special literal
         merges.append((left, right))
         # A token is its bytes: a merge that spells an existing token's
         # bytes yields that token, so their pairs are counted together.

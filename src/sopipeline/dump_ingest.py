@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from enum import Enum
 from typing import BinaryIO, Iterator, Optional
 from xml.parsers import expat
 
@@ -23,47 +22,26 @@ TABLE_COMMENTS = "comments"
 TABLE_HISTORY = "posthistory"
 
 
-class PostType(Enum):
-    QUESTION = "question"
-    ANSWER = "answer"
-    OTHER = "other"
-
-    @staticmethod
-    def from_id(type_id: int) -> "PostType":
-        if type_id == 1:
-            return PostType.QUESTION
-        if type_id == 2:
-            return PostType.ANSWER
-        return PostType.OTHER
+# Dump type ids: PostTypeId of a question and an answer, PostHistoryTypeId
+# of a body edit.
+POST_QUESTION = 1
+POST_ANSWER = 2
+HISTORY_EDIT_BODY = 5
 
 
-class HistoryType(Enum):
-    INITIAL_BODY = "initial_body"
-    EDIT_BODY = "edit_body"
-    OTHER = "other"
-
-    @staticmethod
-    def from_id(type_id: int) -> "HistoryType":
-        if type_id == 2:
-            return HistoryType.INITIAL_BODY
-        if type_id == 5:
-            return HistoryType.EDIT_BODY
-        return HistoryType.OTHER
-
-
+# Record dates hold parse_timestamp's canonical string: string order is time order.
 @dataclass
 class PostRecord:
     id: int
-    post_type: PostType
     post_type_id: int
     body: str
-    creation_date: datetime
+    creation_date: str
     parent_id: Optional[int] = None
     accepted_answer_id: Optional[int] = None
     score: int = 0
     title: Optional[str] = None
     tags: Optional[list[str]] = None
-    last_edit_date: Optional[datetime] = None
+    last_edit_date: Optional[str] = None
 
 
 @dataclass
@@ -71,7 +49,7 @@ class CommentRecord:
     id: int
     post_id: int
     text: str
-    creation_date: datetime
+    creation_date: str
     score: int = 0
 
 
@@ -79,10 +57,9 @@ class CommentRecord:
 class PostHistoryRecord:
     id: int
     post_id: int
-    history_type: HistoryType
     history_type_id: int
     text: str
-    creation_date: datetime
+    creation_date: str
 
 
 @dataclass
@@ -151,28 +128,28 @@ _TAG_RE = re.compile(r"<([^<>]+)>")
 _CANONICAL_TS = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}", re.ASCII)
 
 
-def parse_timestamp(value: str, *, row_id=None) -> datetime:
-    """Dump timestamps are naive ISO strings with fractional seconds; treat as UTC."""
+def parse_timestamp(value: str, *, row_id=None) -> str:
+    """A dump timestamp in the store's canonical form: UTC (a naive value
+    is UTC), millisecond precision, ``YYYY-MM-DDTHH:MM:SS.fff``.
+
+    Every value is validated; one already in that form is returned as it is.
+    """
     try:
-        if _CANONICAL_TS.fullmatch(value):
-            return datetime.fromisoformat(value + "+00:00")
         ts = datetime.fromisoformat(value)
-    except ValueError as exc:
+        if _CANONICAL_TS.fullmatch(value):
+            return value
+        return format_timestamp(ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc))
+    except (ValueError, OverflowError) as exc:
         raise RowError(f"bad timestamp {value!r}", row_id=row_id) from exc
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    # Millisecond precision is what the dump carries; normalize so that
-    # formatted timestamps sort identically to parsed ones.
-    return ts.astimezone(timezone.utc).replace(microsecond=ts.microsecond // 1000 * 1000)
 
 
 def format_timestamp(ts: datetime) -> str:
-    """Fixed-width UTC form whose lexicographic order matches time order."""
-    if ts.tzinfo is timezone.utc and ts.year >= 1000:
-        return "%04d-%02d-%02dT%02d:%02d:%02d.%03d" % (
-            ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second, ts.microsecond // 1000
-        )
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}"
+    """Fixed-width UTC form whose lexicographic order matches time order;
+    a naive ``datetime`` is local time."""
+    ts = ts.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02d.%03d" % (
+        ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second, ts.microsecond // 1000
+    )
 
 
 def _require(attrs: dict, key: str, row_id=None) -> str:
@@ -207,17 +184,15 @@ def parse_post(attrs: dict) -> PostRecord:
     parent_id = None
     if "ParentId" in attrs:
         parent_id = _parse_int(attrs["ParentId"], "ParentId", post_id)
-    post_type = PostType.from_id(type_id)
-    if post_type is PostType.ANSWER and parent_id is None:
+    if type_id == POST_ANSWER and parent_id is None:
         raise RowError("answer without ParentId", row_id=post_id)
 
     return PostRecord(
         id=post_id,
-        post_type=post_type,
         post_type_id=type_id,
         body=body,
         creation_date=created,
-        parent_id=parent_id if post_type is PostType.ANSWER else None,
+        parent_id=parent_id if type_id == POST_ANSWER else None,
         accepted_answer_id=(
             _parse_int(attrs["AcceptedAnswerId"], "AcceptedAnswerId", post_id)
             if "AcceptedAnswerId" in attrs
@@ -251,7 +226,6 @@ def parse_history(attrs: dict) -> PostHistoryRecord:
     return PostHistoryRecord(
         id=hist_id,
         post_id=_parse_int(_require(attrs, "PostId", hist_id), "PostId", hist_id),
-        history_type=HistoryType.from_id(type_id),
         history_type_id=type_id,
         # Non-body history kinds (title edits, closures) may omit Text.
         text=attrs.get("Text", ""),

@@ -12,7 +12,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .corpus import clean_text, split_code
-from .dump_ingest import HistoryType
+from .dump_ingest import HISTORY_EDIT_BODY, POST_QUESTION
 from .errors import MetricError, UsageError
 from .record_store import AnswerThread, RecordStore
 
@@ -168,7 +168,7 @@ def _edited_check(
     answer, _, comments, revisions = thread
     if not comments:
         return None
-    edits = [h for h in revisions if h.history_type is HistoryType.EDIT_BODY]
+    edits = [h for h in revisions if h.history_type_id == HISTORY_EDIT_BODY]
     if not edits:
         if answer.last_edit_date is not None:
             logger.warning("answer %d edited but has no body revisions; skipped", answer.id)
@@ -194,9 +194,11 @@ def _late_check(
     answer text, so URLs cannot hide a reference.
     """
     answer, question, _, _ = thread
-    if question is None or question.post_type_id != 1:
+    if question is None or question.post_type_id != POST_QUESTION:
         return None
-    if answer.creation_date < question.creation_date + delay:
+    # Elsewhere dates compare as canonical strings; the delay needs times.
+    age = datetime.fromisoformat(answer.creation_date) - datetime.fromisoformat(question.creation_date)
+    if age < delay:
         return None
     cleaned = clean_text(answer.body, post_id=answer.id)
     folded = cleaned.lower()

@@ -286,7 +286,7 @@ def attach_head(model: EncoderModel, kind: str | HeadKind, n_classes: int) -> Cl
 
 
 def _pad_batch(items: list, kind: HeadKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    T = max(len(ids) for ids, _ in items)
+    T = max(1, *(len(ids) for ids, _ in items))  # an all-empty batch keeps position 0
     input_ids, attn = pad_rows([ids for ids, _ in items], T, PAD_ID)
     if kind is HeadKind.SEQUENCE:
         labels, _ = pad_rows([[lab] for _, lab in items], T, IGNORE_LABEL)

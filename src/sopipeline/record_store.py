@@ -13,21 +13,12 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass, field
-from datetime import datetime
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .dump_ingest import (
-    CommentRecord,
-    HistoryType,
-    PostHistoryRecord,
-    PostRecord,
-    PostType,
-    format_timestamp,
-    parse_timestamp,
-)
+from .dump_ingest import CommentRecord, PostHistoryRecord, PostRecord
 from .errors import DuplicateIdError, StoreError
 
 FORMAT_VERSION = 1
@@ -107,8 +98,8 @@ def _post_to_row(p: PostRecord) -> tuple:
         p.title,
         p.body,
         json.dumps(p.tags) if p.tags is not None else None,
-        format_timestamp(p.creation_date),
-        format_timestamp(p.last_edit_date) if p.last_edit_date else None,
+        p.creation_date,
+        p.last_edit_date,
     )
 
 
@@ -118,7 +109,6 @@ def _post_to_row(p: PostRecord) -> tuple:
 def _row_to_post(row) -> PostRecord:
     return PostRecord(
         id=row[0],
-        post_type=PostType.from_id(row[1]),
         post_type_id=row[1],
         parent_id=row[2],
         accepted_answer_id=row[3],
@@ -126,8 +116,8 @@ def _row_to_post(row) -> PostRecord:
         title=row[5],
         body=row[6],
         tags=json.loads(row[7]) if row[7] is not None else None,
-        creation_date=parse_timestamp(row[8]),
-        last_edit_date=parse_timestamp(row[9]) if row[9] else None,
+        creation_date=row[8],
+        last_edit_date=row[9],
     )
 
 
@@ -137,7 +127,7 @@ def _row_to_comment(row) -> CommentRecord:
         post_id=row[1],
         text=row[2],
         score=row[3],
-        creation_date=parse_timestamp(row[4]),
+        creation_date=row[4],
     )
 
 
@@ -145,10 +135,9 @@ def _row_to_history(row) -> PostHistoryRecord:
     return PostHistoryRecord(
         id=row[0],
         post_id=row[1],
-        history_type=HistoryType.from_id(row[2]),
         history_type_id=row[2],
         text=row[3],
-        creation_date=parse_timestamp(row[4]),
+        creation_date=row[4],
     )
 
 
@@ -158,7 +147,7 @@ class Question(NamedTuple):
     post_type_id: int
     title: Optional[str]
     body: str
-    creation_date: datetime
+    creation_date: str
 
 
 class AnswerThread(NamedTuple):
@@ -298,7 +287,7 @@ class RecordStore:
             answer = _row_to_post(row)
             question = None
             if row[10] is not None:
-                question = Question(row[10], row[11], row[12], parse_timestamp(row[13]))
+                question = Question(*row[10:])
             yield AnswerThread(
                 answer,
                 question,
@@ -371,19 +360,13 @@ def build_store(
             conn,
             "comments",
             "INSERT INTO comments VALUES (?,?,?,?,?)",
-            (
-                (c.id, c.post_id, c.text, c.score, format_timestamp(c.creation_date))
-                for c in comment_iter
-            ),
+            ((c.id, c.post_id, c.text, c.score, c.creation_date) for c in comment_iter),
         )
         report.n_history = _insert_all(
             conn,
             "post_history",
             "INSERT INTO post_history VALUES (?,?,?,?,?)",
-            (
-                (h.id, h.post_id, h.history_type_id, h.text, format_timestamp(h.creation_date))
-                for h in history_iter
-            ),
+            ((h.id, h.post_id, h.history_type_id, h.text, h.creation_date) for h in history_iter),
         )
 
         report.dangling_comment_ids = [

@@ -153,6 +153,38 @@ class TestPipelineCommands:
         assert "rows skipped: 2" in report
         assert report.count("skip posts") == 2
 
+    def test_year_before_1000_reads_back(self, capsys, tmp_path):
+        # the store's form pads the year to four digits, so its readers accept it
+        early = "0999-12-31T23:00:00.000"
+        posts = tmp_path / "Posts.xml"
+        comments = tmp_path / "Comments.xml"
+        posts.write_bytes(rows_xml([
+            question_row(1, created=early),
+            answer_row(10, 1, score=2, created=ts(0), body="<p>Better than the accepted answer.</p>"),
+        ]))
+        comments.write_bytes(rows_xml([comment_row(100, 10, "still works", created=early)]))
+        store_dir = tmp_path / "store"
+        code, summary, _ = run_cli(
+            capsys,
+            "ingest", "--posts", str(posts), "--comments", str(comments), "--store-dir", str(store_dir),
+        )
+        assert code == 0 and summary["skipped"] == 0
+
+        corpus_path = tmp_path / "corpus.jsonl"
+        code, summary, _ = run_cli(
+            capsys, "build-corpus", "--store-dir", str(store_dir), "--out", str(corpus_path)
+        )
+        assert code == 0 and summary["n_samples"] == 1
+        assert "still works" in corpus_path.read_text()
+
+        cands = tmp_path / "candidates.jsonl"
+        code, summary, _ = run_cli(capsys, "mine", "--store-dir", str(store_dir), "--out", str(cands))
+        assert code == 0
+        assert summary["per_heuristic"]["late_answer"] == 1
+        with RecordStore(store_dir) as store:
+            assert store.get_post(1).creation_date == early
+            assert store.comments_for(10)[0].creation_date == early
+
     def test_mine_and_annotation_flow(self, capsys, tmp_path, miner_fixture):
         store, expected = miner_fixture
         store_dir = store.path

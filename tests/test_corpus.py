@@ -23,7 +23,7 @@ from sopipeline.corpus import (
     read_corpus_jsonl,
     write_corpus,
 )
-from sopipeline.dump_ingest import parse_comment, parse_post
+from sopipeline.dump_ingest import POST_ANSWER, parse_comment, parse_post
 from sopipeline.errors import ShardError, UsageError
 from sopipeline.mining import extract_code
 
@@ -203,7 +203,7 @@ class TestFilterAnswers:
         assert [c.text for c in by_id[13]] == ["early", "late"]
 
     def test_question_never_yielded(self, filter_store):
-        assert all(a.post_type.value == "answer" for a, _ in filter_answers(filter_store))
+        assert all(a.post_type_id == POST_ANSWER for a, _ in filter_answers(filter_store))
 
     def test_matches_brute_force_on_random_fixture(self, tmp_path):
         rng = np.random.default_rng(42)

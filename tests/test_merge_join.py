@@ -8,14 +8,14 @@ stores, candidates, warnings and corpus inputs must be the same.
 """
 
 import logging
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from conftest import answer_row, code_body, comment_row, history_row, question_row, store_from_rows, ts
 from sopipeline.corpus import clean_text, filter_answers
-from sopipeline.dump_ingest import HistoryType, PostType
+from sopipeline.dump_ingest import HISTORY_EDIT_BODY, POST_QUESTION
 from sopipeline.mining import (
     DEFAULT_LATE_MIN_SCORE,
     OBSOLETION_KEYWORDS,
@@ -66,9 +66,9 @@ def oracle_edited(store, exclusions=(), *, levenshtein_min=100, min_score=1):
             continue
         revisions = [
             h for h in store.history_for(answer.id)
-            if h.history_type in (HistoryType.INITIAL_BODY, HistoryType.EDIT_BODY)
+            if h.history_type_id in (2, HISTORY_EDIT_BODY)  # initial body, body edit
         ]
-        edits = [h for h in revisions if h.history_type is HistoryType.EDIT_BODY]
+        edits = [h for h in revisions if h.history_type_id == HISTORY_EDIT_BODY]
         if not edits:
             if answer.last_edit_date is not None:
                 logging.getLogger("sopipeline.mining").warning(
@@ -93,9 +93,9 @@ def oracle_late(store, exclusions=(), *, late_years=1.5, min_score=DEFAULT_LATE_
         if answer.id in excluded or answer.parent_id is None:
             continue
         question = store.get_post(answer.parent_id)
-        if question is None or question.post_type is not PostType.QUESTION:
+        if question is None or question.post_type_id != POST_QUESTION:
             continue
-        if answer.creation_date < question.creation_date + delay:
+        if datetime.fromisoformat(answer.creation_date) < datetime.fromisoformat(question.creation_date) + delay:
             continue
         cleaned = clean_text(answer.body, post_id=answer.id)
         matched = next((p for p in lowered if p in cleaned.lower()), None)

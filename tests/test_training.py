@@ -691,6 +691,21 @@ class TestFinetune:
         assert training.predict(clf, items) == [int(i) for i in manual.argmax(axis=-1)]
 
     @pytest.mark.parametrize("kind", [HeadKind.SEQUENCE, HeadKind.TOKEN])
+    def test_predict_on_only_empty_items(self, kind):
+        # padded to width 1: a sequence head still scores position 0, a token head nothing
+        clf = self._clf(kind=kind, n_classes=2)
+        empty = ([], 0) if kind is HeadKind.SEQUENCE else ([], [])
+        preds = training.predict(clf, [empty] * 3)
+        ids, attn, _ = training._pad_batch([empty], kind)
+        assert ids.shape == (1, 1) and not attn.any()
+        if kind is HeadKind.SEQUENCE:
+            y, _ = clf.encoder.hidden_states(ids, attn)
+            want = int((y[0, 0] @ clf.params["cls_head.w"] + clf.params["cls_head.b"]).argmax())
+            assert preds == [want] * 3
+        else:
+            assert [p.shape for p in preds] == [(0,)] * 3
+
+    @pytest.mark.parametrize("kind", [HeadKind.SEQUENCE, HeadKind.TOKEN])
     def test_negative_label_refused(self, kind):
         # -1 would index the weights and probs from the end: class 1 of 2
         clf = self._clf(kind=kind, n_classes=2)

@@ -85,8 +85,6 @@ def _resolve(args: argparse.Namespace, config: PipelineConfig) -> PipelineConfig
 
 
 def cmd_ingest(args, config: PipelineConfig) -> dict:
-    if not config.posts or not config.comments or not config.store_dir:
-        raise UsageError("ingest requires --posts, --comments and --store-dir (or config [paths])")
     skipped: list = []
     post_iter = _parse_rows(config.posts, TABLE_POSTS, parse_post, skipped)
     comment_iter = _parse_rows(config.comments, TABLE_COMMENTS, parse_comment, skipped)
@@ -138,8 +136,6 @@ def cmd_build_corpus(args, config: PipelineConfig) -> dict:
 
 
 def cmd_train_tokenizer(args, config: PipelineConfig) -> dict:
-    if not config.corpus or not config.vocab:
-        raise UsageError("train-tokenizer requires --corpus and --out")
     texts = (s.text for s in corpus.read_corpus_jsonl(config.corpus))
     vocab = bpe.train_bpe(
         texts,
@@ -160,8 +156,6 @@ def cmd_train_tokenizer(args, config: PipelineConfig) -> dict:
 
 
 def cmd_stats(args, config: PipelineConfig) -> dict:
-    if not config.corpus:
-        raise UsageError("stats requires --corpus")
     tokenizer = None
     if args.vocab or args.use_config_vocab:
         if not config.vocab:
@@ -206,10 +200,6 @@ def cmd_plan(args, config: PipelineConfig) -> dict:
 
 
 def cmd_pretrain(args, config: PipelineConfig) -> dict:
-    if not config.shards or not config.checkpoint:
-        raise UsageError("pretrain requires --shards and --checkpoint")
-    if not config.vocab:
-        raise UsageError("pretrain requires --vocab")
     vocab = bpe.load_vocab(config.vocab)
     reader = shards.ShardReader(config.shards, expected_checksum=vocab.checksum)
     model_config = EncoderConfig(
@@ -266,11 +256,7 @@ def _read_labeled_jsonl(
 
 
 def cmd_finetune(args, config: PipelineConfig) -> dict:
-    if not config.vocab or not args.train:
-        raise UsageError("finetune requires --vocab and --train")
     vocab = bpe.load_vocab(config.vocab)
-    if not config.checkpoint:
-        raise UsageError("finetune requires --checkpoint")
     model = load_checkpoint(config.checkpoint)
     model.config.check_vocab(vocab.checksum, "tokenizer")
     max_len = min(args.seq_len, model.config.max_positions)
@@ -299,8 +285,6 @@ def cmd_finetune(args, config: PipelineConfig) -> dict:
 
 
 def cmd_mine(args, config: PipelineConfig) -> dict:
-    if not config.store_dir or not args.out:
-        raise UsageError("mine requires --store-dir and --out")
     counters: dict = {"skipped_no_revisions": 0}
     with RecordStore(config.store_dir) as store:
         candidates = mining.mine_all(
@@ -374,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--comments")
     p.add_argument("--posthistory")
     p.add_argument("--store-dir")
-    p.set_defaults(fn=cmd_ingest)
+    p.set_defaults(fn=cmd_ingest, needs=("posts", "comments", "store_dir"))
 
     p = sub.add_parser("build-corpus", help="filter + clean + assemble pre-training samples")
     p.add_argument("--store-dir")
@@ -391,7 +375,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab-size", type=int)
     p.add_argument("--sample-fraction", type=float)
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_train_tokenizer)
+    p.set_defaults(fn=cmd_train_tokenizer, needs=("corpus", "vocab"))
 
     p = sub.add_parser("stats", help="corpus statistics and length histogram")
     p.add_argument("--corpus")
@@ -402,7 +386,7 @@ def build_parser() -> _Parser:
         help="bucket by token length using the config [paths] vocab",
     )
     p.add_argument("--bucket-edges", type=int, nargs="+")
-    p.set_defaults(fn=cmd_stats)
+    p.set_defaults(fn=cmd_stats, needs=("corpus",))
 
     p = sub.add_parser("plan", help="parameter count, token floor, training cost")
     p.add_argument("--layers", type=int, required=True)
@@ -434,12 +418,12 @@ def build_parser() -> _Parser:
     p.add_argument("--untied-head", action="store_true")
     p.add_argument("--seed", type=int)
     p.add_argument("--loss-csv")
-    p.set_defaults(fn=cmd_pretrain)
+    p.set_defaults(fn=cmd_pretrain, needs=("shards", "vocab", "checkpoint"))
 
     p = sub.add_parser("finetune", help="sequence classification on a checkpoint")
     p.add_argument("--vocab")
     p.add_argument("--checkpoint")
-    p.add_argument("--train", help="JSONL with text/label fields")
+    p.add_argument("--train", required=True, help="JSONL with text/label fields")
     p.add_argument("--eval")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--batch-size", type=int, default=32)
@@ -449,16 +433,16 @@ def build_parser() -> _Parser:
     p.add_argument("--warmup-steps", type=int, default=0)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-checkpoint")
-    p.set_defaults(fn=cmd_finetune)
+    p.set_defaults(fn=cmd_finetune, needs=("vocab", "checkpoint"))
 
     p = sub.add_parser("mine", help="mine obsoletion candidates from a store")
     p.add_argument("--store-dir")
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.add_argument("--keywords", nargs="+")
     p.add_argument("--levenshtein-min", type=int)
     p.add_argument("--late-years", type=float)
     p.add_argument("--late-min-score", type=int)
-    p.set_defaults(fn=cmd_mine)
+    p.set_defaults(fn=cmd_mine, needs=("store_dir",))
 
     p = sub.add_parser("sample-annotations", help="balanced annotation draw")
     p.add_argument("--candidates", required=True)
@@ -488,8 +472,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         config_path = args.config or os.environ.get(ENV_CONFIG_PATH)
-        summary = args.fn(args, _resolve(args, load_config(config_path or None)))
-        _emit(summary)
+        config = _resolve(args, load_config(config_path or None))
+        # each subcommand's ``needs``: the keys it cannot run without
+        missing = [key for key in getattr(args, "needs", ()) if not getattr(config, key)]
+        if missing:
+            raise UsageError(
+                f"{args.command} requires {', '.join(missing)}: set by flag or in the config file"
+            )
+        _emit(args.fn(args, config))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

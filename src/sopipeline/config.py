@@ -1,6 +1,8 @@
 """Declarative pipeline configuration.
 
 Line-oriented ``key = value`` file with ``[section]`` headers (INI syntax).
+Each :class:`PipelineConfig` field is one key: its metadata names the key's
+section, and its annotation and default give the value's type and default.
 Unknown sections or keys are rejected by name, as are out-of-bounds values;
 command-line flags override file values. All randomness derives from the
 single ``[run] seed``.
@@ -9,10 +11,12 @@ single ``[run] seed``.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
+from .corpus import DEFAULT_BUCKET_EDGES, DEFAULT_MIN_COMMENTS, DEFAULT_MIN_SCORE
 from .errors import UsageError
 from .metrics import WeightMode
 from .mining import (
@@ -25,93 +29,72 @@ from .mining import (
 ENV_CONFIG_PATH = "SOPIPELINE_CONFIG"
 
 
+def _key(section: str, default=None):
+    """A field read from ``[section]`` of the config file; its annotation
+    gives the value's type."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class PipelineConfig:
-    # [run]
-    seed: int = 0
-    # [paths]
-    posts: Optional[str] = None
-    comments: Optional[str] = None
-    posthistory: Optional[str] = None
-    store_dir: Optional[str] = None
-    corpus: Optional[str] = None
-    vocab: Optional[str] = None
-    shards: Optional[str] = None
-    checkpoint: Optional[str] = None
-    # [filter]
-    min_score: int = 1
-    min_comments: int = 1
-    # [cleaning]
-    replace_urls: bool = True
-    replace_emails: bool = True
-    # [tokenizer]
-    vocab_size: int = 50_000
-    sample_fraction: float = 0.10
-    isolate_digits: bool = False
-    # [sequence]
-    max_len: int = 2048
-    bucket_edges: tuple[int, ...] = (512, 1024, 2048)
-    # [batch]
-    target_tokens: int = 500_000
-    micro_batch: int = 8
-    lr: float = 0.01
-    steps: int = 100
-    # [miner]
-    levenshtein_min: int = DEFAULT_LEVENSHTEIN_MIN
-    late_years: float = DEFAULT_LATE_YEARS
-    late_min_score: int = DEFAULT_LATE_MIN_SCORE
-    keywords: tuple[str, ...] = OBSOLETION_KEYWORDS
-    # [metrics]
-    metric_mode: WeightMode = WeightMode.INVERSE_FREQUENCY
+    seed: int = _key("run", 0)
+    posts: Optional[str] = _key("paths")
+    comments: Optional[str] = _key("paths")
+    posthistory: Optional[str] = _key("paths")
+    store_dir: Optional[str] = _key("paths")
+    corpus: Optional[str] = _key("paths")
+    vocab: Optional[str] = _key("paths")
+    shards: Optional[str] = _key("paths")
+    checkpoint: Optional[str] = _key("paths")
+    min_score: int = _key("filter", DEFAULT_MIN_SCORE)
+    min_comments: int = _key("filter", DEFAULT_MIN_COMMENTS)
+    replace_urls: bool = _key("cleaning", True)
+    replace_emails: bool = _key("cleaning", True)
+    vocab_size: int = _key("tokenizer", 50_000)
+    sample_fraction: float = _key("tokenizer", 0.10)
+    isolate_digits: bool = _key("tokenizer", False)
+    max_len: int = _key("sequence", 2048)
+    bucket_edges: tuple[int, ...] = _key("sequence", DEFAULT_BUCKET_EDGES)
+    target_tokens: int = _key("batch", 500_000)
+    micro_batch: int = _key("batch", 8)
+    lr: float = _key("batch", 0.01)
+    steps: int = _key("batch", 100)
+    levenshtein_min: int = _key("miner", DEFAULT_LEVENSHTEIN_MIN)
+    late_years: float = _key("miner", DEFAULT_LATE_YEARS)
+    late_min_score: int = _key("miner", DEFAULT_LATE_MIN_SCORE)
+    keywords: tuple[str, ...] = _key("miner", OBSOLETION_KEYWORDS)
+    metric_mode: WeightMode = _key("metrics", WeightMode.INVERSE_FREQUENCY)
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "run": {"seed": "int"},
-    "paths": {
-        "posts": "str",
-        "comments": "str",
-        "posthistory": "str",
-        "store_dir": "str",
-        "corpus": "str",
-        "vocab": "str",
-        "shards": "str",
-        "checkpoint": "str",
-    },
-    "filter": {"min_score": "int", "min_comments": "int"},
-    "cleaning": {"replace_urls": "bool", "replace_emails": "bool"},
-    "tokenizer": {"vocab_size": "int", "sample_fraction": "float", "isolate_digits": "bool"},
-    "sequence": {"max_len": "int", "bucket_edges": "int_list"},
-    "batch": {"target_tokens": "int", "micro_batch": "int", "lr": "float", "steps": "int"},
-    "miner": {
-        "levenshtein_min": "int",
-        "late_years": "float",
-        "late_min_score": "int",
-        "keywords": "str_list",
-    },
-    "metrics": {"metric_mode": "str"},
-}
+_SECTION = {f.name: f.metadata["section"] for f in fields(PipelineConfig)}
+_TYPE = get_type_hints(PipelineConfig)
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+
+def _parse(kind, text: str):
+    """``text`` as a value of type ``kind``; KeyError or ValueError if it is not one."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[str]
+        return _parse(args[0], text)
+    if origin is tuple:  # tuple[int, ...] and tuple[str, ...]: comma-separated
+        return tuple(_parse(args[0], x.strip()) for x in text.split(",") if x.strip())
+    if kind is bool:
+        return _BOOLS[text.lower()]
+    return kind(text)  # int, float, str or an Enum by value
+
 
 def _convert(section: str, key: str, raw: str):
-    kind = _SCHEMA[section][key]
+    kind = _TYPE[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "int_list":
-            return tuple(int(x.strip()) for x in raw.split(",") if x.strip())
-        if kind == "str_list":
-            return tuple(x.strip() for x in raw.split(",") if x.strip())
-        return raw.strip()
-    except ValueError:
-        raise UsageError(f"config [{section}] {key}: cannot parse {raw!r} as {kind}") from None
+        return _parse(kind, raw.strip())
+    except (KeyError, ValueError):
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            raise UsageError(
+                f"config value {key}: must be one of {[m.value for m in kind]}, got {raw.strip()!r}"
+            ) from None
+        name = kind.__name__ if isinstance(kind, type) else kind
+        raise UsageError(f"config [{section}] {key}: cannot parse {raw!r} as {name}") from None
 
 
 def validate(config: PipelineConfig) -> PipelineConfig:
@@ -123,7 +106,7 @@ def validate(config: PipelineConfig) -> PipelineConfig:
 
     check(config.seed >= 0, "seed", "must be non-negative")
     check(config.min_score >= 0, "min_score", "must be non-negative")
-    check(config.min_comments >= 0, "min_comments", "must be non-negative")
+    check(config.min_comments >= 1, "min_comments", "must be at least 1")
     check(
         config.vocab_size >= MIN_VOCAB_SIZE,
         "vocab_size",
@@ -164,19 +147,10 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
         raise UsageError(f"config parse error: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTION.values():
             raise UsageError(f"config: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if _SECTION.get(key) != section:
                 raise UsageError(f"config: unknown key {key!r} in section [{section}]")
-            value = _convert(section, key, raw)
-            if key == "metric_mode":
-                try:
-                    value = WeightMode(value)
-                except ValueError:
-                    raise UsageError(
-                        f"config value metric_mode: must be one of "
-                        f"{[m.value for m in WeightMode]}, got {value!r}"
-                    ) from None
-            setattr(config, key, value)
+            setattr(config, key, _convert(section, key, raw))
     return validate(config)

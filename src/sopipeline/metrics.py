@@ -117,17 +117,19 @@ def weighted_f1(stats: ConfusionStats, weights: ClassWeights) -> float:
     denom = float((w * stats.ap).sum())
     if denom == 0:
         raise MetricError("weighted actual-positive mass is zero")
-    f1 = per_class_f1(stats)
+    _, _, f1 = _precision_recall_f1(stats)
     return float((w * f1 * stats.ap).sum() / denom)
 
 
-def per_class_f1(stats: ConfusionStats) -> np.ndarray:
+def _precision_recall_f1(stats: ConfusionStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class precision, recall and F1; 0 where a class has no predictions,
+    no instances, or neither."""
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(stats.pp > 0, stats.tp / np.maximum(stats.pp, 1), 0.0)
         recall = np.where(stats.ap > 0, stats.tp / np.maximum(stats.ap, 1), 0.0)
         pr = precision + recall
         f1 = np.where(pr > 0, 2 * precision * recall / np.where(pr > 0, pr, 1), 0.0)
-    return f1
+    return precision, recall, f1
 
 
 def metric_report(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int, mode: WeightMode) -> dict:
@@ -135,10 +137,7 @@ def metric_report(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int, 
     JSON-ready dict (consumed by the CLI eval subcommand)."""
     stats = confusion(y_true, y_pred, n_classes)
     weights = class_weights(stats.ap, mode)
-    f1 = per_class_f1(stats)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(stats.pp > 0, stats.tp / np.maximum(stats.pp, 1), 0.0)
-        recall = np.where(stats.ap > 0, stats.tp / np.maximum(stats.ap, 1), 0.0)
+    precision, recall, f1 = _precision_recall_f1(stats)
     return {
         "n": stats.n,
         "mode": mode.value,

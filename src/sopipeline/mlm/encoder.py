@@ -247,6 +247,7 @@ class EncoderModel:
         scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dh).astype(h.dtype)
         scores = scores - _MASK_PENALTY * (1.0 - mask)[:, None, None, :]
         probs = _softmax(scores)
+        probs[~mask.any(axis=-1)] = 0  # an item with no real key attends to nothing
         ctx = probs @ v  # [B,H,T,dh]
         merged = ctx.transpose(0, 2, 1, 3).reshape(B, T, d)
         out = merged @ p[pre + "attn.wo"] + p[pre + "attn.bo"]

@@ -1,6 +1,7 @@
 """CLI subcommands: summaries, exit codes, end-to-end determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -493,3 +494,65 @@ def test_read_labeled_jsonl_counts_truncated_tokens(tmp_path):
     assert all(ids[0] == bpe.CLASS_MARKER_ID for ids, _ in data)
     assert data[0][0][1:] == vocab.encode("short")
     assert truncated == 41 - 16  # class marker + 40 bytes, cut to 16
+
+
+class TestNeededInputs:
+    """A subcommand without an input it needs exits 1 and names every missing key."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_config(self, monkeypatch):
+        monkeypatch.delenv("SOPIPELINE_CONFIG", raising=False)
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["ingest"], ["posts", "comments", "store_dir"]),
+            (["ingest", "--posts", "P.xml", "--posthistory", "H.xml"], ["comments", "store_dir"]),
+            (["train-tokenizer"], ["corpus", "vocab"]),
+            (["train-tokenizer", "--out", "{tmp}/v.sovoc"], ["corpus"]),
+            (["stats"], ["corpus"]),
+            (["pretrain"], ["shards", "checkpoint", "vocab"]),
+            (["pretrain", "--shards", "c.sotk", "--checkpoint", "m.sockpt"], ["vocab"]),
+            (["finetune", "--train", "{corpus}", "--classes", "2"], ["vocab", "checkpoint"]),
+            (["finetune", "--train", "{corpus}", "--classes", "2", "--vocab", "v.sovoc"], ["checkpoint"]),
+            (["mine", "--out", "{tmp}/c.jsonl"], ["store_dir"]),
+        ],
+    )
+    def test_every_missing_key_named(self, capsys, small_inputs, argv, missing):
+        code, summary, err = run_cli(capsys, *_argv(argv, small_inputs))
+        assert (code, summary) == (1, None)
+        named = {key for key in ("posts", "comments", "posthistory", "store_dir", "corpus", "vocab",
+                                 "shards", "checkpoint") if re.search(rf"\b{key}\b", err)}
+        assert named == set(missing)
+        assert not (small_inputs["tmp"] / "v.sovoc").exists()
+        assert not (small_inputs["tmp"] / "c.jsonl").exists()
+
+    def test_needed_key_from_config_file(self, capsys, small_inputs):
+        conf = small_inputs["tmp"] / "p.conf"
+        conf.write_text(f"[paths]\nstore_dir = {small_inputs['store']}\n")
+        out = small_inputs["tmp"] / "c.jsonl"
+        code, summary, _ = run_cli(capsys, "--config", str(conf), "mine", "--out", str(out))
+        assert code == 0 and summary["total"] == 1 and out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["mine", "--store-dir", "{store}"], "--out"),
+            (["finetune", "--vocab", "v.sovoc", "--checkpoint", "m.sockpt", "--classes", "2"], "--train"),
+        ],
+    )
+    def test_flag_without_key_is_required(self, capsys, small_inputs, argv, flag):
+        code, summary, err = run_cli(capsys, *_argv(argv, small_inputs))
+        assert (code, summary) == (1, None)
+        assert flag in err
+
+    def test_min_comments_zero_refused_before_output_is_touched(self, capsys, small_inputs):
+        out = small_inputs["tmp"] / "corpus_out.jsonl"
+        out.write_text("kept\n")
+        code, summary, err = run_cli(
+            capsys, "build-corpus", "--store-dir", str(small_inputs["store"]), "--out", str(out),
+            "--min-comments", "0",
+        )
+        assert (code, summary) == (1, None)
+        assert "config value min_comments:" in err
+        assert out.read_text() == "kept\n"

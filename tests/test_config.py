@@ -1,5 +1,7 @@
 """Config file parsing and validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from sopipeline.config import PipelineConfig, load_config, validate
@@ -11,6 +13,78 @@ def write(tmp_path, text):
     path = tmp_path / "pipeline.conf"
     path.write_text(text)
     return path
+
+
+# every key: its section, a non-default value as written in the file, and as loaded
+EVERY_KEY = {
+    "seed": ("run", "7", 7),
+    "posts": ("paths", "Posts.xml", "Posts.xml"),
+    "comments": ("paths", "Comments.xml", "Comments.xml"),
+    "posthistory": ("paths", "PostHistory.xml", "PostHistory.xml"),
+    "store_dir": ("paths", "store", "store"),
+    "corpus": ("paths", "corpus.jsonl", "corpus.jsonl"),
+    "vocab": ("paths", "v.sovoc", "v.sovoc"),
+    "shards": ("paths", "c.sotk", "c.sotk"),
+    "checkpoint": ("paths", "m.sockpt", "m.sockpt"),
+    "min_score": ("filter", "2", 2),
+    "min_comments": ("filter", "3", 3),
+    "replace_urls": ("cleaning", "false", False),
+    "replace_emails": ("cleaning", "off", False),
+    "vocab_size": ("tokenizer", "300", 300),
+    "sample_fraction": ("tokenizer", "0.5", 0.5),
+    "isolate_digits": ("tokenizer", "yes", True),
+    "max_len": ("sequence", "256", 256),
+    "bucket_edges": ("sequence", "128, 256", (128, 256)),
+    "target_tokens": ("batch", "1000", 1000),
+    "micro_batch": ("batch", "4", 4),
+    "lr": ("batch", "0.5", 0.5),
+    "steps": ("batch", "3", 3),
+    "levenshtein_min": ("miner", "50", 50),
+    "late_years": ("miner", "2.5", 2.5),
+    "late_min_score": ("miner", "3", 3),
+    "keywords": ("miner", "deprecated, retired", ("deprecated", "retired")),
+    "metric_mode": ("metrics", "balanced", WeightMode.BALANCED),
+}
+SECTIONS = sorted({section for section, _, _ in EVERY_KEY.values()})
+
+
+class TestEveryKey:
+    def test_table_covers_every_field(self):
+        assert set(EVERY_KEY) == {f.name for f in fields(PipelineConfig)}
+
+    def test_each_key_loads_from_its_section(self, tmp_path):
+        text = "".join(
+            f"[{section}]\n"
+            + "".join(f"{key} = {raw}\n" for key, (s, raw, _) in EVERY_KEY.items() if s == section)
+            for section in SECTIONS
+        )
+        config = load_config(write(tmp_path, text))
+        default = PipelineConfig()
+        for key, (_, _, value) in EVERY_KEY.items():
+            assert getattr(default, key) != value
+            assert getattr(config, key) == value and type(getattr(config, key)) is type(value)
+        assert config == PipelineConfig(**{key: value for key, (_, _, value) in EVERY_KEY.items()})
+
+    @pytest.mark.parametrize("key", sorted(EVERY_KEY))
+    def test_key_in_another_section_rejected(self, tmp_path, key):
+        section, raw, _ = EVERY_KEY[key]
+        for other in SECTIONS:
+            if other != section:
+                with pytest.raises(UsageError, match=rf"\b{key}\b.*\[{other}\]"):
+                    load_config(write(tmp_path, f"[{other}]\n{key} = {raw}\n"))
+
+    @pytest.mark.parametrize(
+        "section, key, raw",
+        [
+            ("run", "seed", "1.5"),
+            ("cleaning", "replace_urls", "maybe"),
+            ("batch", "lr", "fast"),
+            ("sequence", "bucket_edges", "128, big"),
+        ],
+    )
+    def test_unparseable_value_names_key(self, tmp_path, section, key, raw):
+        with pytest.raises(UsageError, match=rf"\b{key}\b"):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
 
 
 class TestLoadConfig:
@@ -97,6 +171,14 @@ class TestLoadConfig:
         with pytest.raises(UsageError):
             load_config(path)
 
+    def test_bad_metric_mode_lists_the_modes(self, tmp_path):
+        path = write(tmp_path, "[metrics]\nmetric_mode = quadratic\n")
+        with pytest.raises(UsageError) as exc_info:
+            load_config(path)
+        message = str(exc_info.value)
+        assert "metric_mode" in message and "quadratic" in message
+        assert all(mode.value in message for mode in WeightMode)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError):
             load_config(tmp_path / "absent.conf")
@@ -107,3 +189,8 @@ class TestLoadConfig:
         with pytest.raises(UsageError) as exc_info:
             validate(config)
         assert "late_years" in str(exc_info.value)
+
+    def test_min_comments_zero_rejected(self):
+        # a sample needs a comment: 0 would fail build-corpus after truncating its output
+        with pytest.raises(UsageError, match="min_comments"):
+            validate(PipelineConfig(min_comments=0))

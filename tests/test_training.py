@@ -706,6 +706,36 @@ class TestFinetune:
             assert [p.shape for p in preds] == [(0,)] * 3
 
     @pytest.mark.parametrize("kind", [HeadKind.SEQUENCE, HeadKind.TOKEN])
+    def test_predictions_do_not_depend_on_the_batch(self, kind):
+        # an item attends to its own keys only, and an empty item to none:
+        # its class is the same alone as in shuffled batches of other lengths
+        rng = np.random.default_rng(0)
+        for seed in range(20):
+            clf = self._clf(kind=kind, n_classes=3, seed=seed)
+            items = [
+                (list(rng.integers(6, 40, size=n)), 0 if kind is HeadKind.SEQUENCE else [0] * n)
+                for n in (0, 0, 1, 3, 6, 13)
+            ]
+            alone = [training.predict(clf, [item])[0] for item in items]
+            for size in (2, 4, len(items)):
+                order = rng.permutation(len(items))[:size]
+                together = training.predict(clf, [items[i] for i in order])
+                for i, pred in zip(order, together):
+                    np.testing.assert_array_equal(pred, alone[i], err_msg=f"seed {seed}, item {i}")
+
+    def test_empty_items_give_attention_no_gradient(self):
+        # all keys masked: zero attention probabilities, so no q/k/v gradient
+        clf = self._clf(kind=HeadKind.SEQUENCE, n_classes=2)
+        ids = np.zeros((2, 3), dtype=np.int64)
+        labels = np.full((2, 3), IGNORE_LABEL)
+        labels[:, 0] = [0, 1]
+        grads = clf.zero_grads()
+        classifier_loss_sums(clf, ids, np.zeros_like(ids), labels, grads=grads)
+        for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo"):
+            assert not grads[f"L0.attn.{name}"].any(), name
+        assert grads["L0.attn.bo"].any() and grads["cls_head.w"].any()
+
+    @pytest.mark.parametrize("kind", [HeadKind.SEQUENCE, HeadKind.TOKEN])
     def test_negative_label_refused(self, kind):
         # -1 would index the weights and probs from the end: class 1 of 2
         clf = self._clf(kind=kind, n_classes=2)

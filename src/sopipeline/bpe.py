@@ -282,14 +282,27 @@ def load_vocab(path: str | Path) -> BpeVocab:
     pos += 2
     if version != _VERSION:
         raise VocabError(f"{path}: unsupported vocab version {version}")
-    (isolate_digits,) = struct.unpack_from("<B", body, pos)
-    pos += 1
-    (n_specials,) = struct.unpack_from("<I", body, pos)
-    pos += 4
     try:
-        for _ in range(n_specials):
-            _, name_len, lit_len = struct.unpack_from("<HBB", body, pos)
-            pos += 4 + name_len + lit_len
+        (isolate_digits,) = struct.unpack_from("<B", body, pos)
+        pos += 1
+        if isolate_digits not in (0, 1):
+            raise VocabError(f"{path}: digits flag is {isolate_digits}, expected 0 or 1")
+        (n_specials,) = struct.unpack_from("<I", body, pos)
+        pos += 4
+        if n_specials != N_SPECIALS:
+            raise VocabError(f"{path}: {n_specials} special tokens, expected {N_SPECIALS}")
+        # ids are fixed, so a foreign table would re-map tokens silently
+        for i, (want_name, want_lit) in enumerate(SPECIAL_TOKENS):
+            sid, name_len, lit_len = struct.unpack_from("<HBB", body, pos)
+            pos += 4
+            name = body[pos : pos + name_len].decode("utf-8", errors="replace")
+            pos += name_len
+            literal = body[pos : pos + lit_len].decode("utf-8", errors="replace")
+            pos += lit_len
+            if (sid, name, literal) != (i, want_name, want_lit):
+                raise VocabError(
+                    f"{path}: special token {sid} {name!r} {literal!r}, expected {i} {want_name!r} {want_lit!r}"
+                )
         (n_merges,) = struct.unpack_from("<I", body, pos)
         pos += 4
         merges: list[tuple[bytes, bytes]] = []
@@ -307,7 +320,11 @@ def load_vocab(path: str | Path) -> BpeVocab:
         raise VocabError(f"{path}: malformed vocab file") from exc
     if pos != len(body):
         raise VocabError(f"{path}: trailing bytes in vocab file")
-    return BpeVocab(merges=merges, isolate_digits=bool(isolate_digits))
+    vocab = BpeVocab(merges=merges, isolate_digits=bool(isolate_digits))
+    # every field above is checked, so the body is the one _serialize_body
+    # would write, and the verified trailer is its checksum
+    vocab.__dict__["checksum"] = trailer
+    return vocab
 
 
 # -- token arrays ----------------------------------------------------------

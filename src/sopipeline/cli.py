@@ -244,14 +244,27 @@ def _read_labeled_jsonl(
 ) -> tuple[list[tuple[list[int], int]], int]:
     """(ids, label) rows, ids led by the class marker and cut to ``max_len``,
     and the number of tokens cut."""
-    with open(path, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    texts, labels = [], []
+    # bytes: json.loads decodes each line, so bad UTF-8 is a ValueError too
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                text, label = obj["text"], obj["label"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise PipelineError(f"{path}:{lineno}: expected a JSON object with text and label ({exc!r})") from exc
+            if not isinstance(text, str) or type(label) is not int:
+                raise PipelineError(f"{path}:{lineno}: text must be a string and label an integer")
+            texts.append(text)
+            labels.append(label)
     data = []
     truncated = 0
-    for obj, ids in zip(rows, vocab.encode_many(obj["text"] for obj in rows)):
+    for ids, label in zip(vocab.encode_many(texts), labels):
         ids = [bpe.CLASS_MARKER_ID] + ids
         truncated += max(0, len(ids) - max_len)
-        data.append((ids[:max_len], int(obj["label"])))
+        data.append((ids[:max_len], label))
     return data, truncated
 
 
@@ -330,7 +343,8 @@ def cmd_kappa(args, config: PipelineConfig) -> dict:
 def cmd_eval(args, config: PipelineConfig) -> dict:
     y_true: list[int] = []
     y_pred: list[int] = []
-    with open(args.predictions, encoding="utf-8") as fh:
+    # undecodable bytes stay in the fields, and int() refuses them below
+    with open(args.predictions, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != ["true", "pred"]:
             raise UsageError(f"{args.predictions}: expected header true<TAB>pred")
@@ -340,8 +354,11 @@ def cmd_eval(args, config: PipelineConfig) -> dict:
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 2:
                 raise UsageError(f"{args.predictions}:{lineno}: expected 2 fields")
-            y_true.append(int(fields[0]))
-            y_pred.append(int(fields[1]))
+            try:
+                y_true.append(int(fields[0]))
+                y_pred.append(int(fields[1]))
+            except ValueError as exc:
+                raise UsageError(f"{args.predictions}:{lineno}: {exc}") from exc
     return metrics.metric_report(y_true, y_pred, args.classes, config.metric_mode)
 
 

@@ -644,6 +644,44 @@ class TestSaveLoad:
         loaded.save(tmp_path / "again.sovoc")
         assert (tmp_path / "again.sovoc").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize(
+        "vocab",
+        [
+            bpe.BpeVocab(merges=[]),
+            train_bpe(["load me 12 34 " * 10], MIN_VOCAB_SIZE + 8, sample_fraction=1.0),
+            train_bpe(["load me 12 34 " * 10], MIN_VOCAB_SIZE + 8, sample_fraction=1.0, isolate_digits=True),
+        ],
+        ids=["no-merges", "merges", "isolate-digits"],
+    )
+    def test_loaded_checksum_is_canonical_body_digest(self, tmp_path, vocab):
+        # load_vocab reuses the verified trailer instead of re-serializing
+        path = tmp_path / "v.sovoc"
+        vocab.save(path)
+        loaded = load_vocab(path)
+        assert loaded == vocab
+        assert loaded.checksum == hashlib.sha256(loaded._serialize_body()).digest()[:8]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda body: body.replace(b"<MASK>", b"<MSK!>", 1),
+             r"special token 1 'mask' '<MSK!>', expected 1 'mask' '<MASK>'"),
+            (lambda body: body.replace(b"\x00\x00\x03\x05pad", b"\x07\x00\x03\x05pad", 1), "special token 7"),
+            (lambda body: body.replace(b"class_marker", b"class_maker!", 1), "class_maker!"),
+            (lambda body: body[:8] + struct.pack("<I", 5) + body[12:], "5 special tokens, expected 6"),
+            (lambda body: body[:7] + b"\x02" + body[8:], "digits flag is 2"),
+            (lambda body: body[:7], "malformed"),
+        ],
+        ids=["literal", "id", "name", "count", "digits-flag", "no-header"],
+    )
+    def test_non_canonical_header_refused(self, tmp_path, edit, message):
+        # each edited body carries a valid trailer, so only the header check can refuse it
+        path = tmp_path / "v.sovoc"
+        body = edit(bpe.BpeVocab(merges=[(b"a", b"b")])._serialize_body())
+        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        with pytest.raises(VocabError, match=message):
+            load_vocab(path)
+
     def test_truncated_file(self, tmp_path):
         vocab = train_bpe(["x y " * 8], MIN_VOCAB_SIZE + 4, sample_fraction=1.0)
         path = tmp_path / "v.sovoc"

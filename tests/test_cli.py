@@ -1,15 +1,20 @@
 """CLI subcommands: summaries, exit codes, end-to-end determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import answer_row, comment_row, history_row, question_row, rows_xml, store_from_rows, ts
+import sopipeline
 from sopipeline import bpe, shards
 from sopipeline.cli import _read_labeled_jsonl, main
 from sopipeline.errors import StoreError
+from sopipeline.mlm import EncoderConfig, build_encoder, save_checkpoint
 from sopipeline.record_store import RecordStore
 
 
@@ -406,6 +411,43 @@ class TestFlagsOverConfig:
             assert code == 1 and "--seq-len 0" in err
 
 
+# Run in a fresh interpreter: the test process has long since imported SciPy.
+_LAZY_SCIPY = """
+import json, math, sys
+import numpy as np
+from sopipeline.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+from sopipeline.mlm import EncoderConfig, build_encoder
+from sopipeline.mlm.encoder import _gauss_cdf
+model = build_encoder(EncoderConfig(n_layers=1, hidden=8, n_heads=2, vocab_size=300, max_positions=8))
+model.hidden_states(np.array([[6, 7, 8]]), np.ones((1, 3), dtype=bool))
+assert "scipy.special" in sys.modules
+from scipy.special import erf
+x64 = np.random.default_rng(0).standard_normal(4096) * 4
+for x in (x64.astype(np.float32), x64):
+    got, want = _gauss_cdf(x), 0.5 * (1 + erf(x / math.sqrt(2)))
+    assert got.dtype == want.dtype == x.dtype and got.tobytes() == want.tobytes(), x.dtype
+"""
+
+
+def test_scipy_loads_only_at_the_first_gelu(tmp_path, dump_files):
+    posts, comments, history = dump_files
+    store, out = str(tmp_path / "store"), str(tmp_path / "out")
+    argvs = [
+        ["ingest", "--posts", str(posts), "--comments", str(comments), "--posthistory", str(history),
+         "--store-dir", store],
+        ["build-corpus", "--store-dir", store, "--out", out + ".jsonl"],
+        ["mine", "--store-dir", store, "--out", out + ".candidates.jsonl"],
+    ]
+    src = str(Path(sopipeline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY, json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestTokenizerAndTraining:
     def test_tokenizer_shards_pretrain_finetune(self, capsys, tmp_path, dump_files):
         posts, comments, history = dump_files
@@ -494,6 +536,48 @@ def test_read_labeled_jsonl_counts_truncated_tokens(tmp_path):
     assert all(ids[0] == bpe.CLASS_MARKER_ID for ids, _ in data)
     assert data[0][0][1:] == vocab.encode("short")
     assert truncated == 41 - 16  # class marker + 40 bytes, cut to 16
+
+
+class TestMalformedInputs:
+    """A malformed labeled file or predictions TSV is refused with its file and line."""
+
+    @pytest.fixture
+    def finetune_argv(self, tmp_path):
+        vocab = bpe.BpeVocab(merges=[])
+        vocab.save(tmp_path / "v.sovoc")
+        config = EncoderConfig(n_layers=1, hidden=8, n_heads=2, vocab_size=vocab.vocab_size, max_positions=16,
+                               vocab_checksum=vocab.checksum)
+        save_checkpoint(build_encoder(config), tmp_path / "m.sockpt")
+        return ["finetune", "--vocab", str(tmp_path / "v.sovoc"), "--checkpoint", str(tmp_path / "m.sockpt"),
+                "--classes", "2", "--epochs", "1"]
+
+    @pytest.mark.parametrize("flag", ["--train", "--eval"])
+    @pytest.mark.parametrize(
+        "bad_row",
+        [b'{"text": "ab", "label"', b'{"label": 0}', b'{"text": "ab"}', b'{"text": "ab", "label": "x"}',
+         b'{"text": "ab", "label": 1.5}', b'{"text": 3, "label": 0}', b'["ab", 0]', b'{"text": "a\xff", "label": 0}'],
+        ids=["not-json", "no-text", "no-label", "label-string", "label-float", "text-number", "not-object",
+             "not-utf8"],
+    )
+    def test_bad_labeled_row_is_data_error(self, capsys, tmp_path, finetune_argv, flag, bad_row):
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps({"text": "ab", "label": 1}) + "\n" + json.dumps({"text": "cd", "label": 0}) + "\n")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps({"text": "ab", "label": 1}).encode() + b"\n\n" + bad_row + b"\n")
+        files = {"--train": good, "--eval": good, flag: bad}
+        code, summary, err = run_cli(
+            capsys, *finetune_argv, "--train", str(files["--train"]), "--eval", str(files["--eval"])
+        )
+        assert (code, summary) == (2, None)
+        assert f"{bad}:3:" in err
+
+    @pytest.mark.parametrize("bad_line", [b"x\t1", b"1\t0.5", b"1\t", b"1\t\xff"])
+    def test_non_integer_prediction_is_usage_error(self, capsys, tmp_path, bad_line):
+        pred = tmp_path / "preds.tsv"
+        pred.write_bytes(b"true\tpred\n1\t1\n" + bad_line + b"\n")
+        code, summary, err = run_cli(capsys, "eval", "--predictions", str(pred), "--classes", "2")
+        assert (code, summary) == (1, None)
+        assert f"{pred}:3:" in err
 
 
 class TestNeededInputs:

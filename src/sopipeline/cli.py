@@ -14,7 +14,7 @@ import dataclasses
 import sys
 from typing import Optional, Sequence
 
-from . import bpe, corpus, metrics, mining, scaling, shards
+from . import bpe, corpus, linefiles, metrics, mining, scaling, shards
 from .config import ENV_CONFIG_PATH, PipelineConfig, load_config, validate
 from .dump_ingest import (
     TABLE_COMMENTS,
@@ -244,24 +244,10 @@ def _read_labeled_jsonl(
 ) -> tuple[list[tuple[list[int], int]], int]:
     """(ids, label) rows, ids led by the class marker and cut to ``max_len``,
     and the number of tokens cut."""
-    texts, labels = [], []
-    # bytes: json.loads decodes each line, so bad UTF-8 is a ValueError too
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                text, label = obj["text"], obj["label"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise PipelineError(f"{path}:{lineno}: expected a JSON object with text and label ({exc!r})") from exc
-            if not isinstance(text, str) or type(label) is not int:
-                raise PipelineError(f"{path}:{lineno}: text must be a string and label an integer")
-            texts.append(text)
-            labels.append(label)
+    rows = [values for _, values in linefiles.read_jsonl(path, {"text": str, "label": int})]
     data = []
     truncated = 0
-    for ids, label in zip(vocab.encode_many(texts), labels):
+    for ids, (_, label) in zip(vocab.encode_many(text for text, _ in rows), rows):
         ids = [bpe.CLASS_MARKER_ID] + ids
         truncated += max(0, len(ids) - max_len)
         data.append((ids[:max_len], label))
@@ -333,8 +319,10 @@ def cmd_kappa(args, config: PipelineConfig) -> dict:
     b = mining.import_annotations(args.b)
     by_id_a = {r.candidate_id: r.label for r in a}
     by_id_b = {r.candidate_id: r.label for r in b}
-    if set(by_id_a) != set(by_id_b):
-        raise UsageError("annotation files cover different candidate ids")
+    only = sorted(by_id_a.keys() ^ by_id_b.keys())
+    if only:
+        holder = args.a if only[0] in by_id_a else args.b
+        raise UsageError(f"{args.a} and {args.b} cover different candidate ids: {only[0]} is only in {holder}")
     ids = sorted(by_id_a)
     kappa = mining.cohen_kappa([by_id_a[i] for i in ids], [by_id_b[i] for i in ids])
     return {"kappa": kappa, "n": len(ids)}
@@ -343,22 +331,12 @@ def cmd_kappa(args, config: PipelineConfig) -> dict:
 def cmd_eval(args, config: PipelineConfig) -> dict:
     y_true: list[int] = []
     y_pred: list[int] = []
-    # undecodable bytes stay in the fields, and int() refuses them below
-    with open(args.predictions, encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != ["true", "pred"]:
-            raise UsageError(f"{args.predictions}: expected header true<TAB>pred")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise UsageError(f"{args.predictions}:{lineno}: expected 2 fields")
-            try:
-                y_true.append(int(fields[0]))
-                y_pred.append(int(fields[1]))
-            except ValueError as exc:
-                raise UsageError(f"{args.predictions}:{lineno}: {exc}") from exc
+    for lineno, (true, pred) in linefiles.read_tsv(args.predictions, ("true", "pred")):
+        try:
+            y_true.append(int(true))
+            y_pred.append(int(pred))
+        except ValueError as exc:
+            raise UsageError(f"{args.predictions}:{lineno}: {exc}") from exc
     return metrics.metric_report(y_true, y_pred, args.classes, config.metric_mode)
 
 

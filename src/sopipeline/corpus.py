@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .dump_ingest import CommentRecord, PostRecord
 from .errors import UsageError
+from .linefiles import json_line, read_jsonl
 from .record_store import RecordStore
 from . import shards
 
@@ -285,24 +286,13 @@ def corpus_stats(
     )
 
 
-def sample_to_json(sample: PretrainSample) -> str:
-    return json.dumps(
-        {"answer_id": sample.answer_id, "n_comments": sample.n_comments, "text": sample.text},
-        ensure_ascii=False,
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+# in PretrainSample's field order
+_CORPUS_FIELDS = {"answer_id": int, "text": str, "n_comments": int}
 
 
 def read_corpus_jsonl(path: str | Path) -> Iterator[PretrainSample]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            yield PretrainSample(
-                answer_id=obj["answer_id"], text=obj["text"], n_comments=obj["n_comments"]
-            )
+    for _, values in read_jsonl(path, _CORPUS_FIELDS):
+        yield PretrainSample(*values)
 
 
 def write_corpus(
@@ -327,7 +317,7 @@ def write_corpus(
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for sample in samples:
-                fh.write(sample_to_json(sample) + "\n")
+                fh.write(json_line(vars(sample)))
                 n_samples += 1
                 n_comments += sample.n_comments
         extra = {}

@@ -8,7 +8,6 @@ answer. Also: the balanced annotation draw and Cohen's kappa scoring.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -21,7 +20,8 @@ import numpy as np
 
 from .corpus import clean_text, split_code
 from .dump_ingest import HISTORY_EDIT_BODY, POST_QUESTION
-from .errors import MetricError, UsageError
+from .errors import MetricError, PipelineError, UsageError
+from .linefiles import json_line, read_jsonl, read_tsv
 from .record_store import AnswerThread, RecordStore
 
 logger = logging.getLogger(__name__)
@@ -353,78 +353,45 @@ def export_candidates(candidates: Iterable[ObsoleteCandidate], path: str | Path)
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for cand in candidates:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": cand.answer_id,
-                        "question_id": cand.question_id,
-                        "heuristic": cand.heuristic.value,
-                        "evidence": cand.evidence,
-                        "answer_text": cand.answer_text,
-                        "score": cand.score,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            row = {"id": cand.answer_id, "question_id": cand.question_id, "heuristic": cand.heuristic.value,
+                   "evidence": cand.evidence, "answer_text": cand.answer_text, "score": cand.score}
+            fh.write(json_line(row))
             n += 1
     return n
 
 
+# in ObsoleteCandidate's field order; an absent question_id reads as None
+_CANDIDATE_FIELDS = {"id": int, "question_id": (int, type(None)), "heuristic": str, "evidence": str,
+                     "answer_text": str, "score": int}
+
+
 def import_candidates(path: str | Path) -> list[ObsoleteCandidate]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(
-                ObsoleteCandidate(
-                    answer_id=obj["id"],
-                    question_id=obj.get("question_id"),
-                    heuristic=Heuristic(obj["heuristic"]),
-                    evidence=obj["evidence"],
-                    answer_text=obj["answer_text"],
-                    score=obj["score"],
-                )
-            )
+    for lineno, (answer_id, question_id, heuristic, *rest) in read_jsonl(path, _CANDIDATE_FIELDS):
+        try:
+            kind = Heuristic(heuristic)
+        except ValueError:
+            raise PipelineError(f"{path}:{lineno}: unknown heuristic {heuristic!r}") from None
+        out.append(ObsoleteCandidate(answer_id, question_id, kind, *rest))
     return out
 
 
-def import_annotations(
-    path: str | Path, known_ids: Optional[set[int]] = None
-) -> list[AnnotationRecord]:
+def import_annotations(path: str | Path) -> list[AnnotationRecord]:
     """TSV with header candidate_id/label/annotator; labels validated, and
-    ids checked against ``known_ids`` when provided."""
+    a second row for one (candidate, annotator) refused."""
     records: list[AnnotationRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != ["candidate_id", "label", "annotator"]:
-            raise UsageError(f"{path}: expected header candidate_id<TAB>label<TAB>annotator")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise UsageError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            cand_id, label, annotator = fields
-            if label not in VALID_LABELS:
-                raise UsageError(
-                    f"{path}:{lineno}: invalid label {label!r} (expected one of {VALID_LABELS})"
-                )
-            try:
-                cid = int(cand_id)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: candidate_id must be an integer") from None
-            if known_ids is not None and cid not in known_ids:
-                raise UsageError(f"{path}:{lineno}: unknown candidate id {cid}")
-            records.append(AnnotationRecord(candidate_id=cid, label=label, annotator=annotator))
-    seen = set()
-    for rec in records:
-        key = (rec.candidate_id, rec.annotator)
-        if key in seen:
-            raise UsageError(f"duplicate annotation for candidate {rec.candidate_id} by {rec.annotator}")
-        seen.add(key)
+    first_line: dict[tuple[int, str], int] = {}
+    for lineno, (cand_id, label, annotator) in read_tsv(path, ("candidate_id", "label", "annotator")):
+        if label not in VALID_LABELS:
+            raise UsageError(f"{path}:{lineno}: invalid label {label!r} (expected one of {VALID_LABELS})")
+        try:
+            cid = int(cand_id)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: candidate_id must be an integer") from None
+        first = first_line.setdefault((cid, annotator), lineno)
+        if first != lineno:
+            raise UsageError(
+                f"{path}:{lineno}: duplicate annotation for candidate {cid} by {annotator!r} (first at line {first})"
+            )
+        records.append(AnnotationRecord(candidate_id=cid, label=label, annotator=annotator))
     return records

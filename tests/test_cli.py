@@ -11,9 +11,11 @@ import pytest
 
 from conftest import answer_row, comment_row, history_row, question_row, rows_xml, store_from_rows, ts
 import sopipeline
-from sopipeline import bpe, shards
+from sopipeline import bpe, corpus, mining, shards
 from sopipeline.cli import _read_labeled_jsonl, main
+from sopipeline.corpus import PretrainSample
 from sopipeline.errors import StoreError
+from sopipeline.mining import Heuristic, ObsoleteCandidate
 from sopipeline.mlm import EncoderConfig, build_encoder, save_checkpoint
 from sopipeline.record_store import RecordStore
 
@@ -538,8 +540,13 @@ def test_read_labeled_jsonl_counts_truncated_tokens(tmp_path):
     assert truncated == 41 - 16  # class marker + 40 bytes, cut to 16
 
 
+_CORPUS_ROW = {"answer_id": 1, "n_comments": 1, "text": "ab <RS> cd"}
+_CANDIDATE_ROW = {"id": 1, "question_id": None, "heuristic": "keyword_comment", "evidence": "e",
+                  "answer_text": "t", "score": 1}
+
+
 class TestMalformedInputs:
-    """A malformed labeled file or predictions TSV is refused with its file and line."""
+    """A malformed line of any JSONL or TSV input is refused with its file and line."""
 
     @pytest.fixture
     def finetune_argv(self, tmp_path):
@@ -578,6 +585,73 @@ class TestMalformedInputs:
         code, summary, err = run_cli(capsys, "eval", "--predictions", str(pred), "--classes", "2")
         assert (code, summary) == (1, None)
         assert f"{pred}:3:" in err
+
+    @pytest.mark.parametrize("command", ["stats", "train-tokenizer"])
+    @pytest.mark.parametrize(
+        "bad_row",
+        [b'{"answer_id": 2, "n_comments": 1, "text"', b'{"answer_id": 2, "n_comments": 1, "text": "a\xff"}',
+         b'{"answer_id": 2, "n_comments": 1}', b'{"answer_id": 2, "n_comments": "1", "text": "ab"}'],
+        ids=["not-json", "not-utf8", "no-text", "n-comments-string"],
+    )
+    def test_bad_corpus_row_is_data_error(self, capsys, tmp_path, command, bad_row):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(json.dumps(_CORPUS_ROW).encode() + b"\n\n" + bad_row + b"\n")
+        vocab = tmp_path / "v.sovoc"
+        out = ["--out", str(vocab)] if command == "train-tokenizer" else []
+        code, summary, err = run_cli(capsys, command, "--corpus", str(path), *out)
+        assert (code, summary) == (2, None)
+        assert f"{path}:3:" in err
+        assert not vocab.exists()
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [b'{"id": 2', json.dumps({k: v for k, v in _CANDIDATE_ROW.items() if k != "score"}).encode(),
+         json.dumps({**_CANDIDATE_ROW, "heuristic": "hunch"}).encode()],
+        ids=["not-json", "no-score", "unknown-heuristic"],
+    )
+    def test_bad_candidate_row_is_data_error(self, capsys, tmp_path, bad_row):
+        path = tmp_path / "candidates.jsonl"
+        path.write_bytes(json.dumps(_CANDIDATE_ROW).encode() + b"\n\n" + bad_row + b"\n")
+        out = tmp_path / "sample.jsonl"
+        code, summary, err = run_cli(
+            capsys, "sample-annotations", "--candidates", str(path), "--n", "3", "--out", str(out)
+        )
+        assert (code, summary) == (2, None)
+        assert f"{path}:3:" in err
+        assert not out.exists()
+
+    def _annotations(self, tmp_path, rows_a: bytes, rows_b: bytes):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_bytes(b"candidate_id\tlabel\tannotator\n" + rows_a)
+        b.write_bytes(b"candidate_id\tlabel\tannotator\n" + rows_b)
+        return a, b
+
+    def test_undecodable_annotation_is_usage_error(self, capsys, tmp_path):
+        a, b = self._annotations(tmp_path, b"1\tObsolete\talice\n2\tObsolete\t\xff\n",
+                                 b"1\tObsolete\tbob\n2\tNotObsolete\tbob\n")
+        code, summary, err = run_cli(capsys, "kappa", "--a", str(a), "--b", str(b))
+        assert (code, summary) == (1, None)
+        assert f"{a}:3:" in err
+
+    def test_kappa_names_first_id_only_one_file_holds(self, capsys, tmp_path):
+        a, b = self._annotations(tmp_path, b"1\tObsolete\talice\n2\tObsolete\talice\n4\tObsolete\talice\n",
+                                 b"1\tObsolete\tbob\n3\tNotObsolete\tbob\n4\tObsolete\tbob\n")
+        code, summary, err = run_cli(capsys, "kappa", "--a", str(a), "--b", str(b))
+        assert (code, summary) == (1, None)
+        assert f"{a} and {b} cover different candidate ids: 2 is only in {a}" in err
+
+    def test_written_lines_read_back_as_written(self, tmp_path):
+        text = "na\u00efve \u65e5\u672c \u2028 <code>x <RS> y</code> <RS> ok"
+        samples = [PretrainSample(answer_id=1, text=text, n_comments=1), PretrainSample(2, "plain", 3)]
+        corpus.write_corpus(samples, tmp_path / "c.jsonl")
+        assert list(corpus.read_corpus_jsonl(tmp_path / "c.jsonl")) == samples
+        candidates = [ObsoleteCandidate(1, None, Heuristic.KEYWORD_COMMENT, text, text, 2),
+                      ObsoleteCandidate(5, 4, Heuristic.LATE_ANSWER, "answer by", text, 7)]
+        mining.export_candidates(candidates, tmp_path / "k.jsonl")
+        assert mining.import_candidates(tmp_path / "k.jsonl") == candidates
+        for name in ("c.jsonl", "k.jsonl"):
+            # written raw, not escaped; only a newline ends a line
+            assert "\u2028".encode() in (tmp_path / name).read_bytes()
 
 
 class TestNeededInputs:

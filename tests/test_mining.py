@@ -376,17 +376,26 @@ class TestExportImport:
             AnnotationRecord(2, "NotObsolete", "alice"),
         ]
 
+    def test_crlf_annotation_reads_as_lf(self, tmp_path):
+        path = tmp_path / "ann.tsv"
+        path.write_bytes(b"candidate_id\tlabel\tannotator\r\n1\tObsolete\talice\r\n\r\n2\tNotObsolete\tbob\r\n")
+        assert import_annotations(path) == [
+            AnnotationRecord(1, "Obsolete", "alice"),
+            AnnotationRecord(2, "NotObsolete", "bob"),
+        ]
+
     def test_invalid_label(self, tmp_path):
         path = tmp_path / "ann.tsv"
         self._write_tsv(path, [(1, "maybe", "alice")])
         with pytest.raises(UsageError):
             import_annotations(path)
 
-    def test_unknown_candidate_id(self, tmp_path):
+    def test_duplicate_annotation_names_second_row(self, tmp_path):
         path = tmp_path / "ann.tsv"
-        self._write_tsv(path, [(99, "Obsolete", "alice")])
-        with pytest.raises(UsageError):
-            import_annotations(path, known_ids={1, 2, 3})
+        self._write_tsv(path, [(1, "Obsolete", "alice"), (1, "Obsolete", "bob"), (1, "NotObsolete", "alice")])
+        with pytest.raises(UsageError) as err:
+            import_annotations(path)
+        assert str(err.value) == f"{path}:4: duplicate annotation for candidate 1 by 'alice' (first at line 2)"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "ann.tsv"

@@ -52,8 +52,8 @@ _VERSION = 1
 
 # encode_many merges texts in batches of about this many UTF-8 bytes: enough
 # tokens to spread numpy's per-call cost, while the batch's state (int32 ids
-# and links, int64 pair lookups: about 40 bytes per input byte at its peak)
-# stays a few tens of MB.
+# and links, the first rank lookup: about 26 bytes per input byte at its
+# peak) stays a few tens of MB.
 _BATCH_BYTES = 512 * 1024
 
 
@@ -130,15 +130,25 @@ class BpeVocab:
         bytes, or repeat a pair), the heap would take that pair next, so the
         sweep stops after the first merge creating one and re-queues every
         validated position to its right.
-        """
-        codes, code_ranks, pair_ids = self._pair_table
-        # pair code a * w + b; a -1 side never matches (see _pair_table)
-        w = self.vocab_size + 1
-        no_rank = len(self.merges)
 
-        def ranks_of(query: np.ndarray) -> np.ndarray:
-            at = np.searchsorted(codes, query)
-            return np.where(codes[at] == query, code_ranks[at], no_rank)
+        Ranks are looked up, never searched (see :attr:`_pair_table`): the
+        initial pairs, all of byte ids, in a dense table, and the pairs a
+        sweep creates, all with M on one side, in a row of rank by partner
+        that holds M's partners for the time of one gather.
+        """
+        byte_ranks, lefts, rights, pair_ids = self._pair_table
+        no_rank = len(self.merges)
+        # rank by partner id; the last slot, index -1, stays no_rank
+        row = np.full(self.vocab_size + 1, no_rank, dtype=byte_ranks.dtype)
+
+        def ranks_beside(csr: tuple[np.ndarray, ...], m: int, query: np.ndarray) -> np.ndarray:
+            """The rank of m with each id of ``query``, on the side ``csr`` lists."""
+            ptr, partner, rank = csr
+            at = slice(ptr[m], ptr[m + 1])
+            row[partner[at]] = rank[at]
+            ranks = row[query]
+            row[partner[at]] = no_rank
+            return ranks
 
         pending: dict[int, list[np.ndarray]] = {}
         heap: list[int] = []
@@ -156,7 +166,7 @@ class BpeVocab:
                 else:
                     parts.append(pos[lo:hi])
 
-        ranks = ranks_of(ids[:-1].astype(np.int64) * w + ids[nxt[:-1]])
+        ranks = byte_ranks[ids[:-1], ids[nxt[:-1]]]
         pos = np.flatnonzero(ranks < no_rank).astype(np.int32)
         if len(pos):
             queue(pos, ranks[pos])
@@ -181,10 +191,7 @@ class BpeVocab:
                 left_pos = left.copy()
                 left_pos[1:][after] = p[:-1][after]
             n_kept = len(p)
-            # int64 before the product: under NumPy 1.x value-based casting an
-            # int32 array times a scalar stays int32 and wraps at large vocabs
-            gained = (left_ids.astype(np.int64) * w + m, ids[right].astype(np.int64) + m * w)
-            new_ranks = ranks_of(np.concatenate(gained))
+            new_ranks = np.concatenate((ranks_beside(lefts, m, left_ids), ranks_beside(rights, m, ids[right])))
             inverted = new_ranks < r
             if inverted.any():
                 c = int((inverted[:n_kept] | inverted[n_kept:]).argmax()) + 1
@@ -236,29 +243,48 @@ class BpeVocab:
         return hashlib.sha256(self._serialize_body()).digest()[:8]
 
     @cached_property
-    def _pair_table(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-        """Sorted codes ``a * (vocab_size + 1) + b`` of the mergeable id pairs,
-        the rank of each, and ``(a, b, merged)`` ids per rank.
+    def _pair_table(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...], list]:
+        """The rank of each mergeable id pair (a, b), looked up three ways,
+        and ``(a, b, merged)`` ids per rank.
+
+        - ``byte_ranks[a, b]``, dense over the ids below ``MIN_VOCAB_SIZE``
+          (specials and bytes), whose last row and column (index -1) read
+          ``no_rank``: the pairs of a text before any merge.
+        - ``lefts``: CSR arrays ``(ptr, partner, rank)``, where the slice
+          ``ptr[b]:ptr[b + 1]`` lists each ``a`` with its rank.
+        - ``rights``: the same keyed by ``a``, listing each ``b``.
+
+        Ranks, and ``no_rank = len(merges)`` for a pair that never merges,
+        are of the smallest unsigned dtype holding them: 16 bits up to
+        65,535 merges, where a stable argsort is a radix sort.
 
         Ids are canonical: a token is its bytes, and bytes made by several
         merges take the last one's id, as encoding outputs. A repeated pair
-        keeps its last rank. A side of -1 gives a negative code or one whose
-        right part is ``vocab_size``, which no pair has. Built on the first
-        encode, not on load.
+        keeps its last rank. A merge with a side that no token spells is
+        never looked up. Built on the first encode, not on load.
         """
-        w = self.vocab_size + 1
-        rank_by_code: dict[int, int] = {}
+        rank_by_pair: dict[tuple[int, int], int] = {}
         pair_ids = []
         for r, (left, right) in enumerate(self.merges):
             a, b = self._bytes_to_id.get(left, -1), self._bytes_to_id.get(right, -1)
             pair_ids.append((a, b, self._bytes_to_id[left + right]))
-            if a >= 0 and b >= 0:  # otherwise no token ever spells a side
-                rank_by_code[a * w + b] = r
-        by_code = sorted(rank_by_code.items())
-        # a final code above any query keeps searchsorted in range
-        codes = np.array([c for c, _ in by_code] + [np.iinfo(np.int64).max], dtype=np.int64)
-        ranks = np.array([r for _, r in by_code] + [len(self.merges)], dtype=np.int32)
-        return codes, ranks, pair_ids
+            if a >= 0 and b >= 0:
+                rank_by_pair[a, b] = r
+        dtype = np.min_scalar_type(len(self.merges))
+        a, b = np.array(list(rank_by_pair), dtype=np.intp).reshape(-1, 2).T
+        ranks = np.fromiter(rank_by_pair.values(), dtype=dtype, count=len(rank_by_pair))
+
+        byte_ranks = np.full((MIN_VOCAB_SIZE + 1, MIN_VOCAB_SIZE + 1), len(self.merges), dtype=dtype)
+        small = (a < MIN_VOCAB_SIZE) & (b < MIN_VOCAB_SIZE)
+        byte_ranks[a[small], b[small]] = ranks[small]
+
+        def csr(key: np.ndarray, partner: np.ndarray) -> tuple[np.ndarray, ...]:
+            order = np.argsort(key, kind="stable")
+            ptr = np.zeros(self.vocab_size + 1, dtype=np.intp)
+            np.cumsum(np.bincount(key, minlength=self.vocab_size), out=ptr[1:])
+            return ptr, partner[order], ranks[order]
+
+        return byte_ranks, csr(b, a), csr(a, b), pair_ids
 
     def save(self, path: str | Path) -> None:
         body = self._serialize_body()
@@ -422,6 +448,10 @@ def train_bpe(
     arose; merging it checks those with :func:`_matches` and counts the
     neighbour pairs it removes and creates. A merge thus costs time in the
     number of places its pair arose, not in the length of the samples.
+
+    The heap of (count, bytes) takes an entry only when a count rises. A
+    pair whose count fell still has an entry at or above its count, so the
+    first entry popped at its pair's current count is the true maximum.
     """
     if not 0 < sample_fraction <= 1:
         raise VocabError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
@@ -471,9 +501,12 @@ def train_bpe(
     merges: list[tuple[bytes, bytes]] = []
     while len(merges) < n_target_merges and heap:
         neg, left, right, code = heapq.heappop(heap)
-        if counts.get(code) != -neg:
-            continue  # stale entry
-        if -neg < 2:
+        k = counts.get(code, 0)
+        if k != -neg:
+            if 0 < k < -neg:  # a bound left by a fall: push the current count
+                heapq.heappush(heap, (-k, left, right, code))
+            continue  # else a later entry holds the count, or the pair is gone
+        if k < 2:
             break
         merged = left + right
         merges.append((left, right))
@@ -495,21 +528,25 @@ def train_bpe(
         before = before[(before >= 0) & np.concatenate(([True], before[1:] != q[:-1]))]
         after_at = p[after >= 0]
         after = after[after >= 0]
-        lost = np.concatenate((ids[before].astype(np.int64) * w + a, ids[after].astype(np.int64) + b * w))
+        lost = np.concatenate((
+            np.full(len(p), code, dtype=np.int64),  # the matches themselves
+            ids[before].astype(np.int64) * w + a,
+            ids[after].astype(np.int64) + b * w,
+        ))
         ids[p] = m
         ids[q] = -1
         gained = np.concatenate((ids[before].astype(np.int64) * w + m, ids[after].astype(np.int64) + m * w))
-        counts[code] -= len(p)
-        touched = {code, *file(gained, np.concatenate((before, after_at)))}
-        for lost_code, k in zip(*(x.tolist() for x in np.unique(lost, return_counts=True))):
-            counts[lost_code] -= k
-            touched.add(lost_code)
-        for pair in touched:
-            k = counts[pair]
-            if k:
-                heapq.heappush(heap, (-k, tok[pair // w], tok[pair % w], pair))
-            else:
+        rose = file(gained, np.concatenate((before, after_at)))
+        for pair, k in zip(*(x.tolist() for x in np.unique(lost, return_counts=True))):
+            counts[pair] -= k
+            if not counts[pair]:
                 del counts[pair]
                 filed.pop(pair, None)
+        # A count that fell keeps its entry, an upper bound pushed again at
+        # the count when it pops; the merged pair's entry is spent.
+        for pair in rose + [code]:
+            k = counts.get(pair)
+            if k:
+                heapq.heappush(heap, (-k, tok[pair // w], tok[pair % w], pair))
 
     return BpeVocab(merges=merges, isolate_digits=isolate_digits)

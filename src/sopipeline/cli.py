@@ -314,11 +314,25 @@ def cmd_sample_annotations(args, config: PipelineConfig) -> dict:
     }
 
 
+def _labels_by_candidate(path: str) -> dict[int, str]:
+    """The label per candidate id of one annotation file, which kappa reads
+    as one annotator's: a second annotator for a candidate is refused."""
+    labels: dict[int, str] = {}
+    first_line: dict[int, int] = {}
+    for lineno, record in mining.read_annotations(path):
+        first = first_line.setdefault(record.candidate_id, lineno)
+        if first != lineno:
+            raise UsageError(
+                f"{path}:{lineno}: candidate {record.candidate_id} labeled again, by {record.annotator!r} "
+                f"(first at line {first}); kappa takes one annotator per file"
+            )
+        labels[record.candidate_id] = record.label
+    return labels
+
+
 def cmd_kappa(args, config: PipelineConfig) -> dict:
-    a = mining.import_annotations(args.a)
-    b = mining.import_annotations(args.b)
-    by_id_a = {r.candidate_id: r.label for r in a}
-    by_id_b = {r.candidate_id: r.label for r in b}
+    by_id_a = _labels_by_candidate(args.a)
+    by_id_b = _labels_by_candidate(args.b)
     only = sorted(by_id_a.keys() ^ by_id_b.keys())
     if only:
         holder = args.a if only[0] in by_id_a else args.b
@@ -332,11 +346,8 @@ def cmd_eval(args, config: PipelineConfig) -> dict:
     y_true: list[int] = []
     y_pred: list[int] = []
     for lineno, (true, pred) in linefiles.read_tsv(args.predictions, ("true", "pred")):
-        try:
-            y_true.append(int(true))
-            y_pred.append(int(pred))
-        except ValueError as exc:
-            raise UsageError(f"{args.predictions}:{lineno}: {exc}") from exc
+        y_true.append(linefiles.tsv_int(args.predictions, lineno, "true", true))
+        y_pred.append(linefiles.tsv_int(args.predictions, lineno, "pred", pred))
     return metrics.metric_report(y_true, y_pred, args.classes, config.metric_mode)
 
 

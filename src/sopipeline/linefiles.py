@@ -7,10 +7,13 @@ in JSONL as a data error (exit 2), in a TSV as a usage error (exit 1).
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import PipelineError, UsageError
+
+_TSV_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def json_line(obj: dict) -> str:
@@ -60,3 +63,11 @@ def read_tsv(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, lis
                 if len(fields) != len(header):
                     raise UsageError(f"{path}:{lineno}: expected {len(header)} tab-separated fields")
                 yield lineno, fields
+
+
+def tsv_int(path: str | Path, lineno: int, name: str, text: str) -> int:
+    """The integer field ``name`` of a TSV row: ASCII ``-?[0-9]+`` only, so
+    ``+1``, ``0_1``, `` 2 `` and non-ASCII digits are refused."""
+    if not _TSV_INTEGER.fullmatch(text):
+        raise UsageError(f"{path}:{lineno}: {name} must be an integer, got {text!r}")
+    return int(text)

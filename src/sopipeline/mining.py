@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import clean_text, split_code
 from .dump_ingest import HISTORY_EDIT_BODY, POST_QUESTION
 from .errors import MetricError, PipelineError, UsageError
-from .linefiles import json_line, read_jsonl, read_tsv
+from .linefiles import json_line, read_jsonl, read_tsv, tsv_int
 from .record_store import AnswerThread, RecordStore
 
 logger = logging.getLogger(__name__)
@@ -376,22 +376,21 @@ def import_candidates(path: str | Path) -> list[ObsoleteCandidate]:
     return out
 
 
-def import_annotations(path: str | Path) -> list[AnnotationRecord]:
-    """TSV with header candidate_id/label/annotator; labels validated, and
-    a second row for one (candidate, annotator) refused."""
-    records: list[AnnotationRecord] = []
+def read_annotations(path: str | Path) -> Iterator[tuple[int, AnnotationRecord]]:
+    """(lineno, record) per row of a TSV with header candidate_id/label/annotator;
+    labels validated, and a second row for one (candidate, annotator) refused."""
     first_line: dict[tuple[int, str], int] = {}
     for lineno, (cand_id, label, annotator) in read_tsv(path, ("candidate_id", "label", "annotator")):
         if label not in VALID_LABELS:
             raise UsageError(f"{path}:{lineno}: invalid label {label!r} (expected one of {VALID_LABELS})")
-        try:
-            cid = int(cand_id)
-        except ValueError:
-            raise UsageError(f"{path}:{lineno}: candidate_id must be an integer") from None
+        cid = tsv_int(path, lineno, "candidate_id", cand_id)
         first = first_line.setdefault((cid, annotator), lineno)
         if first != lineno:
             raise UsageError(
                 f"{path}:{lineno}: duplicate annotation for candidate {cid} by {annotator!r} (first at line {first})"
             )
-        records.append(AnnotationRecord(candidate_id=cid, label=label, annotator=annotator))
-    return records
+        yield lineno, AnnotationRecord(candidate_id=cid, label=label, annotator=annotator)
+
+
+def import_annotations(path: str | Path) -> list[AnnotationRecord]:
+    return [record for _, record in read_annotations(path)]

@@ -6,6 +6,7 @@ import re
 import struct
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,6 +294,42 @@ class TestTrainBpe:
                     continue
                 assert vocab.merges == want, (texts, fraction)
 
+    @pytest.mark.parametrize(
+        "texts, n_merges, fell_then_merged",
+        [
+            # (b, c) falls from 5 to 3 when (a, b) merges
+            (["ab"] * 4 + ["abc"] * 2 + ["bc"] * 3, 3, [(b"b", b"c")]),
+            # (w, x) and (z, v) fall from 6 to 2 as x and z join longer tokens
+            (["wxyzv"] * 3 + ["wxyz", "xyzv"] + ["xyz"] * 2 + ["wx", "zv"] * 2, 8, [(b"w", b"x"), (b"z", b"v")]),
+            # odd (a, a) runs: the merged pair also loses the place its last
+            # match consumes, and its count reaches 0 there
+            (["aaa aaa aaaaa", "xaaay", "aaaaaaa", "aa"], 8, []),
+        ],
+    )
+    def test_lazy_heap_matches_brute_force(self, texts, n_merges, fell_then_merged, monkeypatch):
+        # A pair's count rises once, when its later token is made, and then
+        # only falls. A fall leaves the pair's entry above its count; when
+        # that entry pops, the count is pushed again. Record each pair pushed
+        # again from a stale entry that was its only one.
+        popped, repushed = [], []
+
+        def heappop(heap):
+            entry = heapq.heappop(heap)
+            popped.append((entry, all(e[3] != entry[3] for e in heap)))
+            return entry
+
+        def heappush(heap, entry):  # every push follows a pop
+            last, only = popped[-1]
+            if last[3] == entry[3] and last[0] < entry[0] and only:
+                repushed.append(last[1:3])
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(bpe, "heapq", SimpleNamespace(heapify=heapq.heapify, heappop=heappop, heappush=heappush))
+        vocab = train_bpe(texts, MIN_VOCAB_SIZE + n_merges, sample_fraction=1.0)
+        assert vocab.merges == brute_force_merges(texts, n_merges), texts
+        for pair in fell_then_merged:
+            assert pair in repushed and pair in vocab.merges
+
     def test_memory_per_sampled_byte(self):
         # ids, links and pair positions are int32 arrays; a trainer keeping
         # them as Python lists and sets peaks at about 117 bytes per byte here
@@ -571,10 +608,10 @@ class TestEncodeMany:
         assert split == each
 
     def test_pair_codes_past_int32_at_large_vocab(self):
-        # A pair code is a * (V + 1) + b. Above 46,341 ids a left id past
-        # 2**31 / (V + 1) makes it exceed int32, so it must be formed in
-        # int64: under NumPy 1.x value-based casting an int32 array times a
-        # scalar stays int32 and wraps (NumPy 2 promotes, NEP 50).
+        # A vocab of the paper's 50k size encodes as the oracle does. Its ids
+        # reach past 46,341, where a pair code a * (V + 1) + b would overflow
+        # int32: the encoder forms no such code, and the last merge, which
+        # joins two late tokens, is the one whose code would.
         n_merges = 50_000 - MIN_VOCAB_SIZE
         pairs = [(bytes([i]), bytes([j])) for i in range(256) for j in range(256)][: n_merges - 1]
         # both formed late, and their inner pair (250, 181) is never merged
@@ -586,6 +623,55 @@ class TestEncodeMany:
         texts = [b"xy" + (left + right) * 3 + b"z", left + right + left]
         want = [oracle_encode(vocab, t) for t in texts]
         assert want[0][1:4] == [vocab.vocab_size - 1] * 3  # the last merge applied
+        assert list(vocab.encode_many(texts)) == want
+
+    @pytest.mark.parametrize("n_merges, rank_dtype", [(65_535, np.uint16), (65_536, np.uint32)])
+    def test_rank_dtype_boundary(self, n_merges, rank_dtype):
+        # Ranks and no_rank = len(merges) take the smallest unsigned dtype:
+        # at 65,535 merges the last rank is 65,534 and no_rank is uint16's
+        # top; one merge more takes uint32. The last merge joins two late
+        # tokens, so a sweep looks up the top rank.
+        pairs = [(bytes([i]), bytes([j])) for i in range(256) for j in range(256)][: n_merges - 1]
+        left, right = bytes([180, 250]), bytes([181, 250])
+        vocab = BpeVocab(pairs + [(left, right)])
+        assert vocab._pair_table[0].dtype == rank_dtype
+        texts = [b"xy" + (left + right) * 3 + b"z", left + right + left, bytes(range(240, 256)) * 2, b"\xff" * 7]
+        want = [oracle_encode(vocab, t) for t in texts]
+        assert want[0][1:4] == [vocab.vocab_size - 1] * 3  # the last merge applied
+        assert list(vocab.encode_many(texts)) == want
+
+    def test_merge_side_no_token_spells(self):
+        # no merge makes "xy", and "<RS>" is a special: the merges naming
+        # them never apply, and the others still do
+        vocab = BpeVocab([(b"a", b"b"), (b"xy", b"ab"), (b"<RS>", b"a"), (b"ab", b"c")])
+        texts = ["xyabc", "<RS>abc", "xyab<RS>ab", "xy"]
+        want = [oracle_encode(vocab, t) for t in texts]
+        assert [vocab.token_bytes[i] for i in want[0]] == [b"x", b"y", b"abc"]
+        assert list(vocab.encode_many(texts)) == want
+
+    def test_repeated_pair_takes_its_last_rank(self):
+        # (a, b) ranks 2, after (b, c): "abc" is a|bc, where rank 0 would give ab|c
+        vocab = BpeVocab([(b"a", b"b"), (b"b", b"c"), (b"a", b"b")])
+        texts = ["abc", "abcab", "xabcy", "ababc"]
+        want = [oracle_encode(vocab, t) for t in texts]
+        assert [vocab.token_bytes[i] for i in want[0]] == [b"a", b"bc"]
+        assert list(vocab.encode_many(texts)) == want
+
+    @pytest.mark.parametrize(
+        "merges",
+        [
+            [(b"a", b"b"), (b"ab", b"ab")],
+            # (a, b) repeated: M's canonical rank is 2, above (M, M)'s
+            [(b"a", b"b"), (b"ab", b"ab"), (b"a", b"b")],
+        ],
+    )
+    def test_m_m_right_after_the_merge_creating_m(self, merges):
+        # adjacent matches of one sweep: the left neighbour of a match is the
+        # previous match's M, so (M, M) is looked up at that match
+        vocab = BpeVocab(merges)
+        texts = ["ab" * n for n in range(1, 8)] + ["xabababy", "abab<RS>abab", "aabab"]
+        want = [oracle_encode(vocab, t) for t in texts]
+        assert [vocab.token_bytes[i] for i in want[3]] == [b"abab", b"abab"]
         assert list(vocab.encode_many(texts)) == want
 
     def test_lazy_over_a_stream(self, monkeypatch):

@@ -578,7 +578,10 @@ class TestMalformedInputs:
         assert (code, summary) == (2, None)
         assert f"{bad}:3:" in err
 
-    @pytest.mark.parametrize("bad_line", [b"x\t1", b"1\t0.5", b"1\t", b"1\t\xff"])
+    @pytest.mark.parametrize(
+        "bad_line",
+        [b"x\t1", b"1\t0.5", b"1\t", b"1\t\xff", b"1\t0_1", b"1\t 1 ", b"+1\t1", "1\t\u0661".encode()],
+    )
     def test_non_integer_prediction_is_usage_error(self, capsys, tmp_path, bad_line):
         pred = tmp_path / "preds.tsv"
         pred.write_bytes(b"true\tpred\n1\t1\n" + bad_line + b"\n")
@@ -632,6 +635,21 @@ class TestMalformedInputs:
         code, summary, err = run_cli(capsys, "kappa", "--a", str(a), "--b", str(b))
         assert (code, summary) == (1, None)
         assert f"{a}:3:" in err
+
+    @pytest.mark.parametrize("cand_id", [b"0_1", b" 2 ", b"+2", "\u0662".encode()])
+    def test_non_integer_candidate_id_is_usage_error(self, capsys, tmp_path, cand_id):
+        a, b = self._annotations(tmp_path, b"1\tObsolete\talice\n" + cand_id + b"\tObsolete\talice\n",
+                                 b"1\tObsolete\tbob\n2\tNotObsolete\tbob\n")
+        code, summary, err = run_cli(capsys, "kappa", "--a", str(a), "--b", str(b))
+        assert (code, summary) == (1, None)
+        assert f"{a}:3: candidate_id must be an integer" in err
+
+    def test_kappa_refuses_two_annotators_for_one_candidate(self, capsys, tmp_path):
+        a, b = self._annotations(tmp_path, b"1\tObsolete\talice\n2\tObsolete\talice\n\n2\tNotObsolete\tcarol\n",
+                                 b"1\tObsolete\tbob\n2\tNotObsolete\tbob\n")
+        code, summary, err = run_cli(capsys, "kappa", "--a", str(a), "--b", str(b))
+        assert (code, summary) == (1, None)
+        assert f"{a}:5: candidate 2 labeled again, by 'carol' (first at line 3)" in err
 
     def test_kappa_names_first_id_only_one_file_holds(self, capsys, tmp_path):
         a, b = self._annotations(tmp_path, b"1\tObsolete\talice\n2\tObsolete\talice\n4\tObsolete\talice\n",

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import ChecksumMismatchError, VocabError
 
 # Fixed special-token ids. Order defines the id assignment.
@@ -288,7 +289,9 @@ class BpeVocab:
 
     def save(self, path: str | Path) -> None:
         body = self._serialize_body()
-        Path(path).write_bytes(body + hashlib.sha256(body).digest()[:8])
+        with replacing(path) as fh:
+            fh.write(body)
+            fh.write(hashlib.sha256(body).digest()[:8])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BpeVocab) and (

@@ -18,9 +18,10 @@ from html import unescape
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .atomic import replacing
 from .dump_ingest import CommentRecord, PostRecord
 from .errors import UsageError
-from .linefiles import json_line, read_jsonl
+from .linefiles import read_jsonl, write_jsonl
 from .record_store import RecordStore
 from . import shards
 
@@ -304,36 +305,30 @@ def write_corpus(
 ) -> dict:
     """Serialize samples to JSON-Lines or binary token shards.
 
-    Returns the manifest (also written next to the output as
-    ``<path>.manifest.json``): counts, a sha256 content checksum, and any
+    Returns the manifest, which is renamed into place after the output, as
+    ``<path>.manifest.json``: counts, a sha256 content checksum, and any
     ``manifest_extra`` entries, which are read *after* the sample stream is
     consumed so lazily-updated counters are final. Output bytes are a pure
     function of the input samples.
     """
-    path = Path(path)
     n_samples = 0
     n_comments = 0
 
+    def counted() -> Iterator[PretrainSample]:
+        nonlocal n_samples, n_comments
+        for sample in samples:
+            n_samples += 1
+            n_comments += sample.n_comments
+            yield sample
+
+    extra = {}
     if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for sample in samples:
-                fh.write(json_line(vars(sample)))
-                n_samples += 1
-                n_comments += sample.n_comments
-        extra = {}
+        write_jsonl(path, map(vars, counted()))
     elif fmt == "shards":
         if tokenizer is None:
             raise UsageError("shard output requires a tokenizer")
-
-        def texts() -> Iterator[str]:
-            nonlocal n_samples, n_comments
-            for sample in samples:
-                n_samples += 1
-                n_comments += sample.n_comments
-                yield sample.text
-
-        _, total_tokens = shards.write_token_shard(path, tokenizer.encode_many(texts()), tokenizer.checksum)
-        extra = {"total_tokens": total_tokens}
+        texts = (sample.text for sample in counted())
+        _, extra["total_tokens"] = shards.write_token_shard(path, tokenizer.encode_many(texts), tokenizer.checksum)
     else:
         raise UsageError(f"unknown corpus format {fmt!r} (expected 'jsonl' or 'shards')")
 
@@ -349,6 +344,6 @@ def write_corpus(
         **extra,
         **(manifest_extra or {}),
     }
-    manifest_path = Path(str(path) + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with replacing(f"{path}.manifest.json", "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

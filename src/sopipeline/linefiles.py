@@ -9,16 +9,22 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from .atomic import replacing
 from .errors import PipelineError, UsageError
 
 _TSV_INTEGER = re.compile(r"-?[0-9]+")
 
 
-def json_line(obj: dict) -> str:
-    """``obj`` as one JSONL line: sorted keys, compact, non-ASCII kept."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
+    """Write each row as one JSON line (sorted keys, compact, non-ASCII kept),
+    renamed into place after the last; returns the row count."""
+    n = 0
+    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
+        for n, row in enumerate(rows, start=1):
+            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n")
+    return n
 
 
 def read_jsonl(path: str | Path, fields: dict[str, type | tuple[type, ...]]) -> Iterator[tuple[int, list]]:

@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import clean_text, split_code
 from .dump_ingest import HISTORY_EDIT_BODY, POST_QUESTION
 from .errors import MetricError, PipelineError, UsageError
-from .linefiles import json_line, read_jsonl, read_tsv, tsv_int
+from .linefiles import read_jsonl, read_tsv, tsv_int, write_jsonl
 from .record_store import AnswerThread, RecordStore
 
 logger = logging.getLogger(__name__)
@@ -350,14 +350,9 @@ def cohen_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
 
 def export_candidates(candidates: Iterable[ObsoleteCandidate], path: str | Path) -> int:
     """JSON-Lines export (id, heuristic, evidence, answer_text, score)."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for cand in candidates:
-            row = {"id": cand.answer_id, "question_id": cand.question_id, "heuristic": cand.heuristic.value,
-                   "evidence": cand.evidence, "answer_text": cand.answer_text, "score": cand.score}
-            fh.write(json_line(row))
-            n += 1
-    return n
+    return write_jsonl(path, ({"id": cand.answer_id, "question_id": cand.question_id, "heuristic": cand.heuristic.value,
+                               "evidence": cand.evidence, "answer_text": cand.answer_text, "score": cand.score}
+                              for cand in candidates))
 
 
 # in ObsoleteCandidate's field order; an absent question_id reads as None

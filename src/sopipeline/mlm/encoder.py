@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..atomic import replacing
 from ..bpe import N_SPECIALS
 from ..errors import ChecksumMismatchError, UsageError
 
@@ -474,7 +475,7 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
     cfg = model.config
     checksum = cfg.vocab_checksum.hex() if cfg.vocab_checksum else None
     config_block = json.dumps({**asdict(cfg), "vocab_checksum": checksum}, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_CKPT_MAGIC + struct.pack("<H", _CKPT_VERSION))
         fh.write(struct.pack("<I", len(config_block)))
         fh.write(config_block)

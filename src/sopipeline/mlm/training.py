@@ -10,6 +10,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from ..atomic import replacing
 from ..bpe import PAD_ID
 from ..errors import MetricError, TrainingError, UsageError
 from ..metrics import ClassWeights
@@ -232,7 +233,7 @@ def train_mlm(
         losses.append(loss)
 
     if loss_csv is not None:
-        with open(loss_csv, "w", newline="") as fh:
+        with replacing(loss_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss"])
             for i, value in enumerate(losses):

@@ -18,6 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from .atomic import replacing
 from .dump_ingest import CommentRecord, PostHistoryRecord, PostRecord
 from .errors import DuplicateIdError, StoreError
 
@@ -187,7 +188,12 @@ class RecordStore:
         meta_path = self.path / _META_NAME
         if not meta_path.exists():
             raise StoreError(f"not a record store: {self.path} (missing {_META_NAME})")
-        self.meta = json.loads(meta_path.read_text())
+        try:
+            self.meta = json.loads(meta_path.read_bytes().decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise StoreError(f"{meta_path}: not a UTF-8 JSON store seal ({exc})") from None
+        if type(self.meta) is not dict:
+            raise StoreError(f"{meta_path}: expected a JSON object")
         if self.meta.get("format_version") != FORMAT_VERSION:
             raise StoreError(f"unsupported store version {self.meta.get('format_version')}")
         if not self.meta.get("sealed"):
@@ -388,7 +394,8 @@ def build_store(
         conn.close()
 
     report.skipped.extend(skipped)
-    (path / _REPORT_NAME).write_text(report.to_text())
+    with replacing(path / _REPORT_NAME, "w", encoding="utf-8") as fh:
+        fh.write(report.to_text())
     meta = {
         "format_version": FORMAT_VERSION,
         "sealed": True,
@@ -398,7 +405,8 @@ def build_store(
             "post_history": report.n_history,
         },
     }
-    (path / _META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    with replacing(path / _META_NAME, "w") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     store = RecordStore(path)
     store.load_report = report
     return store

@@ -13,12 +13,12 @@ read-only ``uint32`` view into it, so a loaded shard costs 4 bytes per token.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import ChecksumMismatchError, ShardError
 
 MAGIC = b"SOTK1"
@@ -36,43 +36,29 @@ def write_token_shard(
 ) -> tuple[int, int]:
     """Write sequences to ``path``; returns (n_samples, total_tokens).
 
-    The shard and its index are written to ``.tmp`` siblings and renamed
-    into place only after the last sample, so a write that fails (such as
-    on a token id outside [0, 2**32)) leaves any earlier shard as it was.
+    The index is written inside the shard's ``replacing`` block, so it is
+    renamed into place just before the shard, and a write that fails (such
+    as on a token id outside [0, 2**32)) leaves any earlier pair as it was.
     """
     if len(vocab_checksum) != 8:
         raise ShardError(f"vocab checksum must be 8 bytes, got {len(vocab_checksum)}")
-    path, idx_path = Path(path), index_path(path)
-    tmp, idx_tmp = Path(f"{path}.tmp"), Path(f"{idx_path}.tmp")
     lengths: list[int] = []
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(vocab_checksum)
-            for i, seq in enumerate(sequences):
-                ids = np.asarray(seq)
-                out_of_range = (ids < 0) | (ids >= 2**32)
-                if out_of_range.any():
-                    raise ShardError(
-                        f"{path}: sample {i} holds token id {ids[out_of_range][0]} outside [0, 2**32)"
-                    )
-                lengths.append(len(ids))
-                fh.write(np.array([len(ids)], dtype="<u4"))
-                fh.write(ids.astype("<u4"))
-        total = sum(lengths)
-        index = {
-            "version": 2,
-            "n_samples": len(lengths),
-            "total_tokens": total,
-            "lengths": lengths,
-        }
-        idx_tmp.write_text(json.dumps(index, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        os.replace(idx_tmp, idx_path)
-    finally:
-        tmp.unlink(missing_ok=True)
-        idx_tmp.unlink(missing_ok=True)
-    return len(lengths), total
+    with replacing(path) as fh:
+        fh.write(MAGIC)
+        fh.write(vocab_checksum)
+        for i, seq in enumerate(sequences):
+            ids = np.asarray(seq)
+            out_of_range = (ids < 0) | (ids >= 2**32)
+            if out_of_range.any():
+                raise ShardError(f"{path}: sample {i} holds token id {ids[out_of_range][0]} outside [0, 2**32)")
+            lengths.append(len(ids))
+            fh.write(np.array([len(ids)], dtype="<u4"))
+            fh.write(ids.astype("<u4"))
+        fh.flush()  # a failed write then raises before the index is renamed
+        index = {"version": 2, "n_samples": len(lengths), "total_tokens": sum(lengths), "lengths": lengths}
+        with replacing(index_path(path), "w") as idx:
+            idx.write(json.dumps(index, sort_keys=True) + "\n")
+    return len(lengths), index["total_tokens"]
 
 
 class ShardReader:

@@ -121,6 +121,15 @@ class TestPipelineCommands:
         code = main(["build-corpus", "--store-dir", str(bad), "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
 
+    def test_torn_store_meta_is_a_data_error(self, capsys, tmp_path):
+        store = store_from_rows(tmp_path, [question_row(1, created=ts(0))])
+        store.close()
+        meta = store.path / "meta.json"
+        meta.write_bytes(meta.read_bytes()[:10])
+        code, _, err = run_cli(capsys, "mine", "--store-dir", str(store.path), "--out", str(tmp_path / "c.jsonl"))
+        assert code == 2 and str(meta) in err
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_failed_reingest_leaves_no_sealed_store(self, capsys, tmp_path, dump_files):
         posts, comments, history = dump_files
         store_dir = tmp_path / "store"

@@ -1,6 +1,7 @@
 """Record store: build, indices, referential bookkeeping."""
 
 import json
+import re
 import sqlite3
 
 import pytest
@@ -115,6 +116,14 @@ class TestBuildStore:
         meta = json.loads(meta_path.read_text())
         meta_path.write_text(json.dumps({**meta, "sealed": False}))
         with pytest.raises(StoreError, match="never sealed"):
+            RecordStore(small_store.path)
+
+    @pytest.mark.parametrize("blob", [b'{"format_version": 1, "sea', b"[1, 2]\n", b'{"sealed": "\xff"}\n'],
+                             ids=["torn", "not-an-object", "not-utf8"])
+    def test_bad_meta_refused_naming_it(self, small_store, blob):
+        meta_path = small_store.path / "meta.json"
+        meta_path.write_bytes(blob)
+        with pytest.raises(StoreError, match=re.escape(str(meta_path))):
             RecordStore(small_store.path)
 
     def test_open_missing_dir(self, tmp_path):

@@ -214,6 +214,7 @@ def cmd_pretrain(args, config: PipelineConfig) -> dict:
     )
     model = build_encoder(model_config)
     plan = plan_batches(config.target_tokens, config.micro_batch, min(args.seq_len, config.max_len))
+    counters: dict = {}
     losses = train_mlm(
         model,
         reader,
@@ -224,6 +225,7 @@ def cmd_pretrain(args, config: PipelineConfig) -> dict:
         mask_rate=args.mask_rate,
         warmup_steps=args.warmup_steps,
         loss_csv=args.loss_csv,
+        counters=counters,
     )
     save_checkpoint(model, config.checkpoint)
     return {
@@ -232,7 +234,7 @@ def cmd_pretrain(args, config: PipelineConfig) -> dict:
         "steps": len(losses),
         "accumulation_steps": plan.accumulation_steps,
         "effective_tokens": plan.effective_tokens,
-        "truncated_tokens": sum(max(0, len(s) - plan.seq_len) for s in reader),
+        **counters,
         "first_loss": losses[0] if losses else None,
         "final_loss": losses[-1] if losses else None,
         "seed": config.seed,
@@ -414,7 +416,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--max-positions", dest="max_len", type=int)
-    p.add_argument("--seq-len", type=int)
+    p.add_argument("--seq-len", type=int, help="tokens kept per sequence (default: max_len); a batch pads to its longest")
     p.add_argument("--micro-batch", type=int)
     p.add_argument("--target-tokens", type=int)
     p.add_argument("--steps", type=int)
@@ -435,7 +437,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-5, help="default 1e-5, not the config's [batch] lr")
     p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--seq-len", type=int)
+    p.add_argument("--seq-len", type=int, help="tokens kept per item (default: max_len); a batch pads to its longest")
     p.add_argument("--warmup-steps", type=int, default=0)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-checkpoint")

@@ -385,7 +385,3 @@ def read_annotations(path: str | Path) -> Iterator[tuple[int, AnnotationRecord]]
                 f"{path}:{lineno}: duplicate annotation for candidate {cid} by {annotator!r} (first at line {first})"
             )
         yield lineno, AnnotationRecord(candidate_id=cid, label=label, annotator=annotator)
-
-
-def import_annotations(path: str | Path) -> list[AnnotationRecord]:
-    return [record for _, record in read_annotations(path)]

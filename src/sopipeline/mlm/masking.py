@@ -22,7 +22,6 @@ class MaskedBatch:
     input_ids: np.ndarray  # [B, T] int64
     attn_mask: np.ndarray  # [B, T] 1 = real token, 0 = padding
     labels: np.ndarray  # [B, T] original ids at masked positions, else IGNORE_LABEL
-    mask_rate: float
 
 
 def mask_sequence(
@@ -78,11 +77,10 @@ def make_masked_batch(
     rate: float,
     *,
     vocab_size: int,
-    seq_len: Optional[int] = None,
     seed: int = 0,
     indices: Optional[Sequence[int]] = None,
 ) -> MaskedBatch:
-    """Mask + pad a batch of sequences to a rectangle.
+    """Mask a batch of sequences and pad it to its longest one.
 
     Each sequence's randomness is keyed by (seed, its stream index) --
     ``indices[i]``, or ``i`` without ``indices`` -- so the same stream of
@@ -93,12 +91,12 @@ def make_masked_batch(
         raise UsageError("empty batch")
     if indices is not None and len(indices) != len(sequences):
         raise UsageError("indices must align with sequences")
-    T = seq_len or max(len(s) for s in sequences)
+    T = max(len(s) for s in sequences)
     keys = range(len(sequences)) if indices is None else indices
     rows = [
-        mask_sequence(seq[:T], rate, np.random.default_rng([seed, key]), vocab_size=vocab_size)
+        mask_sequence(seq, rate, np.random.default_rng([seed, key]), vocab_size=vocab_size)
         for seq, key in zip(sequences, keys)
     ]
     input_ids, attn_mask = pad_rows([ids for ids, _ in rows], T, PAD_ID)
     labels, _ = pad_rows([lab for _, lab in rows], T, IGNORE_LABEL)
-    return MaskedBatch(input_ids=input_ids, attn_mask=attn_mask, labels=labels, mask_rate=rate)
+    return MaskedBatch(input_ids=input_ids, attn_mask=attn_mask, labels=labels)

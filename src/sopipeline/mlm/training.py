@@ -185,26 +185,31 @@ def train_mlm(
     warmup_steps: int = 0,
     remask_each_step: bool = True,
     loss_csv: Optional[str | Path] = None,
+    counters: Optional[dict] = None,
 ) -> list[float]:
     """Accumulated-micro-batch MLM training; returns per-step mean loss.
 
-    Sequences cycle in reader order, truncated/padded to the plan's length.
-    Masks are keyed by (seed, stream position), making runs reproducible
-    and invariant to how a step's sequences split into micro-batches. With
-    ``remask_each_step`` off, positions wrap at the dataset size so every
-    pass reuses the same masks (memorization runs).
+    Sequences are cut to the plan's length once, as read, and cycle in
+    reader order; each micro-batch is padded to its longest. Masks are keyed
+    by (seed, stream position), so runs are reproducible and invariant to how
+    a step splits into micro-batches. With ``remask_each_step`` off, positions
+    wrap at the dataset size, so every pass reuses the same masks
+    (memorization runs). ``counters`` gets ``truncated_tokens`` (cut) and
+    ``real_tokens`` (the non-pad positions trained).
     """
     model.config.check_vocab(getattr(reader, "vocab_checksum", None), "shard")
     if plan.seq_len > model.config.max_positions:
         raise UsageError(f"plan seq_len {plan.seq_len} exceeds model max_positions")
 
-    seqs = [s[: plan.seq_len] for s in reader if len(s)]
+    seqs = [s for s in reader if len(s)]
+    truncated = sum(max(0, len(s) - plan.seq_len) for s in seqs)
+    seqs = [s[: plan.seq_len] for s in seqs]
     if not seqs:
         raise UsageError("reader yielded no non-empty sequences")
 
     optimizer = MomentumSGD(lr, warmup_steps=warmup_steps)
     losses: list[float] = []
-    cursor = 0
+    cursor = real = 0
     for step in range(steps):
         grads = model.zero_grads()
         loss_sum_total = 0.0
@@ -216,11 +221,11 @@ def train_mlm(
                 [seqs[p] for p in picks],
                 mask_rate,
                 vocab_size=model.config.vocab_size,
-                seq_len=plan.seq_len,
                 seed=seed,
                 indices=keys,
             )
             cursor += plan.micro_batch_seqs
+            real += int(batch.attn_mask.sum())
             loss_sum, count = mlm_loss_sums(model, batch, grads=grads)
             loss_sum_total += loss_sum
             count_total += count
@@ -231,6 +236,8 @@ def train_mlm(
             grads[name] /= count_total
         optimizer.step(model.params, grads, step)
         losses.append(loss)
+    if counters is not None:
+        counters.update(truncated_tokens=truncated, real_tokens=real)
 
     if loss_csv is not None:
         with replacing(loss_csv, "w", newline="") as fh:

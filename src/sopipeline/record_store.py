@@ -194,9 +194,9 @@ class RecordStore:
             raise StoreError(f"{meta_path}: not a UTF-8 JSON store seal ({exc})") from None
         if type(self.meta) is not dict:
             raise StoreError(f"{meta_path}: expected a JSON object")
-        if self.meta.get("format_version") != FORMAT_VERSION:
-            raise StoreError(f"unsupported store version {self.meta.get('format_version')}")
-        if not self.meta.get("sealed"):
+        if type(self.meta.get("format_version")) is not int or self.meta["format_version"] != FORMAT_VERSION:
+            raise StoreError(f"{meta_path}: unsupported store version {self.meta.get('format_version')!r}")
+        if self.meta.get("sealed") is not True:
             raise StoreError(f"store at {self.path} was never sealed")
         self._conn = sqlite3.connect(f"file:{self.path / _DB_NAME}?mode=ro", uri=True)
 

@@ -164,7 +164,7 @@ def test_04_corpus_filter_oracle(tmp_path):
 
 def _tiny_batch(vocab_size=20, seed=11):
     seqs = [list(np.random.default_rng(seed + i).integers(6, vocab_size, size=6 - i % 2)) for i in range(3)]
-    return make_masked_batch(seqs, 0.3, vocab_size=vocab_size, seq_len=6, seed=5)
+    return make_masked_batch(seqs, 0.3, vocab_size=vocab_size, seed=5)
 
 
 def test_05_mlm_engine_numerics():

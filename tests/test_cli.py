@@ -410,9 +410,12 @@ class TestFlagsOverConfig:
         code, summary, _ = run_cli(capsys, *argv, "--max-positions", "32")
         assert code == 0 and summary["accumulation_steps"] == 2
         assert summary["truncated_tokens"] == 4 * (21 - 16)  # 21 byte tokens a sample
+        assert summary["real_tokens"] == summary["effective_tokens"] == 2 * 4 * 16
         code, summary, _ = run_cli(capsys, *argv, "--max-positions", "32", "--seq-len", "32")
         assert code == 0 and summary["accumulation_steps"] == 1
         assert summary["truncated_tokens"] == 0
+        # each micro-batch is 21 wide, not 32: the plan's capacity holds 128 - 84 pad positions
+        assert summary["real_tokens"] == 4 * 21 and summary["effective_tokens"] == 4 * 32
 
         train = tmp / "t.jsonl"
         train.write_text("".join(json.dumps({"text": "ab", "label": i % 2}) + "\n" for i in range(4)))

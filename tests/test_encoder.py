@@ -162,7 +162,7 @@ class TestForwardMlm:
         labels = np.array(
             [[IGNORE_LABEL, 11, IGNORE_LABEL, IGNORE_LABEL], [14, IGNORE_LABEL, IGNORE_LABEL, 17]]
         )
-        loss = mean_mlm_loss(model, MaskedBatch(ids, mask, labels, 0.15))
+        loss = mean_mlm_loss(model, MaskedBatch(ids, mask, labels))
         logits = model.logits_mlm(model.hidden_states(ids, mask)[0])
         labeled = labels != IGNORE_LABEL
         rows = logits[labeled]
@@ -177,14 +177,14 @@ class TestForwardMlm:
         ids = np.array([[10, 11]])
         labels = np.full_like(ids, IGNORE_LABEL)
         with pytest.raises(TrainingError):
-            mlm_loss_sums(model, MaskedBatch(ids, np.ones_like(ids), labels, 0.15))
+            mlm_loss_sums(model, MaskedBatch(ids, np.ones_like(ids), labels))
 
     def test_too_long_sequence_rejected(self):
         model = build_encoder(small_config(max_positions=4))
         ids = np.arange(10, 16).reshape(1, 6)
         labels = ids.copy()
         with pytest.raises(UsageError):
-            mlm_loss_sums(model, MaskedBatch(ids, np.ones_like(ids), labels, 0.15))
+            mlm_loss_sums(model, MaskedBatch(ids, np.ones_like(ids), labels))
 
     def test_micro_model_matches_scalar_oracle(self):
         """1 layer, d=2, V=8, T=2: compare against an independent
@@ -220,7 +220,7 @@ class TestForwardMlm:
 
         ids = np.array([[6, 7]])
         labels = np.array([[7, IGNORE_LABEL]])
-        batch = MaskedBatch(ids, np.ones_like(ids), labels, 0.5)
+        batch = MaskedBatch(ids, np.ones_like(ids), labels)
         loss = mean_mlm_loss(model, batch)
 
         oracle = _scalar_forward_loss(p, ids[0].tolist(), {0: 7})

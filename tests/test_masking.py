@@ -77,9 +77,9 @@ class TestMaskSequence:
 
 class TestMakeMaskedBatch:
     def test_padding_and_mask(self):
-        batch = make_masked_batch([[10, 11, 12], [13, 14]], 0.4, vocab_size=VOCAB, seq_len=4)
-        assert batch.input_ids.shape == (2, 4)
-        assert batch.attn_mask.tolist() == [[1, 1, 1, 0], [1, 1, 0, 0]]
+        batch = make_masked_batch([[10, 11, 12], [13, 14]], 0.4, vocab_size=VOCAB)
+        assert batch.input_ids.shape == (2, 3)  # the longest sequence's width
+        assert batch.attn_mask.tolist() == [[1, 1, 1], [1, 1, 0]]
         assert (batch.labels[batch.attn_mask == 0] == IGNORE_LABEL).all()
 
     def test_masks_keyed_by_stream_index(self):
@@ -89,10 +89,6 @@ class TestMakeMaskedBatch:
         second = make_masked_batch(seqs[4:], 0.3, vocab_size=VOCAB, seed=5, indices=range(4, 8))
         assert (whole.input_ids == np.vstack([first.input_ids, second.input_ids])).all()
         assert (whole.labels == np.vstack([first.labels, second.labels])).all()
-
-    def test_truncates_to_seq_len(self):
-        batch = make_masked_batch([list(range(10, 30))], 0.3, vocab_size=VOCAB, seq_len=8)
-        assert batch.input_ids.shape == (1, 8)
 
     def test_masked_fraction_over_thousand_sequences(self):
         seqs = [list(np.random.default_rng(i).integers(N_SPECIALS, VOCAB, size=100)) for i in range(1000)]

@@ -25,13 +25,13 @@ from sopipeline.mining import (
     cohen_kappa,
     export_candidates,
     extract_code,
-    import_annotations,
     import_candidates,
     levenshtein,
     mine_all,
     mine_edited_after_comment,
     mine_keyword_comments,
     mine_late_answers,
+    read_annotations,
     sample_for_annotation,
 )
 
@@ -370,7 +370,7 @@ class TestExportImport:
     def test_annotation_import(self, tmp_path):
         path = tmp_path / "ann.tsv"
         self._write_tsv(path, [(1, "Obsolete", "alice"), (2, "NotObsolete", "alice")])
-        records = import_annotations(path)
+        records = [r for _, r in read_annotations(path)]
         assert records == [
             AnnotationRecord(1, "Obsolete", "alice"),
             AnnotationRecord(2, "NotObsolete", "alice"),
@@ -379,7 +379,7 @@ class TestExportImport:
     def test_crlf_annotation_reads_as_lf(self, tmp_path):
         path = tmp_path / "ann.tsv"
         path.write_bytes(b"candidate_id\tlabel\tannotator\r\n1\tObsolete\talice\r\n\r\n2\tNotObsolete\tbob\r\n")
-        assert import_annotations(path) == [
+        assert [r for _, r in read_annotations(path)] == [
             AnnotationRecord(1, "Obsolete", "alice"),
             AnnotationRecord(2, "NotObsolete", "bob"),
         ]
@@ -388,27 +388,27 @@ class TestExportImport:
         path = tmp_path / "ann.tsv"
         self._write_tsv(path, [(1, "maybe", "alice")])
         with pytest.raises(UsageError):
-            import_annotations(path)
+            [r for _, r in read_annotations(path)]
 
     def test_duplicate_annotation_names_second_row(self, tmp_path):
         path = tmp_path / "ann.tsv"
         self._write_tsv(path, [(1, "Obsolete", "alice"), (1, "Obsolete", "bob"), (1, "NotObsolete", "alice")])
         with pytest.raises(UsageError) as err:
-            import_annotations(path)
+            [r for _, r in read_annotations(path)]
         assert str(err.value) == f"{path}:4: duplicate annotation for candidate 1 by 'alice' (first at line 2)"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "ann.tsv"
         self._write_tsv(path, [(1, "Obsolete", "a")], header="id\tlabel\twho")
         with pytest.raises(UsageError):
-            import_annotations(path)
+            [r for _, r in read_annotations(path)]
 
     def test_two_annotators_feed_kappa(self, tmp_path):
         pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
         self._write_tsv(pa, [(1, "Obsolete", "a"), (2, "NotObsolete", "a"), (3, "Obsolete", "a")])
         self._write_tsv(pb, [(1, "Obsolete", "b"), (2, "Obsolete", "b"), (3, "Obsolete", "b")])
-        a = {r.candidate_id: r.label for r in import_annotations(pa)}
-        b = {r.candidate_id: r.label for r in import_annotations(pb)}
+        a = {r.candidate_id: r.label for _, r in read_annotations(pa)}
+        b = {r.candidate_id: r.label for _, r in read_annotations(pb)}
         ids = sorted(a)
         kappa = cohen_kappa([a[i] for i in ids], [b[i] for i in ids])
         assert -1.0 <= kappa <= 1.0

@@ -7,6 +7,7 @@ import sqlite3
 import pytest
 
 from conftest import answer_row, comment_row, history_row, question_row, store_from_rows, ts
+from sopipeline.cli import main
 from sopipeline.errors import DuplicateIdError, StoreError
 from sopipeline.record_store import RecordStore, build_store
 
@@ -117,6 +118,18 @@ class TestBuildStore:
         meta_path.write_text(json.dumps({**meta, "sealed": False}))
         with pytest.raises(StoreError, match="never sealed"):
             RecordStore(small_store.path)
+
+    @pytest.mark.parametrize("edit", [{"format_version": True}, {"format_version": 1.0}, {"format_version": "1"},
+                                      {"sealed": "no"}, {"sealed": 1}],
+                             ids=["version-true", "version-float", "version-str", "sealed-str", "sealed-int"])
+    def test_seal_fields_read_by_exact_type(self, small_store, edit, tmp_path, capsys):
+        # true == 1 == 1.0 and "no" is truthy: a loose check opens these stores
+        meta_path = small_store.path / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **edit}))
+        with pytest.raises(StoreError):
+            RecordStore(small_store.path)
+        assert main(["mine", "--store-dir", str(small_store.path), "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("blob", [b'{"format_version": 1, "sea', b"[1, 2]\n", b'{"sealed": "\xff"}\n'],
                              ids=["torn", "not-an-object", "not-utf8"])

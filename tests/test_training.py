@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sopipeline import metrics, shards
-from sopipeline.bpe import MIN_VOCAB_SIZE, train_bpe
+from sopipeline.bpe import MIN_VOCAB_SIZE, PAD_ID, train_bpe
 from sopipeline.errors import ChecksumMismatchError, MetricError, TrainingError, UsageError
 from sopipeline.mlm import (
     IGNORE_LABEL,
@@ -22,6 +22,7 @@ from sopipeline.mlm import (
 )
 from sopipeline.mlm import training
 from sopipeline.mlm.encoder import RowGrad
+from sopipeline.mlm.masking import MaskedBatch, pad_rows
 from sopipeline.mlm.training import MomentumSGD, _cross_entropy_rows, classifier_loss_sums, mlm_loss_sums
 
 
@@ -150,7 +151,7 @@ def per_micro_batch_train_mlm(model, seqs, plan, steps, lr, seed, mask_rate=0.15
             keys = [cursor + i for i in range(plan.micro_batch_seqs)]
             batch = make_masked_batch(
                 [seqs[k % len(seqs)] for k in keys], mask_rate,
-                vocab_size=model.config.vocab_size, seq_len=plan.seq_len, seed=seed, indices=keys,
+                vocab_size=model.config.vocab_size, seed=seed, indices=keys,
             )
             cursor += plan.micro_batch_seqs
             grads = dense_zero_grads(model)
@@ -215,7 +216,7 @@ def tiny_model(**kw):
 
 def tiny_batch(vocab_size=20, n=3, T=6):
     seqs = [list(np.random.default_rng(11 + i).integers(6, vocab_size, size=T - i % 2)) for i in range(n)]
-    return make_masked_batch(seqs, 0.3, vocab_size=vocab_size, seq_len=T, seed=5)
+    return make_masked_batch(seqs, 0.3, vocab_size=vocab_size, seed=5)
 
 
 class TestMlmLoss:
@@ -226,7 +227,7 @@ class TestMlmLoss:
             model = tiny_model(n_layers=2, hidden=16, vocab_size=64, seed=seed, tied_head=tied, dtype="float64")
             rng = np.random.default_rng(seed)
             seqs = [list(rng.integers(6, 64, size=int(rng.integers(3, 9)))) for _ in range(5)]
-            batch = make_masked_batch(seqs, 0.3, vocab_size=64, seq_len=8, seed=seed)
+            batch = make_masked_batch(seqs, 0.3, vocab_size=64, seed=seed)
             grads = model.zero_grads()
             loss, count = mlm_loss_sums(model, batch, grads=grads)
             loss_ref, count_ref, grads_ref = dense_head_mlm_loss_sums(model, batch)
@@ -239,6 +240,24 @@ class TestMlmLoss:
                 # its entries are ~1e-19 rounding noise: floor the scale
                 scale = max(np.abs(ref).max(), 1e-8)
                 assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
+
+    def test_padding_to_seq_len_moves_no_loss_or_mask(self):
+        # padded keys get exactly zero attention, so the width a batch is
+        # padded to changes only how BLAS groups the gradient sums
+        rng = np.random.default_rng(3)
+        seqs = [list(rng.integers(6, 64, size=n)) for n in (9, 4, 13, 7)]
+        own = make_masked_batch(seqs, 0.3, vocab_size=64, seed=3)
+        assert own.input_ids.shape == (4, 13)
+        lengths = [len(s) for s in seqs]
+        ids, attn = pad_rows([row[:n] for row, n in zip(own.input_ids, lengths)], 64, PAD_ID)
+        labels, _ = pad_rows([row[:n] for row, n in zip(own.labels, lengths)], 64, IGNORE_LABEL)
+        wide = MaskedBatch(ids, attn, labels)
+        assert (wide.labels[:, :13] == own.labels).all() and (wide.labels[:, 13:] == IGNORE_LABEL).all()
+        for seed in range(3):
+            model = tiny_model(n_layers=2, hidden=16, vocab_size=64, max_positions=64, seed=seed)
+            grads, grads_wide = model.zero_grads(), model.zero_grads()
+            assert mlm_loss_sums(model, own, grads=grads) == mlm_loss_sums(model, wide, grads=grads_wide)
+            assert_within_float32_rounding(grads, grads_wide, model.params)
 
     def test_row_grad_sum_is_the_dense_sum(self):
         rng = np.random.default_rng(3)
@@ -313,7 +332,7 @@ class TestScoredRowRoute:
             model = tiny_model(**{"n_layers": 2, "hidden": 16, "vocab_size": 64, "seed": seed, **kw})
             rng = np.random.default_rng(seed)
             seqs = [list(rng.integers(6, 64, size=int(rng.integers(3, 9)))) for _ in range(5)]
-            batch = make_masked_batch(seqs, 0.3, vocab_size=64, seq_len=8, seed=seed)
+            batch = make_masked_batch(seqs, 0.3, vocab_size=64, seed=seed)
             grads, grads_ref = model.zero_grads(), model.zero_grads()
             loss, _ = mlm_loss_sums(model, batch, grads=grads)
             assert loss == full_route_mlm_loss_sums(model, batch, grads_ref)
@@ -447,6 +466,30 @@ class TestTrainMlm:
                 np.testing.assert_allclose(params[name], ref, rtol=1e-10, atol=1e-14, err_msg=name)
             else:
                 assert params[name].tobytes() == ref.tobytes(), name
+
+    def test_each_micro_batch_is_as_wide_as_its_longest_sequence(self, monkeypatch):
+        widths = []
+
+        def spy(model, batch, **kw):
+            widths.append(batch.input_ids.shape[1])
+            return mlm_loss_sums(model, batch, **kw)
+
+        monkeypatch.setattr(training, "mlm_loss_sums", spy)
+        lengths = [5, 80, 12, 7, 9, 30, 64, 3, 20, 11]
+        seqs = [list(np.random.default_rng(n).integers(6, 64, size=n)) for n in lengths]
+        plan = plan_batches(3 * 64 * 2, 3, 64)
+        assert plan.accumulation_steps == 2
+        train_mlm(tiny_model(vocab_size=64, max_positions=64), seqs, plan, steps=3, lr=0.01, seed=1)
+        cut = [min(n, 64) for n in lengths]
+        assert widths == [max(cut[(k + i) % len(cut)] for i in range(3)) for k in range(0, 18, 3)]
+        assert widths == [64, 30, 64, 64, 12, 64]
+
+    def test_truncates_to_seq_len(self):
+        counters = {}
+        seqs = [list(range(10, 30)), [], list(range(10, 15))]
+        model = tiny_model(vocab_size=64, max_positions=16)
+        train_mlm(model, seqs, plan_batches(16, 2, 8), steps=1, lr=0.0, seed=0, counters=counters)
+        assert counters == {"truncated_tokens": 20 - 8, "real_tokens": 8 + 5}
 
     def test_checksum_mismatch(self, tmp_path):
         vocab = train_bpe(["aa bb cc " * 4], MIN_VOCAB_SIZE + 2, sample_fraction=1.0)
@@ -645,7 +688,12 @@ class TestFinetune:
         (params, preds), (params_ref, preds_ref) = runs
         assert preds == preds_ref
         for name, ref in params_ref.items():
-            assert params[name].tobytes() == ref.tobytes(), name
+            # the two float32 routes group the weight-gradient sums differently.
+            # Each lies within 7e-6 of a tensor's largest entry from a float64
+            # run of this test (cls_head.b), so within twice that of the other.
+            # attn.bk and head.b stay about 0: floor their scale
+            scale = max(np.abs(ref).max(), 1e-3)
+            assert np.abs(params[name] - ref).max() <= 2e-5 * scale, name
 
     @pytest.mark.parametrize("kind", [HeadKind.SEQUENCE, HeadKind.TOKEN])
     def test_gathered_rows_match_dense_head(self, kind):

@@ -7,6 +7,7 @@ and emails, strips markup, and keeps ``<code>`` span contents byte-for-byte.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -233,13 +234,6 @@ def _bucket_labels(edges: Sequence[int]) -> list[str]:
     return labels
 
 
-def _bucket_index(value: int, edges: Sequence[int]) -> int:
-    for i, edge in enumerate(edges):
-        if value <= edge:
-            return i
-    return len(edges)
-
-
 def corpus_stats(
     samples: Iterable[PretrainSample],
     tokenizer=None,
@@ -272,7 +266,7 @@ def corpus_stats(
             total_tokens += length
         else:
             length = len(sample.text)
-        histogram[labels[_bucket_index(length, edges)]] += 1
+        histogram[labels[bisect.bisect_left(edges, length)]] += 1
 
     if n_samples == 0:
         return CorpusStats(0, 0, 0.0, 0.0, histogram, 0 if tokenizer else None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterator, NamedTuple, Optional
 from xml.parsers import expat
 
 from .errors import DumpParseError, RowError
@@ -30,8 +30,9 @@ HISTORY_EDIT_BODY = 5
 
 
 # Record dates hold parse_timestamp's canonical string: string order is time order.
-@dataclass
-class PostRecord:
+# Each record is a row of its record_store table, whose columns are the fields
+# in order: reordering fields changes the store format.
+class PostRecord(NamedTuple):
     id: int
     post_type_id: int
     body: str
@@ -40,12 +41,11 @@ class PostRecord:
     accepted_answer_id: Optional[int] = None
     score: int = 0
     title: Optional[str] = None
-    tags: Optional[list[str]] = None
+    tags: Optional[str] = None  # the dump's Tags as given: <a><b> or |a|b|
     last_edit_date: Optional[str] = None
 
 
-@dataclass
-class CommentRecord:
+class CommentRecord(NamedTuple):
     id: int
     post_id: int
     text: str
@@ -53,8 +53,7 @@ class CommentRecord:
     score: int = 0
 
 
-@dataclass
-class PostHistoryRecord:
+class PostHistoryRecord(NamedTuple):
     id: int
     post_id: int
     history_type_id: int
@@ -121,9 +120,6 @@ def stream_rows(source: BinaryIO, table: str | None = None) -> Iterator[dict]:
             break
 
 
-_TAG_RE = re.compile(r"<([^<>]+)>")
-
-
 # The dump's and the store's form, millisecond fraction and no offset.
 _CANONICAL_TS = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}", re.ASCII)
 
@@ -165,14 +161,6 @@ def _parse_int(value: str, key: str, row_id=None) -> int:
         raise RowError(f"attribute {key!r} is not an integer: {value!r}", row_id=row_id) from exc
 
 
-def parse_tags(raw: str) -> list[str]:
-    """Split a dump tag string. Old dumps use ``<a><b>``, newer ``|a|b|``."""
-    tags = _TAG_RE.findall(raw)
-    if not tags and raw:
-        tags = [t for t in raw.split("|") if t]
-    return tags
-
-
 def parse_post(attrs: dict) -> PostRecord:
     """Build a PostRecord from a Posts row, raising RowError on bad rows."""
     row_id = attrs.get("Id")
@@ -200,7 +188,7 @@ def parse_post(attrs: dict) -> PostRecord:
         ),
         score=_parse_int(attrs["Score"], "Score", post_id) if "Score" in attrs else 0,
         title=attrs.get("Title"),
-        tags=parse_tags(attrs["Tags"]) if "Tags" in attrs else None,
+        tags=attrs.get("Tags"),
         last_edit_date=(
             parse_timestamp(attrs["LastEditDate"], row_id=post_id) if "LastEditDate" in attrs else None
         ),

@@ -245,13 +245,12 @@ def mine_late_answers(
     *,
     late_years: float = DEFAULT_LATE_YEARS,
     min_score: int = DEFAULT_LATE_MIN_SCORE,
-    phrases: Sequence[str] = REFERENCE_PHRASES,
 ) -> Iterator[ObsoleteCandidate]:
     """Late answers (>= 1.5 years after the question, boundary inclusive)
     that reference another answer by phrase, with more than one upvote
     (see :func:`_late_check`)."""
     delay = timedelta(days=late_years * _DAYS_PER_YEAR)
-    lowered = [p.lower() for p in phrases]
+    lowered = [p.lower() for p in REFERENCE_PHRASES]
     return _passing(store.iter_threads(min_score), lambda t: _late_check(t, delay, lowered), exclusions)
 
 

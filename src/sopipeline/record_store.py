@@ -14,7 +14,7 @@ import json
 import sqlite3
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -22,30 +22,33 @@ from .atomic import replacing
 from .dump_ingest import CommentRecord, PostHistoryRecord, PostRecord
 from .errors import DuplicateIdError, StoreError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _DB_NAME = "records.db"
 _META_NAME = "meta.json"
 _REPORT_NAME = "load_report.txt"
+_TABLES = ("posts", "comments", "post_history")
 
+# Each table's columns are its record's fields, in the same order, so a
+# record is inserted as it is and a row read back is a record.
 _SCHEMA = """
 CREATE TABLE posts (
     id INTEGER PRIMARY KEY,
     post_type_id INTEGER NOT NULL,
+    body TEXT NOT NULL,
+    creation_date TEXT NOT NULL,
     parent_id INTEGER,
     accepted_answer_id INTEGER,
     score INTEGER NOT NULL,
     title TEXT,
-    body TEXT NOT NULL,
     tags TEXT,
-    creation_date TEXT NOT NULL,
     last_edit_date TEXT
 );
 CREATE TABLE comments (
     id INTEGER PRIMARY KEY,
     post_id INTEGER NOT NULL,
     text TEXT NOT NULL,
-    score INTEGER NOT NULL,
-    creation_date TEXT NOT NULL
+    creation_date TEXT NOT NULL,
+    score INTEGER NOT NULL
 );
 CREATE TABLE post_history (
     id INTEGER PRIMARY KEY,
@@ -89,59 +92,6 @@ class LoadReport:
         return "\n".join(lines) + "\n"
 
 
-def _post_to_row(p: PostRecord) -> tuple:
-    return (
-        p.id,
-        p.post_type_id,
-        p.parent_id,
-        p.accepted_answer_id,
-        p.score,
-        p.title,
-        p.body,
-        json.dumps(p.tags) if p.tags is not None else None,
-        p.creation_date,
-        p.last_edit_date,
-    )
-
-
-# Converters index columns by position, in the schema order above.
-
-
-def _row_to_post(row) -> PostRecord:
-    return PostRecord(
-        id=row[0],
-        post_type_id=row[1],
-        parent_id=row[2],
-        accepted_answer_id=row[3],
-        score=row[4],
-        title=row[5],
-        body=row[6],
-        tags=json.loads(row[7]) if row[7] is not None else None,
-        creation_date=row[8],
-        last_edit_date=row[9],
-    )
-
-
-def _row_to_comment(row) -> CommentRecord:
-    return CommentRecord(
-        id=row[0],
-        post_id=row[1],
-        text=row[2],
-        score=row[3],
-        creation_date=row[4],
-    )
-
-
-def _row_to_history(row) -> PostHistoryRecord:
-    return PostHistoryRecord(
-        id=row[0],
-        post_id=row[1],
-        history_type_id=row[2],
-        text=row[3],
-        creation_date=row[4],
-    )
-
-
 class Question(NamedTuple):
     """The parent post's fields an answer's checks read."""
 
@@ -163,20 +113,19 @@ class AnswerThread(NamedTuple):
 
 
 class _ByPost:
-    """Rows of one scan ordered by post_id (column 1), handed out per post
-    for ascending post ids; rows of posts never asked for are skipped."""
+    """Records of one scan ordered by post_id, handed out per post for
+    ascending post ids; records of posts never asked for are skipped."""
 
-    def __init__(self, cursor: sqlite3.Cursor, convert):
-        self._groups = groupby(cursor, key=itemgetter(1))
-        self._convert = convert
-        self._post_id, self._rows = next(self._groups, (None, ()))
+    def __init__(self, records: Iterator):
+        self._groups = groupby(records, key=attrgetter("post_id"))
+        self._post_id, self._records = next(self._groups, (None, ()))
 
     def take(self, post_id: int) -> list:
         while self._post_id is not None and self._post_id < post_id:
-            self._post_id, self._rows = next(self._groups, (None, ()))
+            self._post_id, self._records = next(self._groups, (None, ()))
         if self._post_id != post_id:
             return []
-        return [self._convert(r) for r in self._rows]
+        return list(self._records)
 
 
 class RecordStore:
@@ -199,6 +148,13 @@ class RecordStore:
         if self.meta.get("sealed") is not True:
             raise StoreError(f"store at {self.path} was never sealed")
         self._conn = sqlite3.connect(f"file:{self.path / _DB_NAME}?mode=ro", uri=True)
+        counts = self.meta.get("counts")
+        for table in _TABLES:
+            claimed = counts.get(table) if type(counts) is dict else None
+            held = self.count(table)
+            if type(claimed) is not int or claimed != held:
+                self.close()
+                raise StoreError(f"{meta_path}: the seal counts {claimed!r} {table} rows, the database holds {held}")
 
     def close(self) -> None:
         self._conn.close()
@@ -212,7 +168,7 @@ class RecordStore:
     # -- counts ---------------------------------------------------------
 
     def count(self, table: str) -> int:
-        if table not in ("posts", "comments", "post_history"):
+        if table not in _TABLES:
             raise StoreError(f"unknown table {table!r}")
         return self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
 
@@ -220,11 +176,10 @@ class RecordStore:
 
     def get_post(self, post_id: int) -> Optional[PostRecord]:
         row = self._conn.execute("SELECT * FROM posts WHERE id = ?", (post_id,)).fetchone()
-        return _row_to_post(row) if row else None
+        return PostRecord._make(row) if row else None
 
     def iter_posts(self) -> Iterator[PostRecord]:
-        for row in self._conn.execute("SELECT * FROM posts ORDER BY id"):
-            yield _row_to_post(row)
+        yield from map(PostRecord._make, self._conn.execute("SELECT * FROM posts ORDER BY id"))
 
     def iter_answers(self, min_score: Optional[int] = None) -> Iterator[PostRecord]:
         sql = "SELECT * FROM posts WHERE post_type_id = 2"
@@ -232,8 +187,7 @@ class RecordStore:
         if min_score is not None:
             sql += " AND score >= ?"
             args = (min_score,)
-        for row in self._conn.execute(sql + " ORDER BY id", args):
-            yield _row_to_post(row)
+        yield from map(PostRecord._make, self._conn.execute(sql + " ORDER BY id", args))
 
     # -- secondary indices ------------------------------------------------
 
@@ -247,7 +201,7 @@ class RecordStore:
         rows = self._conn.execute(
             "SELECT * FROM comments WHERE post_id = ? ORDER BY creation_date, id", (post_id,)
         ).fetchall()
-        return [_row_to_comment(r) for r in rows]
+        return list(map(CommentRecord._make, rows))
 
     def comment_count_for(self, post_id: int) -> int:
         return self._conn.execute(
@@ -258,7 +212,7 @@ class RecordStore:
         rows = self._conn.execute(
             "SELECT * FROM post_history WHERE post_id = ? ORDER BY creation_date, id", (post_id,)
         ).fetchall()
-        return [_row_to_history(r) for r in rows]
+        return list(map(PostHistoryRecord._make, rows))
 
     # -- merged scans ------------------------------------------------------
 
@@ -273,7 +227,7 @@ class RecordStore:
         place of point reads per answer.
         """
         sql = (
-            "SELECT a.*, q.post_type_id, q.title, q.body, q.creation_date"
+            f"SELECT a.*, {', '.join('q.' + f for f in Question._fields)}"
             " FROM posts a LEFT JOIN posts q ON q.id = a.parent_id WHERE a.post_type_id = 2"
         )
         args: tuple = ()
@@ -285,15 +239,16 @@ class RecordStore:
         comment_rows = revision_rows = None
         if comments:
             rows = self._conn.execute("SELECT * FROM comments" + order)
-            comment_rows = _ByPost(rows, _row_to_comment)
+            comment_rows = _ByPost(map(CommentRecord._make, rows))
         if history:
             rows = self._conn.execute("SELECT * FROM post_history WHERE history_type_id IN (2, 5)" + order)
-            revision_rows = _ByPost(rows, _row_to_history)
+            revision_rows = _ByPost(map(PostHistoryRecord._make, rows))
+        split = len(PostRecord._fields)
         for row in answers:
-            answer = _row_to_post(row)
+            answer = PostRecord._make(row[:split])
             question = None
-            if row[10] is not None:
-                question = Question(*row[10:])
+            if row[split] is not None:
+                question = Question._make(row[split:])
             yield AnswerThread(
                 answer,
                 question,
@@ -302,26 +257,23 @@ class RecordStore:
             )
 
 
-def _insert_all(
-    conn: sqlite3.Connection,
-    table: str,
-    sql: str,
-    rows: Iterable[tuple],
-) -> int:
+def _insert_all(conn: sqlite3.Connection, table: str, record_type: type, records: Iterable) -> int:
     """Insert inside the build's one transaction, naming the id on duplicates."""
-    last: tuple = ()
+    last = None
 
     def pulled() -> Iterator[tuple]:
         nonlocal last
-        for last in rows:
-            yield last
+        for last in records:
+            # sqlite3 binds exact tuples on its fast path, not tuple subclasses
+            yield tuple(last)
 
+    sql = f"INSERT INTO {table} VALUES ({','.join('?' * len(record_type._fields))})"
     try:
         return conn.executemany(sql, pulled()).rowcount
     except sqlite3.IntegrityError as exc:
         # executemany stops at the failing row, the last one it pulled
         if "UNIQUE" in str(exc):
-            raise DuplicateIdError(table, last[0]) from exc
+            raise DuplicateIdError(table, last.id) from exc
         raise StoreError(f"integrity error in {table}: {exc}") from exc
 
 
@@ -356,24 +308,9 @@ def build_store(
     try:
         conn.executescript(_SCHEMA)
         report = LoadReport()
-        report.n_posts = _insert_all(
-            conn,
-            "posts",
-            "INSERT INTO posts VALUES (?,?,?,?,?,?,?,?,?,?)",
-            (_post_to_row(p) for p in post_iter),
-        )
-        report.n_comments = _insert_all(
-            conn,
-            "comments",
-            "INSERT INTO comments VALUES (?,?,?,?,?)",
-            ((c.id, c.post_id, c.text, c.score, c.creation_date) for c in comment_iter),
-        )
-        report.n_history = _insert_all(
-            conn,
-            "post_history",
-            "INSERT INTO post_history VALUES (?,?,?,?,?)",
-            ((h.id, h.post_id, h.history_type_id, h.text, h.creation_date) for h in history_iter),
-        )
+        report.n_posts = _insert_all(conn, "posts", PostRecord, post_iter)
+        report.n_comments = _insert_all(conn, "comments", CommentRecord, comment_iter)
+        report.n_history = _insert_all(conn, "post_history", PostHistoryRecord, history_iter)
 
         report.dangling_comment_ids = [
             r[0]

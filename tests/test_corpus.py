@@ -309,6 +309,11 @@ class TestCorpusStats:
         stats = corpus_stats(self._samples([1], lengths=[600]))
         assert stats.length_histogram == {"0-512": 0, "513-1024": 1, "1025-2048": 0, ">2048": 0}
 
+    def test_each_edge_closes_its_bucket(self):
+        # "lo+1-hi" holds hi itself; hi + 1 opens the next bucket
+        stats = corpus_stats(self._samples([1] * 8, lengths=[0, 512, 513, 1024, 1025, 2048, 2049, 4096]))
+        assert stats.length_histogram == {"0-512": 2, "513-1024": 2, "1025-2048": 2, ">2048": 2}
+
     def test_histogram_partitions(self):
         rng = np.random.default_rng(5)
         lengths = [int(x) for x in rng.integers(1, 5000, size=300)]

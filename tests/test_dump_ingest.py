@@ -18,7 +18,6 @@ from sopipeline.dump_ingest import (
     parse_comment,
     parse_history,
     parse_post,
-    parse_tags,
     parse_timestamp,
     stream_rows,
 )
@@ -132,7 +131,7 @@ class TestParsePost:
             }
         )
         assert rec.post_type_id == POST_QUESTION
-        assert rec.tags == ["python", "pandas"]
+        assert rec.tags == "<python><pandas>"
         assert rec.parent_id is None
 
     def test_missing_body_is_row_error(self):
@@ -168,17 +167,6 @@ class TestParsePost:
             }
         )
         assert rec.creation_date <= rec.last_edit_date
-
-
-class TestParseTags:
-    def test_angle_bracket_format(self):
-        assert parse_tags("<a><b-c><d.e>") == ["a", "b-c", "d.e"]
-
-    def test_pipe_format(self):
-        assert parse_tags("|python|pandas|") == ["python", "pandas"]
-
-    def test_empty(self):
-        assert parse_tags("") == []
 
 
 class TestParseCommentAndHistory:

@@ -1,15 +1,25 @@
 """Record store: build, indices, referential bookkeeping."""
 
+import io
 import json
 import re
 import sqlite3
 
 import pytest
 
-from conftest import answer_row, comment_row, history_row, question_row, store_from_rows, ts
+from conftest import answer_row, comment_row, history_row, question_row, rows_xml, store_from_rows, ts
 from sopipeline.cli import main
+from sopipeline.dump_ingest import (
+    CommentRecord,
+    PostHistoryRecord,
+    PostRecord,
+    parse_comment,
+    parse_history,
+    parse_post,
+    stream_rows,
+)
 from sopipeline.errors import DuplicateIdError, StoreError
-from sopipeline.record_store import RecordStore, build_store
+from sopipeline.record_store import FORMAT_VERSION, RecordStore, build_store
 
 
 @pytest.fixture
@@ -119,14 +129,35 @@ class TestBuildStore:
         with pytest.raises(StoreError, match="never sealed"):
             RecordStore(small_store.path)
 
-    @pytest.mark.parametrize("edit", [{"format_version": True}, {"format_version": 1.0}, {"format_version": "1"},
+    @pytest.mark.parametrize("edit", [{"format_version": 1}, {"format_version": True},
+                                      {"format_version": float(FORMAT_VERSION)}, {"format_version": str(FORMAT_VERSION)},
                                       {"sealed": "no"}, {"sealed": 1}],
-                             ids=["version-true", "version-float", "version-str", "sealed-str", "sealed-int"])
+                             ids=["version-1", "version-true", "version-float", "version-str", "sealed-str",
+                                  "sealed-int"])
     def test_seal_fields_read_by_exact_type(self, small_store, edit, tmp_path, capsys):
-        # true == 1 == 1.0 and "no" is truthy: a loose check opens these stores
+        # 2.0 == 2 and "no" is truthy: a loose check opens these stores
         meta_path = small_store.path / "meta.json"
         meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **edit}))
         with pytest.raises(StoreError):
+            RecordStore(small_store.path)
+        assert main(["mine", "--store-dir", str(small_store.path), "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("counts", [{"posts": 99}, {"comments": 3}, {"post_history": 2.0}, None],
+                             ids=["posts-99", "comments-3", "history-float", "missing"])
+    def test_seal_counts_checked(self, small_store, counts, tmp_path, capsys):
+        # the store holds 5 posts, 4 comments and 2 history rows
+        meta_path = small_store.path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        if counts is None:
+            del meta["counts"]
+            table, claimed = "posts", None
+        else:
+            meta["counts"].update(counts)
+            ((table, claimed),) = counts.items()
+        meta_path.write_text(json.dumps(meta))
+        held = {"posts": 5, "comments": 4, "post_history": 2}[table]
+        with pytest.raises(StoreError, match=f"counts {claimed!r} {table} rows, the database holds {held}$"):
             RecordStore(small_store.path)
         assert main(["mine", "--store-dir", str(small_store.path), "--out", str(tmp_path / "c.jsonl")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -150,3 +181,39 @@ class TestBuildStore:
 
     def test_iter_answers_score_floor(self, small_store):
         assert [a.id for a in small_store.iter_answers(min_score=1)] == [10, 12]
+
+
+def _parsed(rows, parse):
+    return [parse(attrs) for attrs in stream_rows(io.BytesIO(rows_xml(rows)))]
+
+
+class TestOneLayout:
+    """Each table's columns are its record's fields, so a record goes in and
+    comes back out as it is."""
+
+    @pytest.mark.parametrize("table, record", [("posts", PostRecord), ("comments", CommentRecord),
+                                               ("post_history", PostHistoryRecord)])
+    def test_columns_are_the_record_fields(self, small_store, table, record):
+        columns = tuple(row[1] for row in small_store._conn.execute(f"PRAGMA table_info({table})"))
+        assert columns == record._fields
+
+    def test_parse_store_read_round_trip(self, tmp_path):
+        wide = "\U0001F40D snake \U0001D54A"  # outside the Basic Multilingual Plane
+        posts = _parsed([
+            # only required attributes: every optional field is None (score 0)
+            {"Id": 1, "PostTypeId": 1, "Body": "", "CreationDate": ts(0)},
+            question_row(2, body=f"<p>{wide}</p>", title=wide, tags="|c++|\U0001F40D|", accepted=3),
+            {**answer_row(3, 2, body=wide, score=-2, last_edit=ts(4)), "Tags": "<python><pandas>"},
+        ], parse_post)
+        comments = _parsed([{"Id": 10, "PostId": 3, "Text": "", "CreationDate": ts(2)},
+                            comment_row(11, 3, wide, score=7, created=ts(3))], parse_comment)
+        history = _parsed([{"Id": 20, "PostId": 3, "PostHistoryTypeId": 10, "CreationDate": ts(1)},
+                           history_row(21, 3, 5, wide, created=ts(4))], parse_history)
+        assert posts[0] == PostRecord(1, 1, "", posts[0].creation_date)
+        assert (posts[1].tags, posts[2].tags) == ("|c++|\U0001F40D|", "<python><pandas>")
+        with build_store(posts, comments, history, tmp_path / "s") as store:
+            assert [store.get_post(p.id) for p in posts] == posts
+            assert store.comments_for(3) == comments
+            assert store.history_for(3) == history
+            assert [type(r) for r in (store.get_post(1), *store.comments_for(3), *store.history_for(3))] == [
+                PostRecord, CommentRecord, CommentRecord, PostHistoryRecord, PostHistoryRecord]

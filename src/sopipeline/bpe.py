@@ -60,19 +60,22 @@ _BATCH_BYTES = 512 * 1024
 
 @dataclass
 class BpeVocab:
-    """Learned merges plus the derived id <-> byte-sequence tables."""
+    """Learned merges plus the derived id <-> byte-sequence tables. Each
+    merge joins two earlier tokens into new bytes; merge r's id is 262 + r."""
 
     merges: list[tuple[bytes, bytes]]
     isolate_digits: bool = False
-    token_bytes: list[bytes] = field(init=False, repr=False)
-    _bytes_to_id: dict[bytes, int] = field(init=False, repr=False)
+    token_bytes: list[bytes] = field(init=False, repr=False, compare=False)
+    _bytes_to_id: dict[bytes, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.token_bytes = [lit.encode() for _, lit in SPECIAL_TOKENS]
         self.token_bytes += [bytes([b]) for b in range(256)]
         self._bytes_to_id = {bytes([b]): BYTE_BASE + b for b in range(256)}
-        for left, right in self.merges:
+        for r, (left, right) in enumerate(self.merges):
             tok = left + right
+            if left not in self._bytes_to_id or right not in self._bytes_to_id or tok in self._bytes_to_id:
+                raise VocabError(f"merge {r} ({left!r}, {right!r}) does not join two earlier tokens into a new one")
             self._bytes_to_id[tok] = len(self.token_bytes)
             self.token_bytes.append(tok)
 
@@ -126,11 +129,8 @@ class BpeVocab:
         priority). A sweep takes every pending position of the lowest rank
         ``r`` = (A, B) -> M at once, keeps those still holding (A, B) and,
         when A == B, every other match of an overlapping run from its left,
-        and merges them all. M's new neighbour pairs never rank ``r``; when
-        one ranks below it (a vocab whose merges re-create an earlier token's
-        bytes, or repeat a pair), the heap would take that pair next, so the
-        sweep stops after the first merge creating one and re-queues every
-        validated position to its right.
+        and merges them all. M's new neighbour pairs all rank above ``r``:
+        a merge's sides are earlier tokens.
 
         Ranks are looked up, never searched (see :attr:`_pair_table`): the
         initial pairs, all of byte ids, in a dense table, and the pairs a
@@ -178,8 +178,8 @@ class BpeVocab:
             parts = pending.pop(r)
             # one filing holds a position at most once per rank
             pos = np.sort(parts[0]) if len(parts) == 1 else np.unique(np.concatenate(parts))
-            a, b, m = pair_ids[r]
-            pos, p, q = _matches(ids, nxt, pos, a, b)
+            (a, b), m = pair_ids[r], MIN_VOCAB_SIZE + r
+            p, q = _matches(ids, nxt, pos, a, b)
             if not len(p):
                 continue
             left, right = prv[p], nxt[q]
@@ -191,17 +191,7 @@ class BpeVocab:
                 left_ids[1:][after] = m
                 left_pos = left.copy()
                 left_pos[1:][after] = p[:-1][after]
-            n_kept = len(p)
             new_ranks = np.concatenate((ranks_beside(lefts, m, left_ids), ranks_beside(rights, m, ids[right])))
-            inverted = new_ranks < r
-            if inverted.any():
-                c = int((inverted[:n_kept] | inverted[n_kept:]).argmax()) + 1
-                rest = pos[pos > p[c - 1]]
-                if len(rest):
-                    pending[r] = [rest]
-                    heapq.heappush(heap, r)
-                p, q, left_pos, right = p[:c], q[:c], left_pos[:c], right[:c]
-                new_ranks = np.concatenate((new_ranks[:c], new_ranks[n_kept : n_kept + c]))
             ids[p] = m
             ids[q] = -1
             nxt[p] = right
@@ -246,7 +236,7 @@ class BpeVocab:
     @cached_property
     def _pair_table(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...], list]:
         """The rank of each mergeable id pair (a, b), looked up three ways,
-        and ``(a, b, merged)`` ids per rank.
+        and ``(a, b)`` per rank.
 
         - ``byte_ranks[a, b]``, dense over the ids below ``MIN_VOCAB_SIZE``
           (specials and bytes), whose last row and column (index -1) read
@@ -259,21 +249,12 @@ class BpeVocab:
         are of the smallest unsigned dtype holding them: 16 bits up to
         65,535 merges, where a stable argsort is a radix sort.
 
-        Ids are canonical: a token is its bytes, and bytes made by several
-        merges take the last one's id, as encoding outputs. A repeated pair
-        keeps its last rank. A merge with a side that no token spells is
-        never looked up. Built on the first encode, not on load.
+        Built on the first encode, not on load.
         """
-        rank_by_pair: dict[tuple[int, int], int] = {}
-        pair_ids = []
-        for r, (left, right) in enumerate(self.merges):
-            a, b = self._bytes_to_id.get(left, -1), self._bytes_to_id.get(right, -1)
-            pair_ids.append((a, b, self._bytes_to_id[left + right]))
-            if a >= 0 and b >= 0:
-                rank_by_pair[a, b] = r
+        pair_ids = [(self._bytes_to_id[left], self._bytes_to_id[right]) for left, right in self.merges]
         dtype = np.min_scalar_type(len(self.merges))
-        a, b = np.array(list(rank_by_pair), dtype=np.intp).reshape(-1, 2).T
-        ranks = np.fromiter(rank_by_pair.values(), dtype=dtype, count=len(rank_by_pair))
+        a, b = np.array(pair_ids, dtype=np.intp).reshape(-1, 2).T
+        ranks = np.arange(len(self.merges), dtype=dtype)
 
         byte_ranks = np.full((MIN_VOCAB_SIZE + 1, MIN_VOCAB_SIZE + 1), len(self.merges), dtype=dtype)
         small = (a < MIN_VOCAB_SIZE) & (b < MIN_VOCAB_SIZE)
@@ -292,11 +273,6 @@ class BpeVocab:
         with replacing(path) as fh:
             fh.write(body)
             fh.write(hashlib.sha256(body).digest()[:8])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BpeVocab) and (
-            self.merges == other.merges and self.isolate_digits == other.isolate_digits
-        )
 
 
 def load_vocab(path: str | Path) -> BpeVocab:
@@ -349,7 +325,10 @@ def load_vocab(path: str | Path) -> BpeVocab:
         raise VocabError(f"{path}: malformed vocab file") from exc
     if pos != len(body):
         raise VocabError(f"{path}: trailing bytes in vocab file")
-    vocab = BpeVocab(merges=merges, isolate_digits=bool(isolate_digits))
+    try:
+        vocab = BpeVocab(merges=merges, isolate_digits=bool(isolate_digits))
+    except VocabError as exc:
+        raise VocabError(f"{path}: {exc}") from None
     # every field above is checked, so the body is the one _serialize_body
     # would write, and the verified trailer is its checksum
     vocab.__dict__["checksum"] = trailer
@@ -406,16 +385,15 @@ def _links(datas: list[bytes], isolate_digits: bool) -> tuple[np.ndarray, np.nda
     return ids, prv, nxt, starts
 
 
-def _matches(ids: np.ndarray, nxt: np.ndarray, pos: np.ndarray, a: int, b: int) -> tuple[np.ndarray, ...]:
-    """Of the sorted positions ``pos``, those still holding the pair (a, b),
-    and the matches ``(p, q)`` a left-to-right pass merges among them: all
-    of them, or when a == b every other one of an overlapping run, from its
-    left. ``q`` is the right partner of each ``p``.
+def _matches(ids: np.ndarray, nxt: np.ndarray, pos: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matches ``(p, q)`` a left-to-right pass merges among the sorted
+    positions ``pos`` still holding the pair (a, b): all of them, or when
+    a == b every other one of an overlapping run, from its left. ``q`` is
+    the right partner of each ``p``.
     """
     q = nxt[pos]
     valid = (ids[pos] == a) & (ids[q] == b)
-    pos, q = pos[valid], q[valid]
-    p = pos
+    p, q = pos[valid], q[valid]
     if a == b:
         chained = q[:-1] == p[1:]
         if chained.any():
@@ -424,7 +402,7 @@ def _matches(ids: np.ndarray, nxt: np.ndarray, pos: np.ndarray, a: int, b: int) 
             np.maximum.accumulate(run_start, out=run_start)
             take = (at - run_start) % 2 == 0
             p, q = p[take], q[take]
-    return pos, p, q
+    return p, q
 
 
 # -- training ----------------------------------------------------------------
@@ -455,6 +433,17 @@ def train_bpe(
     The heap of (count, bytes) takes an entry only when a count rises. A
     pair whose count fell still has an entry at or above its count, so the
     first entry popped at its pair's current count is the true maximum.
+
+    Each merge makes a new token, id ``len(tok)``, as :class:`BpeVocab`
+    requires. Locality: a stretch whose ends are token boundaries at step τ
+    had them at every earlier step (boundaries only vanish), so no merge
+    paired across them, the overlap rule's parity restarted at its left
+    end, and digit and special cuts depend on its bytes: it is cut at τ as
+    its bytes alone would be. So if merge t re-spelled (or repeated) the
+    bytes S of token Z, first made at step s < t from a stretch reading
+    [P, Q] at s - 1, the stretch reading [X, Y] at t - 1 has bytes S, so it
+    read [P, Q] at s - 1 too, and step s merged it into Z, removing its
+    X|Y boundary: a contradiction.
     """
     if not 0 < sample_fraction <= 1:
         raise VocabError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
@@ -498,7 +487,6 @@ def train_bpe(
     del pos
 
     tok = [lit.encode() for lit in _SPECIAL_LITERALS] + [bytes([b]) for b in range(256)]
-    tok_id = {t: i for i, t in enumerate(tok)}
     heap = [(-k, tok[code // w], tok[code % w], code) for code, k in counts.items()]
     heapq.heapify(heap)
     merges: list[tuple[bytes, bytes]] = []
@@ -511,18 +499,13 @@ def train_bpe(
             continue  # else a later entry holds the count, or the pair is gone
         if k < 2:
             break
-        merged = left + right
         merges.append((left, right))
-        # A token is its bytes: a merge that spells an existing token's
-        # bytes yields that token, so their pairs are counted together.
-        m = tok_id.get(merged)
-        if m is None:
-            m = tok_id[merged] = len(tok)
-            tok.append(merged)
+        m = len(tok)
+        tok.append(left + right)
 
         a, b = divmod(code, w)
         # a position is filed under a code at most once: its pair only grows
-        _, p, q = _matches(ids, nxt, np.sort(np.concatenate(filed.pop(code))), a, b)
+        p, q = _matches(ids, nxt, np.sort(np.concatenate(filed.pop(code))), a, b)
         before, after = prv[p], nxt[q]
         nxt[p] = after
         prv[after] = p  # a -1 link writes the unused last slot

@@ -48,8 +48,8 @@ class EncoderConfig:
     vocab_checksum: Optional[bytes] = None
 
     def __post_init__(self):
-        if self.hidden % self.n_heads != 0:
-            raise UsageError(f"hidden ({self.hidden}) must be divisible by n_heads ({self.n_heads})")
+        if self.n_heads < 1 or self.hidden % self.n_heads != 0:
+            raise UsageError(f"n_heads ({self.n_heads}) must be at least 1 and divide hidden ({self.hidden})")
         if self.max_positions < 1:
             raise UsageError("max_positions must be at least 1")
         if self.vocab_size <= N_SPECIALS:
@@ -495,21 +495,21 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     (cfg_len,) = struct.unpack_from("<I", blob, 6)
     if 10 + cfg_len > len(blob):
         raise ChecksumMismatchError(f"{path}: truncated checkpoint")
-    cfg_raw = json.loads(blob[10 : 10 + cfg_len])
-    checksum = cfg_raw.pop("vocab_checksum", None)
-    config = EncoderConfig(
-        **{**cfg_raw, "sublayers": tuple(cfg_raw["sublayers"])},
-        vocab_checksum=bytes.fromhex(checksum) if checksum else None,
-    )
-    params: dict[str, np.ndarray] = {}
-    pos = 10 + cfg_len
-    for name, shape in _param_shapes(config):
-        n_bytes = math.prod(shape) * 4
-        if pos + n_bytes > len(blob):
-            raise ChecksumMismatchError(f"{path}: truncated checkpoint")
-        tensor = np.frombuffer(blob, dtype="<f4", count=n_bytes // 4, offset=pos).reshape(shape)
-        params[name] = tensor.astype(config.np_dtype)
-        pos += n_bytes
+    try:  # a flipped byte may leave valid JSON with an unknown key or a value no tensor can take
+        cfg = dict(json.loads(blob[10 : 10 + cfg_len]))
+        checksum, sublayers = cfg.pop("vocab_checksum", None), tuple(cfg.pop("sublayers"))
+        config = EncoderConfig(**cfg, sublayers=sublayers, vocab_checksum=bytes.fromhex(checksum) if checksum else None)
+        params: dict[str, np.ndarray] = {}
+        pos = 10 + cfg_len
+        for name, shape in _param_shapes(config):
+            n_bytes = math.prod(shape) * 4
+            if pos + n_bytes > len(blob):
+                raise ChecksumMismatchError(f"{path}: truncated checkpoint")
+            tensor = np.frombuffer(blob, dtype="<f4", count=n_bytes // 4, offset=pos).reshape(shape)
+            params[name] = tensor.astype(config.np_dtype)
+            pos += n_bytes
+    except (KeyError, TypeError, ValueError, UsageError) as exc:
+        raise ChecksumMismatchError(f"{path}: malformed checkpoint config ({exc})") from None
     if pos != len(blob):
         raise ChecksumMismatchError(f"{path}: trailing bytes in checkpoint")
     return EncoderModel(config, params)

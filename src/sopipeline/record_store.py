@@ -147,11 +147,17 @@ class RecordStore:
             raise StoreError(f"{meta_path}: unsupported store version {self.meta.get('format_version')!r}")
         if self.meta.get("sealed") is not True:
             raise StoreError(f"store at {self.path} was never sealed")
-        self._conn = sqlite3.connect(f"file:{self.path / _DB_NAME}?mode=ro", uri=True)
+        db_path = self.path / _DB_NAME
+        try:  # a missing file fails to connect, a corrupt one at its first read
+            self._conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+            rows = {table: self.count(table) for table in _TABLES}
+        except sqlite3.DatabaseError as exc:
+            if hasattr(self, "_conn"):
+                self.close()
+            raise StoreError(f"{db_path}: not a readable store database ({exc})") from None
         counts = self.meta.get("counts")
-        for table in _TABLES:
+        for table, held in rows.items():
             claimed = counts.get(table) if type(counts) is dict else None
-            held = self.count(table)
             if type(claimed) is not int or claimed != held:
                 self.close()
                 raise StoreError(f"{meta_path}: the seal counts {claimed!r} {table} rows, the database holds {held}")

@@ -10,6 +10,7 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
@@ -71,3 +72,13 @@ def test_every_module_attribute_job_reads_exists(job):
 
     missing = sorted(chain for chain in chains if not resolves(chain))
     assert not missing, f"read by pipebench/job.py but gone from the program: {missing}"
+
+
+def test_generated_vocab_is_well_formed():
+    # The generator builds train-v50k's vocab with the program's BpeVocab,
+    # so a merge rule that refuses its merge lists fails here too.
+    spec = importlib.util.spec_from_file_location("pipebench_gen", PIPEBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    vocab = gen.synthetic_vocab(np.random.default_rng(7), 2_000)
+    assert vocab.vocab_size == 2_000

@@ -21,6 +21,7 @@ from sopipeline.bpe import (
     load_vocab,
     train_bpe,
 )
+from sopipeline.cli import main
 from sopipeline.errors import ChecksumMismatchError, VocabError
 
 
@@ -214,10 +215,8 @@ def oracle_encode(vocab, text):
     """The per-piece heap encoder: split at special literals (and digit
     runs), then merge each piece on its own with ``_apply_merges``."""
     data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-    rank = {pair: i for i, pair in enumerate(vocab.merges)}  # a repeated pair keeps its last rank
-    bytes_to_id = {}
-    for i, tok in enumerate(vocab.token_bytes[N_SPECIALS:], start=N_SPECIALS):
-        bytes_to_id[tok] = i  # bytes made by several merges take the last id
+    rank = {pair: i for i, pair in enumerate(vocab.merges)}
+    bytes_to_id = {tok: i for i, tok in enumerate(vocab.token_bytes[N_SPECIALS:], start=N_SPECIALS)}
     ids = []
     for piece in bpe._SPECIAL_SPLIT_BYTES.split(data):
         if not piece:
@@ -236,6 +235,21 @@ class TestTrainBpe:
     def test_abab_example(self):
         vocab = train_bpe(["abab abab"], MIN_VOCAB_SIZE + 2, sample_fraction=1.0)
         assert vocab.merges == [(b"a", b"b"), (b"ab", b"ab")]
+
+    def test_every_merge_makes_a_new_token(self):
+        # BpeVocab refuses a merge list that re-spells a token or repeats a
+        # pair; train_bpe's docstring argues it never writes one. Small
+        # alphabets make one string reachable by several spellings.
+        rng = np.random.default_rng(24)
+        for trial in range(2_000):
+            pieces = ["a", "b", "1", "<RS>"] if trial % 2 else ["a", "b", "c", "1", "<RS>"]
+            texts = [
+                "a" + "".join(rng.choice(pieces, size=int(rng.integers(0, 12))))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            isolate_digits = trial % 4 >= 2
+            vocab = train_bpe(texts, MIN_VOCAB_SIZE + 12, sample_fraction=1.0, isolate_digits=isolate_digits)
+            assert len(set(vocab.token_bytes)) == vocab.vocab_size, texts
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(17)
@@ -524,10 +538,7 @@ class TestEncodeDecode:
         assert isolated.decode(isolated.encode("ab12cd")) == "ab12cd"
 
 
-# (a, a) repeats at rank 18, so merging a run of a's creates (aa, a), which
-# ranks 9: the sweep must stop after the first merge and re-queue every match
-# to its right, including those the overlap rule skipped, or "aaaaa" comes
-# out as aaa|a|a instead of one token.
+# A merge list no trainer writes: it repeats pairs, (b, b) first at rank 2.
 COUNTEREXAMPLE_MERGES = [
     (b"a", b"a"), (b"b", b"b"), (b"b", b"b"), (b"bb", b"aa"), (b"aa", b"b"),
     (b"bb", b"bbaa"), (b"b", b"bbaa"), (b"aa", b"bb"), (b"b", b"aabb"), (b"aa", b"a"),
@@ -537,17 +548,16 @@ COUNTEREXAMPLE_MERGES = [
 
 
 def adversarial_vocab(rng):
-    """Merges over a small alphabet joining earlier tokens: bytes made by
-    several merges (rank inversions), now and then a repeated pair, and
-    pairs across a digit boundary, which isolate_digits must never merge."""
+    """Merges over a small alphabet, each joining two earlier tokens into new
+    bytes: overlapping runs ((a, a), (aa, a), ...) and pairs across a digit
+    boundary, which isolate_digits must never merge. A draw that re-spells
+    a token is skipped."""
     toks, merges = [b"a", b"b", b"a", b"b", b"1"], []
     for _ in range(int(rng.integers(1, 25))):
-        if merges and rng.random() < 0.1:
-            left, right = merges[int(rng.integers(len(merges)))]
-        else:
-            left, right = toks[int(rng.integers(len(toks)))], toks[int(rng.integers(len(toks)))]
-        merges.append((left, right))
-        toks.append(left + right)
+        left, right = toks[int(rng.integers(len(toks)))], toks[int(rng.integers(len(toks)))]
+        if left + right not in toks:
+            merges.append((left, right))
+            toks.append(left + right)
     return BpeVocab(merges, isolate_digits=bool(rng.random() < 0.3))
 
 
@@ -580,10 +590,8 @@ def golden_corpus():
 
 class TestEncodeMany:
     def test_counterexample(self):
-        vocab = BpeVocab(COUNTEREXAMPLE_MERGES)
-        assert vocab.encode("aaaaa") == oracle_encode(vocab, "aaaaa")
-        assert vocab.decode(vocab.encode("aaaaa")) == "aaaaa"
-        assert len(vocab.encode("aaaaa")) == 1  # the heap merges the run into aaaaa
+        with pytest.raises(VocabError, match=r"^merge 2 \(b'b', b'b'\)"):
+            BpeVocab(COUNTEREXAMPLE_MERGES)
 
     def test_matches_heap_oracle_on_adversarial_vocabs(self):
         rng = np.random.default_rng(404)
@@ -641,30 +649,18 @@ class TestEncodeMany:
         assert list(vocab.encode_many(texts)) == want
 
     def test_merge_side_no_token_spells(self):
-        # no merge makes "xy", and "<RS>" is a special: the merges naming
-        # them never apply, and the others still do
-        vocab = BpeVocab([(b"a", b"b"), (b"xy", b"ab"), (b"<RS>", b"a"), (b"ab", b"c")])
-        texts = ["xyabc", "<RS>abc", "xyab<RS>ab", "xy"]
-        want = [oracle_encode(vocab, t) for t in texts]
-        assert [vocab.token_bytes[i] for i in want[0]] == [b"x", b"y", b"abc"]
-        assert list(vocab.encode_many(texts)) == want
+        # no merge makes "xy", and "<RS>" is a special, never a side
+        with pytest.raises(VocabError, match=r"merge 1 \(b'xy', b'ab'\)"):
+            BpeVocab([(b"a", b"b"), (b"xy", b"ab"), (b"ab", b"c")])
+        with pytest.raises(VocabError, match=r"merge 2 \(b'<RS>', b'a'\)"):
+            BpeVocab([(b"a", b"b"), (b"ab", b"c"), (b"<RS>", b"a")])
 
-    def test_repeated_pair_takes_its_last_rank(self):
-        # (a, b) ranks 2, after (b, c): "abc" is a|bc, where rank 0 would give ab|c
-        vocab = BpeVocab([(b"a", b"b"), (b"b", b"c"), (b"a", b"b")])
-        texts = ["abc", "abcab", "xabcy", "ababc"]
-        want = [oracle_encode(vocab, t) for t in texts]
-        assert [vocab.token_bytes[i] for i in want[0]] == [b"a", b"bc"]
-        assert list(vocab.encode_many(texts)) == want
+    def test_repeated_pair_is_refused(self):
+        # under a last-rank reading, "abc" would encode as a|bc
+        with pytest.raises(VocabError, match=r"merge 2 \(b'a', b'b'\)"):
+            BpeVocab([(b"a", b"b"), (b"b", b"c"), (b"a", b"b")])
 
-    @pytest.mark.parametrize(
-        "merges",
-        [
-            [(b"a", b"b"), (b"ab", b"ab")],
-            # (a, b) repeated: M's canonical rank is 2, above (M, M)'s
-            [(b"a", b"b"), (b"ab", b"ab"), (b"a", b"b")],
-        ],
-    )
+    @pytest.mark.parametrize("merges", [[(b"a", b"b"), (b"ab", b"ab")]])
     def test_m_m_right_after_the_merge_creating_m(self, merges):
         # adjacent matches of one sweep: the left neighbour of a match is the
         # previous match's M, so (M, M) is looked up at that match
@@ -767,6 +763,31 @@ class TestSaveLoad:
         path.write_bytes(body + hashlib.sha256(body).digest()[:8])
         with pytest.raises(VocabError, match=message):
             load_vocab(path)
+
+    @pytest.mark.parametrize(
+        "merges, refused",
+        [
+            ([(b"a", b"b"), (b"xy", b"ab")], r"merge 1 \(b'xy', b'ab'\)"),
+            ([(b"a", b"b"), (b"[URL]", b"ab")], r"merge 1 \(b'\[URL\]', b'ab'\)"),
+            ([(b"a", b"b"), (b"b", b"c"), (b"a", b"b")], r"merge 2 \(b'a', b'b'\)"),
+            ([(b"a", b"b"), (b"b", b"c"), (b"a", b"bc"), (b"ab", b"c")], r"merge 3 \(b'ab', b'c'\)"),
+        ],
+        ids=["side-no-token-spells", "special-side", "repeated-pair", "respelled-bytes"],
+    )
+    def test_malformed_merge_list_refused(self, capsys, tmp_path, merges, refused):
+        # a well-formed vocab saved with its merges swapped, so the file's
+        # trailer is valid and only the merge rule can refuse it
+        vocab = BpeVocab([])
+        vocab.merges = merges
+        path = tmp_path / "v.sovoc"
+        vocab.save(path)
+        with pytest.raises(VocabError, match=rf"^{re.escape(str(path))}: {refused}"):
+            load_vocab(path)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"answer_id": 1, "n_comments": 0, "text": "abc"}\n')
+        assert main(["stats", "--corpus", str(corpus), "--vocab", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "merge" in err
 
     def test_truncated_file(self, tmp_path):
         vocab = train_bpe(["x y " * 8], MIN_VOCAB_SIZE + 4, sample_fraction=1.0)

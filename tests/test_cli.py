@@ -570,6 +570,15 @@ class TestMalformedInputs:
         return ["finetune", "--vocab", str(tmp_path / "v.sovoc"), "--checkpoint", str(tmp_path / "m.sockpt"),
                 "--classes", "2", "--epochs", "1"]
 
+    def test_malformed_checkpoint_config_is_data_error(self, capsys, tmp_path, finetune_argv):
+        ckpt = tmp_path / "m.sockpt"
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"float32"', b'"floatXX"', 1))
+        train = tmp_path / "t.jsonl"
+        train.write_text(json.dumps({"text": "ab", "label": 1}) + "\n")
+        code, summary, err = run_cli(capsys, *finetune_argv, "--train", str(train))
+        assert (code, summary) == (2, None)
+        assert err.startswith(f"error: {ckpt}: malformed checkpoint config")
+
     @pytest.mark.parametrize("flag", ["--train", "--eval"])
     @pytest.mark.parametrize(
         "bad_row",

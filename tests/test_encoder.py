@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,10 @@ class TestBuildEncoder:
     def test_head_divisibility_error(self):
         with pytest.raises(UsageError):
             EncoderConfig(n_layers=1, hidden=32, n_heads=5, vocab_size=50)
+
+    def test_zero_heads_error(self):
+        with pytest.raises(UsageError, match=r"n_heads \(0\) must be at least 1"):
+            EncoderConfig(n_layers=1, hidden=32, n_heads=0, vocab_size=50)
 
     def test_parameter_count_matches_manual_enumeration(self):
         cfg = small_config(n_layers=2, hidden=32, n_heads=4, vocab_size=100, max_positions=64)
@@ -349,6 +354,37 @@ class TestCheckpoints:
             path.write_bytes(blob[:k])
             with pytest.raises(ChecksumMismatchError):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg.replace(b'"', b"#", 1),
+            lambda cfg: cfg.replace(b'"seed"', b'"sead"'),
+            lambda cfg: cfg.replace(b'"float32"', b'"floatXX"'),
+            lambda cfg: cfg.replace(b'"sublayers"', b'"sublayerz"'),
+            lambda cfg: cfg.replace(b'"n_heads": 4', b'"n_heads": 0'),
+            lambda cfg: cfg.replace(b'"hidden": 16', b'"hidden": 16.0'),
+            lambda cfg: cfg.replace(b'"hidden": 16', b'"hidden": -16'),
+            lambda cfg: cfg.replace(b'"vocab_checksum": null', b'"vocab_checksum": "zz"'),
+            lambda cfg: b"[1, 2]",
+        ],
+        ids=["flipped-byte", "unknown-key", "unknown-dtype", "no-sublayers", "zero-heads", "float-size",
+             "negative-size", "checksum-not-hex", "not-an-object"],
+    )
+    def test_malformed_config_refused(self, tmp_path, edit):
+        # each edited config block carries its own length, so the file's
+        # layout holds and only the config's keys and values are refused
+        from sopipeline.errors import ChecksumMismatchError
+
+        path = tmp_path / "m.sockpt"
+        save_checkpoint(build_encoder(small_config()), path)
+        blob = path.read_bytes()
+        cfg_len = int.from_bytes(blob[6:10], "little")
+        cfg = edit(blob[10 : 10 + cfg_len])
+        assert cfg != blob[10 : 10 + cfg_len]
+        path.write_bytes(blob[:6] + len(cfg).to_bytes(4, "little") + cfg + blob[10 + cfg_len :])
+        with pytest.raises(ChecksumMismatchError, match=f"^{re.escape(str(path))}: malformed checkpoint config"):
+            load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         from sopipeline.errors import ChecksumMismatchError

@@ -174,6 +174,19 @@ class TestBuildStore:
         with pytest.raises(StoreError):
             RecordStore(tmp_path / "nowhere")
 
+    @pytest.mark.parametrize("damage", ["overwritten", "deleted"])
+    def test_unreadable_database_refused(self, small_store, damage, tmp_path, capsys):
+        # sqlite3 fails to connect to a missing file, and to read a text file
+        db_path = small_store.path / "records.db"
+        if damage == "overwritten":
+            db_path.write_text("not a database\n" * 100)
+        else:
+            db_path.unlink()
+        with pytest.raises(StoreError, match=re.escape(str(db_path))):
+            RecordStore(small_store.path)
+        assert main(["mine", "--store-dir", str(small_store.path), "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {db_path}: ")
+
     def test_get_post(self, small_store):
         post = small_store.get_post(10)
         assert post.parent_id == 1

@@ -42,10 +42,11 @@ _TAG = re.compile(r"<[^>]*>")
 # Scheme-prefixed or www.-prefixed, running to the next whitespace.
 _URL = re.compile(r"\b(?:(?:https?|ftp)://|www\.)\S+", re.IGNORECASE)
 # An email is ``\b[\w.+-]+@[\w-]+(?:\.[\w-]+)+\b``, matched by _replace_emails.
-_EMAIL_LOCAL_RUN = re.compile(r"(?<![\w.+-])[\w.+-]++@")
+# A run holds no "@", so backtracking into one finds no other match; the
+# lookbehind admits only run starts, which keeps the scan linear.
+_EMAIL_LOCAL_RUN = re.compile(r"(?<![\w.+-])[\w.+-]+@")
 _EMAIL_LOCAL_START = re.compile(r"\b[\w.+-]")
 _EMAIL_DOMAIN = re.compile(r"[\w-]+(?:\.[\w-]+)+\b")
-_WS = re.compile(r"\s+")
 
 
 @dataclass
@@ -76,6 +77,8 @@ def _replace_emails(text: str) -> str:
     characters reaches the same ``@`` and domain, so only the run's first
     word boundary past the previous match needs trying.
     """
+    if "@" not in text:
+        return text
     out: list[str] = []
     pos = 0
     for run in _EMAIL_LOCAL_RUN.finditer(text):
@@ -91,15 +94,25 @@ def _replace_emails(text: str) -> str:
     return "".join(out)
 
 
+def _may_hold_url(text: str) -> bool:
+    # every _URL match holds "://" or, as IGNORECASE folds only W to w, "www."
+    return "://" in text or "www." in text.lower()
+
+
 def _clean_fragment(fragment: str, replace_urls: bool, replace_emails: bool) -> str:
-    """Non-code text: drop tags, decode entities, abstract URLs/emails."""
+    """Non-code text: drop tags, decode entities, abstract URLs/emails, and
+    collapse each whitespace run to one space, an edge run included."""
     text = _TAG.sub(" ", fragment)
     text = unescape(text)
-    if replace_urls:
+    if replace_urls and _may_hold_url(text):
         text = _URL.sub(URL_TOKEN, text)
     if replace_emails:
         text = _replace_emails(text)
-    return _WS.sub(" ", text)
+    # str.split() splits at str.isspace(), the same set as re's \s
+    body = " ".join(text.split())
+    if not body:
+        return " " if text else ""
+    return " " * text[0].isspace() + body + " " * text[-1].isspace()
 
 
 def clean_comment_text(text: str, *, replace_urls: bool = True, replace_emails: bool = True) -> str:
@@ -109,12 +122,12 @@ def clean_comment_text(text: str, *, replace_urls: bool = True, replace_emails: 
     A literal separator string in a comment is defused (lowercased) so the
     assembled sample always contains exactly one separator per comment.
     """
-    if replace_urls:
+    if replace_urls and _may_hold_url(text):
         text = _URL.sub(URL_TOKEN, text)
     if replace_emails:
         text = _replace_emails(text)
     text = text.replace(SEPARATOR, SEPARATOR.lower())
-    return _WS.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def split_code(body: str) -> list[str]:

@@ -48,6 +48,13 @@ class EncoderConfig:
     vocab_checksum: Optional[bytes] = None
 
     def __post_init__(self):
+        # a checkpoint's JSON config may hold a float or a bool (an int subclass) here
+        sizes = ("n_layers", "hidden", "n_heads", "vocab_size", "ffn_mult", "max_positions")
+        not_int = [k for k in sizes if type(getattr(self, k)) is not int]
+        if not_int:
+            raise UsageError(f"sizes {not_int} must be integers")
+        if self.dtype not in ("float32", "float64"):
+            raise UsageError(f"dtype must be float32 or float64, not {self.dtype!r}")
         if self.n_heads < 1 or self.hidden % self.n_heads != 0:
             raise UsageError(f"n_heads ({self.n_heads}) must be at least 1 and divide hidden ({self.hidden})")
         if self.max_positions < 1:

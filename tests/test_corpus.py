@@ -5,6 +5,7 @@ import json
 import logging
 import re
 import time
+from html import unescape
 
 import numpy as np
 import pytest
@@ -154,6 +155,57 @@ def test_split_code_matches_old_loops(caplog):
         assert clean_text(body) == expected, repr(body)
         assert len(caplog.records) == int(unclosed), repr(body)
         assert extract_code(body) == oracle_extract_code(body), repr(body)
+
+
+_ORACLE_TAG = re.compile(r"<[^>]*>")
+_ORACLE_URL = re.compile(r"\b(?:(?:https?|ftp)://|www\.)\S+", re.IGNORECASE)
+_ORACLE_EMAIL = re.compile(r"\b[\w.+-]+@[\w-]+(?:\.[\w-]+)+\b")
+_ORACLE_WS = re.compile(r"\s+")
+
+
+def oracle_fragment(fragment: str, replace_urls: bool, replace_emails: bool) -> str:
+    """Fragment cleaning as one regex per pass, each run on every text."""
+    text = unescape(_ORACLE_TAG.sub(" ", fragment))
+    if replace_urls:
+        text = _ORACLE_URL.sub("[URL]", text)
+    if replace_emails:
+        text = _ORACLE_EMAIL.sub("[EMAIL]", text)
+    return _ORACLE_WS.sub(" ", text)
+
+
+def oracle_comment(text: str, replace_urls: bool, replace_emails: bool) -> str:
+    """Comment cleaning as one regex per pass, each run on every text."""
+    if replace_urls:
+        text = _ORACLE_URL.sub("[URL]", text)
+    if replace_emails:
+        text = _ORACLE_EMAIL.sub("[EMAIL]", text)
+    text = text.replace(SEPARATOR, SEPARATOR.lower())
+    return _ORACLE_WS.sub(" ", text).strip()
+
+
+@pytest.mark.parametrize("replace_urls", [True, False])
+@pytest.mark.parametrize("replace_emails", [True, False])
+def test_skipped_passes_match_regex_oracle(replace_urls, replace_emails):
+    # the URL and email passes run only on text holding their trigger, and
+    # whitespace collapses through str.split: no text may tell the difference
+    flags = dict(replace_urls=replace_urls, replace_emails=replace_emails)
+    alphabet = [*"wW.:/@<>&; _é ſ", *"\t\n\x0b\x0c\x1c\x85\xa0 　",
+                "http", "HTTPS", "ftp", "wWw", "&nbsp;", "&#58;"]
+    rng = np.random.default_rng(25)
+    texts = ["", " ", "\n", "\t\x85　", " a ", "\xa0x@y.z", "www.x ", "　http://x\x1c"]
+    texts += ["".join(rng.choice(alphabet, size=int(rng.integers(0, 24)))) for _ in range(5000)]
+    for text in texts:
+        # between two code spans a fragment's edge spaces survive the strip
+        body = f"<code>a</code>{text}<code>b</code>"
+        assert clean_text(body, **flags) == f"a{oracle_fragment(text, **flags)}b", repr(body)
+        assert clean_text(text, **flags) == oracle_fragment(text, **flags).strip(), repr(text)
+        assert clean_comment_text(text, **flags) == oracle_comment(text, **flags), repr(text)
+
+
+def test_regex_whitespace_is_str_isspace():
+    # every code point, as one string: \s matches exactly the isspace() set
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 class TestCleanCommentText:

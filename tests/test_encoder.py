@@ -361,23 +361,27 @@ class TestCheckpoints:
             lambda cfg: cfg.replace(b'"', b"#", 1),
             lambda cfg: cfg.replace(b'"seed"', b'"sead"'),
             lambda cfg: cfg.replace(b'"float32"', b'"floatXX"'),
+            lambda cfg: cfg.replace(b'"float32"', b'"int8"'),
+            lambda cfg: cfg.replace(b'"float32"', b'"float16"'),
             lambda cfg: cfg.replace(b'"sublayers"', b'"sublayerz"'),
             lambda cfg: cfg.replace(b'"n_heads": 4', b'"n_heads": 0'),
             lambda cfg: cfg.replace(b'"hidden": 16', b'"hidden": 16.0'),
+            lambda cfg: cfg.replace(b'"n_layers": 1', b'"n_layers": true'),
             lambda cfg: cfg.replace(b'"hidden": 16', b'"hidden": -16'),
             lambda cfg: cfg.replace(b'"vocab_checksum": null', b'"vocab_checksum": "zz"'),
             lambda cfg: b"[1, 2]",
         ],
-        ids=["flipped-byte", "unknown-key", "unknown-dtype", "no-sublayers", "zero-heads", "float-size",
-             "negative-size", "checksum-not-hex", "not-an-object"],
+        ids=["flipped-byte", "unknown-key", "unknown-dtype", "int-dtype", "half-dtype", "no-sublayers", "zero-heads",
+             "float-size", "bool-size", "negative-size", "checksum-not-hex", "not-an-object"],
     )
     def test_malformed_config_refused(self, tmp_path, edit):
         # each edited config block carries its own length, so the file's
-        # layout holds and only the config's keys and values are refused
+        # layout holds and only the config's keys and values are refused; one
+        # layer, so "n_layers": true would read as a well-formed 1
         from sopipeline.errors import ChecksumMismatchError
 
         path = tmp_path / "m.sockpt"
-        save_checkpoint(build_encoder(small_config()), path)
+        save_checkpoint(build_encoder(small_config(n_layers=1)), path)
         blob = path.read_bytes()
         cfg_len = int.from_bytes(blob[6:10], "little")
         cfg = edit(blob[10 : 10 + cfg_len])

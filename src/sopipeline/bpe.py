@@ -130,7 +130,10 @@ class BpeVocab:
         ``r`` = (A, B) -> M at once, keeps those still holding (A, B) and,
         when A == B, every other match of an overlapping run from its left,
         and merges them all. M's new neighbour pairs all rank above ``r``:
-        a merge's sides are earlier tokens.
+        a merge's sides are earlier tokens. So sweeps run in rank order, and
+        a rank's positions are all queued at once, in the first lookup when
+        both its sides are bytes, else in the sweep that makes its newer
+        side: one pending array per rank.
 
         Ranks are looked up, never searched (see :attr:`_pair_table`): the
         initial pairs, all of byte ids, in a dense table, and the pairs a
@@ -151,7 +154,7 @@ class BpeVocab:
             row[partner[at]] = no_rank
             return ranks
 
-        pending: dict[int, list[np.ndarray]] = {}
+        pending: dict[int, np.ndarray] = {}
         heap: list[int] = []
 
         def queue(pos: np.ndarray, ranks: np.ndarray) -> None:
@@ -160,12 +163,8 @@ class BpeVocab:
             cuts = (np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist()
             for lo, hi in zip([0] + cuts, cuts + [len(ranks)]):
                 r = int(ranks[lo])
-                parts = pending.get(r)
-                if parts is None:
-                    pending[r] = [pos[lo:hi]]
-                    heapq.heappush(heap, r)
-                else:
-                    parts.append(pos[lo:hi])
+                pending[r] = pos[lo:hi]
+                heapq.heappush(heap, r)
 
         ranks = byte_ranks[ids[:-1], ids[nxt[:-1]]]
         pos = np.flatnonzero(ranks < no_rank).astype(np.int32)
@@ -175,11 +174,8 @@ class BpeVocab:
 
         while heap:
             r = heapq.heappop(heap)
-            parts = pending.pop(r)
-            # one filing holds a position at most once per rank
-            pos = np.sort(parts[0]) if len(parts) == 1 else np.unique(np.concatenate(parts))
             (a, b), m = pair_ids[r], MIN_VOCAB_SIZE + r
-            p, q = _matches(ids, nxt, pos, a, b)
+            p, q = _matches(nxt, _holding(ids, nxt, np.sort(pending.pop(r)), a, b), a == b)
             if not len(p):
                 continue
             left, right = prv[p], nxt[q]
@@ -360,13 +356,11 @@ def _links(datas: list[bytes], isolate_digits: bool) -> tuple[np.ndarray, np.nda
             ids[at] = _SPECIAL_ID_BY_BYTES[m.group()]
             literal_tails.extend(range(at + 1, start + m.end()))
     if literal_tails:
-        keep = np.ones(len(ids), dtype=bool)
-        keep[literal_tails] = False
-        ids = ids[keep]
-        kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
-        starts = kept_before[starts]
-        del keep, kept_before
+        # a tail lies inside its text, so a text's start moves back by the
+        # tails before it
+        tails = np.array(literal_tails)
+        ids = np.delete(ids, tails)
+        starts -= np.searchsorted(tails, starts)
 
     # cut[i]: slots i and i + 1 never pair. The extra slot counts as a
     # special, and the text starting at slot 0 cuts at -1, that same slot.
@@ -385,16 +379,19 @@ def _links(datas: list[bytes], isolate_digits: bool) -> tuple[np.ndarray, np.nda
     return ids, prv, nxt, starts
 
 
-def _matches(ids: np.ndarray, nxt: np.ndarray, pos: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+def _holding(ids: np.ndarray, nxt: np.ndarray, pos: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The positions of ``pos`` that still hold the pair (a, b)."""
+    return pos[(ids[pos] == a) & (ids[nxt[pos]] == b)]
+
+
+def _matches(nxt: np.ndarray, p: np.ndarray, same: bool) -> tuple[np.ndarray, np.ndarray]:
     """The matches ``(p, q)`` a left-to-right pass merges among the sorted
-    positions ``pos`` still holding the pair (a, b): all of them, or when
-    a == b every other one of an overlapping run, from its left. ``q`` is
-    the right partner of each ``p``.
+    positions ``p`` holding one pair: all of them, or when its two sides
+    are the ``same`` token every other one of an overlapping run, from its
+    left. ``q`` is the right partner of each ``p``.
     """
-    q = nxt[pos]
-    valid = (ids[pos] == a) & (ids[q] == b)
-    p, q = pos[valid], q[valid]
-    if a == b:
+    q = nxt[p]
+    if same:
         chained = q[:-1] == p[1:]
         if chained.any():
             at = np.arange(len(p))
@@ -424,15 +421,29 @@ def train_bpe(
     pair's byte strings, which makes the merge list reproducible.
 
     The sample is one linked token array, built as for encoding (see
-    :func:`_links`). Each pair code ``a * (vocab_size + 1) + b`` keeps an
-    exact count and append-only arrays of the positions where the pair
-    arose; merging it checks those with :func:`_matches` and counts the
-    neighbour pairs it removes and creates. A merge thus costs time in the
-    number of places its pair arose, not in the length of the samples.
+    :func:`_links`). A slot comes to hold the pair (a, b) only at a step
+    that makes a at the slot or b at its right neighbour, and each token is
+    made by one merge (below). So all the positions of a pair arise at one
+    step, the one that makes its newer side (at the start if both are
+    bytes), and after that its count only falls. Each pair code
+    ``a * (vocab_size + 1) + b`` is thus filed once, with the sorted int32
+    array of its positions, and the heap holds one entry per filed pair,
+    (count, bytes), whose count is an upper bound:
 
-    The heap of (count, bytes) takes an entry only when a count rises. A
-    pair whose count fell still has an entry at or above its count, so the
-    first entry popped at its pair's current count is the true maximum.
+    - a pair seen once when it is filed never reaches 2, so it is neither
+      filed nor pushed;
+    - a popped pair is counted over its filed positions (:func:`_holding`).
+      At its entry's count it is merged: every other pair counts at most
+      its own entry, which is below that count or equal to it with later
+      bytes, so this is the pair that recounting every pair would pick.
+      Below its entry's count it keeps the positions that still hold it
+      and is pushed again, or is dropped if fewer than 2 are left;
+    - a merge counts none of the pairs it breaks. Those are found when they
+      pop, and every position filed under the merged pair now holds the new
+      token or has lost a side.
+
+    A merge thus costs time in the number of places its pair arose, not in
+    the length of the samples.
 
     Each merge makes a new token, id ``len(tok)``, as :class:`BpeVocab`
     requires. Locality: a stretch whose ends are token boundaries at step τ
@@ -467,72 +478,57 @@ def train_bpe(
         raise VocabError(f"corpus empty after sampling at fraction {sample_fraction}")
 
     w = vocab_size + 1  # ids stay below vocab_size
-    counts: dict[int, int] = {}
-    filed: dict[int, list[np.ndarray]] = {}
+    tok = [lit.encode() for lit in _SPECIAL_LITERALS] + [bytes([b]) for b in range(256)]
+    filed: dict[int, np.ndarray] = {}
 
-    def file(codes: np.ndarray, pos: np.ndarray) -> list[int]:
-        """Count and file the pairs ``codes`` at ``pos``; return their codes."""
-        order = np.argsort(codes)
+    def file(codes: np.ndarray, pos: np.ndarray) -> list[tuple[int, bytes, bytes, int]]:
+        """File the pairs ``codes`` at ``pos`` that occur at least twice;
+        return their heap entries."""
+        order = np.lexsort((pos, codes))
         codes, pos = codes[order], pos[order]
-        firsts = np.flatnonzero(np.diff(codes, prepend=-1))
-        kinds = codes[firsts].tolist()
-        bounds = firsts.tolist() + [len(pos)]
-        for code, lo, hi in zip(kinds, bounds, bounds[1:]):
-            counts[code] = counts.get(code, 0) + hi - lo
-            filed.setdefault(code, []).append(pos[lo:hi])
-        return kinds
+        firsts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        sizes = np.concatenate((firsts[1:], [len(codes)])) - firsts
+        twice = sizes >= 2
+        pos = pos[np.repeat(twice, sizes)]
+        entries = []
+        lo = 0
+        for code, k in zip(codes[firsts[twice]].tolist(), sizes[twice].tolist()):
+            filed[code] = pos[lo : lo + k]
+            lo += k
+            entries.append((-k, tok[code // w], tok[code % w], code))
+        return entries
 
     pos = np.flatnonzero(ids[nxt[:-1]] >= 0).astype(np.int32)
-    file(ids[pos].astype(np.int64) * w + ids[nxt[pos]], pos)
-    del pos
-
-    tok = [lit.encode() for lit in _SPECIAL_LITERALS] + [bytes([b]) for b in range(256)]
-    heap = [(-k, tok[code // w], tok[code % w], code) for code, k in counts.items()]
+    heap = file(ids[pos].astype(np.int64) * w + ids[nxt[pos]], pos)
     heapq.heapify(heap)
+    del pos
     merges: list[tuple[bytes, bytes]] = []
     while len(merges) < n_target_merges and heap:
         neg, left, right, code = heapq.heappop(heap)
-        k = counts.get(code, 0)
-        if k != -neg:
-            if 0 < k < -neg:  # a bound left by a fall: push the current count
-                heapq.heappush(heap, (-k, left, right, code))
-            continue  # else a later entry holds the count, or the pair is gone
-        if k < 2:
-            break
+        a, b = divmod(code, w)
+        held = _holding(ids, nxt, filed.pop(code), a, b)
+        if len(held) < -neg:  # a bound left by a fall
+            if len(held) >= 2:
+                filed[code] = held
+                heapq.heappush(heap, (-len(held), left, right, code))
+            continue
         merges.append((left, right))
         m = len(tok)
         tok.append(left + right)
 
-        a, b = divmod(code, w)
-        # a position is filed under a code at most once: its pair only grows
-        p, q = _matches(ids, nxt, np.sort(np.concatenate(filed.pop(code))), a, b)
+        p, q = _matches(nxt, held, a == b)
         before, after = prv[p], nxt[q]
         nxt[p] = after
         prv[after] = p  # a -1 link writes the unused last slot
-        # A left neighbour that is the previous match's right partner holds
-        # that match's right pair, counted there, and after the merge (m, m).
+        # A left neighbour that is the previous match's right partner is
+        # consumed: that match files (m, m) as its right pair.
         before = before[(before >= 0) & np.concatenate(([True], before[1:] != q[:-1]))]
         after_at = p[after >= 0]
         after = after[after >= 0]
-        lost = np.concatenate((
-            np.full(len(p), code, dtype=np.int64),  # the matches themselves
-            ids[before].astype(np.int64) * w + a,
-            ids[after].astype(np.int64) + b * w,
-        ))
         ids[p] = m
         ids[q] = -1
         gained = np.concatenate((ids[before].astype(np.int64) * w + m, ids[after].astype(np.int64) + m * w))
-        rose = file(gained, np.concatenate((before, after_at)))
-        for pair, k in zip(*(x.tolist() for x in np.unique(lost, return_counts=True))):
-            counts[pair] -= k
-            if not counts[pair]:
-                del counts[pair]
-                filed.pop(pair, None)
-        # A count that fell keeps its entry, an upper bound pushed again at
-        # the count when it pops; the merged pair's entry is spent.
-        for pair in rose + [code]:
-            k = counts.get(pair)
-            if k:
-                heapq.heappush(heap, (-k, tok[pair // w], tok[pair % w], pair))
+        for entry in file(gained, np.concatenate((before, after_at))):
+            heapq.heappush(heap, entry)
 
     return BpeVocab(merges=merges, isolate_digits=isolate_digits)

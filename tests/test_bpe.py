@@ -344,6 +344,43 @@ class TestTrainBpe:
         for pair in fell_then_merged:
             assert pair in repushed and pair in vocab.merges
 
+    @pytest.mark.parametrize("isolate_digits", [False, True])
+    def test_heap_takes_only_pairs_seen_twice(self, isolate_digits, monkeypatch):
+        # A pair's positions all arise at one step, so a pair seen once
+        # there never reaches 2 and is never filed or pushed.
+        entries = []
+
+        def heapify(heap):
+            entries.extend(heap)
+            heapq.heapify(heap)
+
+        def heappush(heap, entry):
+            entries.append(entry)
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(bpe, "heapq", SimpleNamespace(heapify=heapify, heappop=heapq.heappop, heappush=heappush))
+        rng = np.random.default_rng(26)
+        texts = ["".join(rng.choice(list("abcdefghijklmnop 0123<RS>"), size=int(rng.integers(0, 60))))
+                 for _ in range(40)]
+        vocab = train_bpe(texts, MIN_VOCAB_SIZE + 40, sample_fraction=1.0, isolate_digits=isolate_digits)
+        assert vocab.merges == brute_force_merges(texts, 40, isolate_digits)
+        pairs = Counter(pair for text in texts for pair in zip(text, text[1:]))
+        assert sum(k == 1 for k in pairs.values()) > 200  # many pairs occur once
+        assert len(entries) > 40
+        assert min(-entry[0] for entry in entries) >= 2
+
+    @staticmethod
+    def peak_per_sampled_byte(texts, n_merges):
+        size = sum(len(text.encode("utf-8")) for text in texts)
+        tracemalloc.start()
+        try:
+            vocab = train_bpe(texts, MIN_VOCAB_SIZE + n_merges, sample_fraction=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vocab.merges) == n_merges
+        return peak / size
+
     def test_memory_per_sampled_byte(self):
         # ids, links and pair positions are int32 arrays; a trainer keeping
         # them as Python lists and sets peaks at about 117 bytes per byte here
@@ -357,14 +394,24 @@ class TestTrainBpe:
             )
             texts.append(text)
             size += len(text.encode("utf-8"))
-        tracemalloc.start()
-        try:
-            vocab = train_bpe(texts, MIN_VOCAB_SIZE + 300, sample_fraction=1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(vocab.merges) == 300
-        assert peak / size <= 100, f"{peak / size:.0f} bytes per sampled byte"
+        per_byte = self.peak_per_sampled_byte(texts, 300)
+        assert per_byte <= 50, f"{per_byte:.0f} bytes per sampled byte"
+
+    def test_memory_per_sampled_byte_zipf_prose(self):
+        # 2,000 words drawn by Zipf's law: many distinct pairs, most of them
+        # seen once, where a trainer that keeps those peaks at about 79
+        rng = np.random.default_rng(2026)
+        letters = list("abcdefghijklmnopqrstuvwxyz")
+        words = ["".join(rng.choice(letters, size=int(rng.integers(2, 9)))) for _ in range(2_000)]
+        weights = 1 / np.arange(1, len(words) + 1) ** 1.1
+        texts, size = [], 0
+        while size < 200_000:
+            drawn = rng.choice(len(words), size=int(rng.integers(5, 80)), p=weights / weights.sum())
+            text = " ".join(words[i] for i in drawn)
+            texts.append(text)
+            size += len(text)
+        per_byte = self.peak_per_sampled_byte(texts, 1_000)
+        assert per_byte <= 50, f"{per_byte:.0f} bytes per sampled byte"
 
     @pytest.mark.parametrize(
         "isolate_digits, checksum", [(False, "ac0e1e8385674726"), (True, "17b5fccd78efac61")]
@@ -702,6 +749,66 @@ class TestEncodeMany:
         for ids in vocab.encode_many(texts):
             h.update(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
         assert h.hexdigest() == digest
+
+
+def links_oracle(datas, isolate_digits):
+    """``_links`` built one text at a time in Python: at each byte the
+    longest special literal starting there, else the byte; a link between
+    two neighbours unless one is a special or, with ``isolate_digits``,
+    exactly one is a digit."""
+    literals = sorted(bpe._SPECIAL_ID_BY_BYTES.items(), key=lambda item: -len(item[0]))
+    ids, prv, nxt, starts = [], [], [], []
+    for data in datas:
+        starts.append(len(ids))
+        toks, i = [], 0
+        while i < len(data):
+            lit = next((lit for lit, _ in literals if data.startswith(lit, i)), None)
+            toks.append(bpe._SPECIAL_ID_BY_BYTES[lit] if lit else bpe.BYTE_BASE + data[i])
+            i += len(lit) if lit else 1
+        digit = [bpe.BYTE_BASE + ord("0") <= t <= bpe.BYTE_BASE + ord("9") for t in toks]
+        base = len(ids)
+        for j, t in enumerate(toks):
+            linked = [
+                0 <= k < len(toks) and t >= bpe.BYTE_BASE and toks[k] >= bpe.BYTE_BASE
+                and not (isolate_digits and digit[j] != digit[k])
+                for k in (j - 1, j + 1)
+            ]
+            ids.append(t)
+            prv.append(base + j - 1 if linked[0] else -1)
+            nxt.append(base + j + 1 if linked[1] else -1)
+    starts.append(len(ids))
+    return ids + [-1], prv + [-1], nxt + [-1], starts
+
+
+class TestLinks:
+    @pytest.mark.parametrize("isolate_digits", [False, True])
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            [""],
+            ["", "", "ab", ""],
+            ["<RS>"],
+            ["[URL]<RS>[EMAIL]", "<RS><RS>", "x<MASK><PAD>y"],
+            ["<RS>ab", "ab<RS>", "<CLS>"],
+            ["a<R", "S>b", "<", "RS>"],
+            ["ab12cd3", "9", "x1y22z", "12<RS>34", "é1中2"],
+            ["<RS", "[URL", "EMAIL]", "<<RS>>", "[[EMAIL]]"],
+        ],
+    )
+    def test_matches_per_text_construction(self, texts, isolate_digits):
+        datas = [text.encode("utf-8") for text in texts]
+        got = [x.tolist() for x in bpe._links(datas, isolate_digits)]
+        assert got == list(links_oracle(datas, isolate_digits))
+
+    def test_random_texts(self):
+        rng = np.random.default_rng(341)
+        pieces = ["a", "b", "1", "22", " ", "<RS>", "[URL]", "[EMAIL]", "<PAD>", "<", "RS>", "[", "é"]
+        for trial in range(200):
+            texts = ["".join(rng.choice(pieces, size=int(rng.integers(0, 12)))) for _ in range(int(rng.integers(1, 6)))]
+            datas = [text.encode("utf-8") for text in texts]
+            isolate_digits = trial % 2 == 1
+            got = [x.tolist() for x in bpe._links(datas, isolate_digits)]
+            assert got == list(links_oracle(datas, isolate_digits)), texts
 
 
 class TestSaveLoad:

@@ -133,7 +133,9 @@ class BpeVocab:
         a merge's sides are earlier tokens. So sweeps run in rank order, and
         a rank's positions are all queued at once, in the first lookup when
         both its sides are bytes, else in the sweep that makes its newer
-        side: one pending array per rank.
+        side: one pending array per rank, its positions ascending (the
+        lookup and each side of a sweep list them in order). The sweeps walk
+        the ranks upward until none is pending.
 
         Ranks are looked up, never searched (see :attr:`_pair_table`): the
         initial pairs, all of byte ids, in a dense table, and the pairs a
@@ -155,16 +157,13 @@ class BpeVocab:
             return ranks
 
         pending: dict[int, np.ndarray] = {}
-        heap: list[int] = []
 
         def queue(pos: np.ndarray, ranks: np.ndarray) -> None:
             order = np.argsort(ranks, kind="stable")
             pos, ranks = pos[order], ranks[order]
             cuts = (np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist()
             for lo, hi in zip([0] + cuts, cuts + [len(ranks)]):
-                r = int(ranks[lo])
-                pending[r] = pos[lo:hi]
-                heapq.heappush(heap, r)
+                pending[int(ranks[lo])] = pos[lo:hi]
 
         ranks = byte_ranks[ids[:-1], ids[nxt[:-1]]]
         pos = np.flatnonzero(ranks < no_rank).astype(np.int32)
@@ -172,10 +171,13 @@ class BpeVocab:
             queue(pos, ranks[pos])
         del ranks
 
-        while heap:
-            r = heapq.heappop(heap)
+        for r in range(no_rank):
+            if not pending:
+                break  # only a sweep queues ranks
+            if r not in pending:
+                continue
             (a, b), m = pair_ids[r], MIN_VOCAB_SIZE + r
-            p, q = _matches(nxt, _holding(ids, nxt, np.sort(pending.pop(r)), a, b), a == b)
+            p, q = _matches(nxt, _holding(ids, nxt, pending.pop(r), a, b), a == b)
             if not len(p):
                 continue
             left, right = prv[p], nxt[q]
@@ -481,10 +483,9 @@ def train_bpe(
     tok = [lit.encode() for lit in _SPECIAL_LITERALS] + [bytes([b]) for b in range(256)]
     filed: dict[int, np.ndarray] = {}
 
-    def file(codes: np.ndarray, pos: np.ndarray) -> list[tuple[int, bytes, bytes, int]]:
+    def file(codes: np.ndarray, pos: np.ndarray, order: np.ndarray) -> list[tuple[int, bytes, bytes, int]]:
         """File the pairs ``codes`` at ``pos`` that occur at least twice;
-        return their heap entries."""
-        order = np.lexsort((pos, codes))
+        return their heap entries. ``order`` sorts by code, then position."""
         codes, pos = codes[order], pos[order]
         firsts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
         sizes = np.concatenate((firsts[1:], [len(codes)])) - firsts
@@ -499,9 +500,15 @@ def train_bpe(
         return entries
 
     pos = np.flatnonzero(ids[nxt[:-1]] >= 0).astype(np.int32)
-    heap = file(ids[pos].astype(np.int64) * w + ids[nxt[pos]], pos)
+    # every linked pair is two bytes and pos ascends, so a stable sort on a
+    # 16-bit key (numpy's radix sort) orders the pairs by code, then position
+    key = (ids[pos] - BYTE_BASE) << 8
+    key |= ids[nxt[pos]] - BYTE_BASE
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    del key
+    heap = file(ids[pos].astype(np.int64) * w + ids[nxt[pos]], pos, order)
     heapq.heapify(heap)
-    del pos
+    del pos, order
     merges: list[tuple[bytes, bytes]] = []
     while len(merges) < n_target_merges and heap:
         neg, left, right, code = heapq.heappop(heap)
@@ -528,7 +535,8 @@ def train_bpe(
         ids[p] = m
         ids[q] = -1
         gained = np.concatenate((ids[before].astype(np.int64) * w + m, ids[after].astype(np.int64) + m * w))
-        for entry in file(gained, np.concatenate((before, after_at))):
+        at = np.concatenate((before, after_at))
+        for entry in file(gained, at, np.lexsort((at, gained))):
             heapq.heappush(heap, entry)
 
     return BpeVocab(merges=merges, isolate_digits=isolate_digits)

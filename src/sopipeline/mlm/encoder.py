@@ -186,13 +186,15 @@ class EncoderModel:
         """Embed, run the block stack, final-norm. Returns (y, cache).
 
         With ``rows``, a boolean [B, T] mask, ``y`` is ``[n, d]``: the
-        selected rows only, in row-major order. Every op after the last
-        attention sublayer works row by row, so ``x`` is gathered right
-        after that sublayer's residual add (at the embedding output when the
-        stack has no attention sublayer) and the rest runs on n rows, as in
-        FlashAttention's BERT ``last_layer_subset``. Two rows or more get
-        the full route's values bit for bit; numpy takes a lone row's
-        products through matrix-vector BLAS, which rounds differently.
+        selected rows only, in row-major order. A row's output depends on
+        the other rows only through the keys and values of attention, so
+        the last attention sublayer takes its queries from the selected
+        rows alone (its keys and values from every row), ``x`` is gathered
+        at its residual add, and the rest runs on n rows, as in
+        FlashAttention's BERT ``last_layer_subset``. A stack with no
+        attention sublayer gathers at the embedding output. Two rows or
+        more get the full route's values bit for bit; numpy takes a lone
+        row's products through matrix-vector BLAS, which rounds differently.
         """
         cfg = self.config
         ids = np.asarray(ids)
@@ -221,12 +223,11 @@ class EncoderModel:
             layer_cache: dict = {}
             if ATTENTION in cfg.sublayers:
                 h, ln_cache = _ln_forward(x, self.params[pre + "ln1.g"], self.params[pre + "ln1.b"])
-                out, attn_cache = self._attn_forward(h, mask, pre)
+                last = layer == gather_at
+                out, attn_cache = self._attn_forward(h, mask, pre, rows if last else None)
                 layer_cache["ln1"] = ln_cache
                 layer_cache["attn"] = attn_cache
-                x = x + out
-                if layer == gather_at:
-                    x = x[rows]
+                x = (x[rows] if last else x) + out
             if FFN in cfg.sublayers:
                 h, ln_cache = _ln_forward(x, self.params[pre + "ln2.g"], self.params[pre + "ln2.b"])
                 out, ffn_cache = self._ffn_forward(h, pre)
@@ -238,27 +239,44 @@ class EncoderModel:
         cache["final_ln"] = final_cache
         return y, (cache if want_cache else None)
 
-    def _attn_forward(self, h: np.ndarray, mask: np.ndarray, pre: str):
+    def _attn_forward(self, h: np.ndarray, mask: np.ndarray, pre: str, rows: Optional[np.ndarray] = None):
+        """Self-attention over ``h``, [B, T, d]; returns (out, cache).
+
+        With ``rows``, a boolean [B, T] mask, only those positions are
+        queries and ``out`` is ``[n, d]``, their outputs in row-major order.
+        Each item's query positions are packed to the left of ``w`` slots,
+        w = max(2, the largest count of an item), so the products stay
+        matrix-matrix (see :meth:`hidden_states`); a spare slot repeats
+        position 0 and is dropped. Keys and values come from every row.
+        """
         cfg = self.config
         B, T, d = h.shape
         H = cfg.n_heads
         dh = d // H
         p = self.params
 
-        def split(z):  # [B,T,d] -> [B,H,T,dh]
-            return z.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+        def split(z):  # [B,t,d] -> [B,H,t,dh]
+            return z.reshape(B, -1, H, dh).transpose(0, 2, 1, 3)
 
-        q = split(h @ p[pre + "attn.wq"] + p[pre + "attn.bq"])
+        hq, valid = h, None
+        if rows is not None:
+            counts = rows.sum(axis=1)
+            valid = np.arange(max(2, counts.max(initial=0))) < counts[:, None]  # [B, w]
+            slots = np.zeros(valid.shape, dtype=np.intp)
+            slots[valid] = np.nonzero(rows)[1]
+            hq = np.take_along_axis(h, slots[:, :, None], axis=1)
+        q = split(hq @ p[pre + "attn.wq"] + p[pre + "attn.bq"])
         k = split(h @ p[pre + "attn.wk"] + p[pre + "attn.bk"])
         v = split(h @ p[pre + "attn.wv"] + p[pre + "attn.bv"])
         scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dh).astype(h.dtype)
         scores = scores - _MASK_PENALTY * (1.0 - mask)[:, None, None, :]
         probs = _softmax(scores)
         probs[~mask.any(axis=-1)] = 0  # an item with no real key attends to nothing
-        ctx = probs @ v  # [B,H,T,dh]
-        merged = ctx.transpose(0, 2, 1, 3).reshape(B, T, d)
+        ctx = probs @ v  # [B,H,t,dh]
+        merged = ctx.transpose(0, 2, 1, 3).reshape(B, -1, d)
         out = merged @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
-        return out, {"h": h, "q": q, "k": k, "v": v, "probs": probs, "merged": merged}
+        cache = dict(h=h, hq=hq, rows=rows, valid=valid, q=q, k=k, v=v, probs=probs, merged=merged)
+        return (out if valid is None else out[valid]), cache
 
     def _ffn_forward(self, h: np.ndarray, pre: str):
         p = self.params
@@ -268,10 +286,11 @@ class EncoderModel:
         out = g @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
         return out, {"h": h, "a": a, "g": g, "cdf": cdf}
 
-    def logits_mlm(self, y: np.ndarray) -> np.ndarray:
+    def logits_mlm(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Vocabulary logits of ``y``, written into ``out`` when it is given."""
         if self.config.tied_head:
-            return y @ self.params["tok_emb"].T
-        logits = y @ self.params["head.w"]
+            return np.matmul(y, self.params["tok_emb"].T, out=out)
+        logits = np.matmul(y, self.params["head.w"], out=out)
         logits += self.params["head.b"]
         return logits
 
@@ -324,9 +343,9 @@ class EncoderModel:
                 dh = self._ffn_backward(dx, layer_cache["ffn"], grads, pre)
                 dx = dx + _ln_backward(dh, layer_cache["ln2"], grads, pre + "ln2")
             if ATTENTION in cfg.sublayers:
+                dh = self._attn_backward(dx, layer_cache["attn"], grads, pre)
                 if layer == gather_at:
                     dx = scatter(dx)
-                dh = self._attn_backward(dx, layer_cache["attn"], grads, pre)
                 dx = dx + _ln_backward(dh, layer_cache["ln1"], grads, pre + "ln1")
         if gather_at == -1:
             dx = scatter(dx)
@@ -358,16 +377,27 @@ class EncoderModel:
         return da @ p[pre + "ffn.w1"].T
 
     def _attn_backward(self, dout: np.ndarray, c: dict, grads: dict, pre: str) -> np.ndarray:
+        """Gradients of one attention sublayer; returns dLoss/dh, [B, T, d].
+
+        ``dout`` has the shape of the forward's ``out``: ``[n, d]`` when it
+        took ``rows``, put back into the query slots with zeros in the spare
+        ones, whose queries therefore get no gradient.
+        """
         p = self.params
-        B, T, d = dout.shape
+        h, hq, valid = c["h"], c["hq"], c["valid"]
+        B, T, d = h.shape
         H = self.config.n_heads
         dh = d // H
+        if valid is not None:
+            slotted = np.zeros(valid.shape + (d,), dtype=dout.dtype)
+            slotted[valid] = dout
+            dout = slotted
 
         do2 = dout.reshape(-1, d)
         m2 = c["merged"].reshape(-1, d)
         grads[pre + "attn.wo"] += m2.T @ do2
         grads[pre + "attn.bo"] += do2.sum(axis=0)
-        dmerged = (dout @ p[pre + "attn.wo"].T).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+        dmerged = (dout @ p[pre + "attn.wo"].T).reshape(B, -1, H, dh).transpose(0, 2, 1, 3)
 
         probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
         dprobs = dmerged @ v.transpose(0, 1, 3, 2)
@@ -378,17 +408,20 @@ class EncoderModel:
         dq = dscores @ k
         dk = dscores.transpose(0, 1, 3, 2) @ q
 
-        def merge_heads(z):  # [B,H,T,dh] -> [B*T,d]
-            return z.transpose(0, 2, 1, 3).reshape(B * T, d)
+        def merge_heads(z):  # [B,H,t,dh] -> [B*t,d]
+            return z.transpose(0, 2, 1, 3).reshape(-1, d)
 
-        h2 = c["h"].reshape(-1, d)
-        dhidden = np.zeros_like(c["h"]).reshape(-1, d)
-        for name, dz in (("q", dq), ("k", dk), ("v", dv)):
+        dhidden = np.zeros_like(h)
+        for name, dz, x in (("q", dq, hq), ("k", dk, h), ("v", dv, h)):
             dz2 = merge_heads(dz)
-            grads[pre + f"attn.w{name}"] += h2.T @ dz2
+            grads[pre + f"attn.w{name}"] += x.reshape(-1, d).T @ dz2
             grads[pre + f"attn.b{name}"] += dz2.sum(axis=0)
-            dhidden += dz2 @ p[pre + f"attn.w{name}"].T
-        return dhidden.reshape(B, T, d)
+            dx = dz2 @ p[pre + f"attn.w{name}"].T
+            if name == "q" and valid is not None:  # the scored slots only
+                dhidden[c["rows"]] += dx.reshape(B, -1, d)[valid]
+            else:
+                dhidden += dx.reshape(B, T, d)
+        return dhidden
 
 
 def build_encoder(config: EncoderConfig) -> EncoderModel:

@@ -19,6 +19,7 @@ from .masking import IGNORE_LABEL, MaskedBatch, make_masked_batch, pad_rows
 
 MOMENTUM = 0.9
 _PREDICT_BATCH = 32
+_LOSS_BLOCK_BYTES = 1 << 20  # the loss's row block: about an L2 cache
 
 
 @dataclass(frozen=True)
@@ -47,21 +48,29 @@ def _cross_entropy_rows(flat_logits: np.ndarray, targets: np.ndarray):
     """Per-row CE and softmax probs for [N, V] logits, numerically stable.
 
     Overwrites ``flat_logits``: the returned probs are that same array, so
-    an [N, V] head costs one array. Pass a copy to keep the logits.
+    an [N, V] head costs one array. Pass a copy to keep the logits. The
+    passes over a row (max, subtract, exp, sum, divide) run on blocks of
+    about ``_LOSS_BLOCK_BYTES``, which stay in cache from one pass to the
+    next; each pass works row by row, so blocking changes no bit.
     """
-    target_logits = flat_logits[np.arange(flat_logits.shape[0]), targets]
-    m = flat_logits.max(axis=-1, keepdims=True)
-    probs = flat_logits
-    probs -= m
-    np.exp(probs, out=probs)
-    total = probs.sum(axis=-1, keepdims=True)
-    lse = np.log(total) + m
-    ce = lse[:, 0] - target_logits
-    probs /= total
-    return ce, probs
+    n, V = flat_logits.shape
+    target_logits = flat_logits[np.arange(n), targets]
+    ce = np.empty(n, dtype=flat_logits.dtype)
+    step = max(1, _LOSS_BLOCK_BYTES // (V * flat_logits.itemsize))
+    for lo in range(0, n, step):
+        block = flat_logits[lo : lo + step]
+        m = block.max(axis=-1, keepdims=True)
+        block -= m
+        np.exp(block, out=block)
+        total = block.sum(axis=-1, keepdims=True)
+        ce[lo : lo + step] = (np.log(total) + m)[:, 0] - target_logits[lo : lo + step]
+        block /= total
+    return ce, flat_logits
 
 
-def mlm_loss_sums(model: EncoderModel, batch: MaskedBatch, *, grads: Optional[dict] = None):
+def mlm_loss_sums(
+    model: EncoderModel, batch: MaskedBatch, *, grads: Optional[dict] = None, logits: Optional[np.ndarray] = None
+):
     """Summed CE over labeled positions plus the label count.
 
     With ``grads`` (from ``model.zero_grads()``) the batch's gradient sums
@@ -69,7 +78,9 @@ def mlm_loss_sums(model: EncoderModel, batch: MaskedBatch, *, grads: Optional[di
     accumulation exactly linear: micro-batches add into one dict, and the
     caller divides once by the total count. Only the labeled rows go
     through the encoder's last block and the vocabulary head (BERT's
-    ``gather_indexes``), as one [1, N, d] batch.
+    ``gather_indexes``), as one [1, N, d] batch. ``logits``, a flat array
+    of at least N * vocab_size elements, takes the head's [N, V] output in
+    place of a new array.
     """
     labeled = batch.labels != IGNORE_LABEL
     count = int(labeled.sum())
@@ -77,7 +88,8 @@ def mlm_loss_sums(model: EncoderModel, batch: MaskedBatch, *, grads: Optional[di
         raise TrainingError("batch has no labeled (masked) positions")
     y, cache = model.hidden_states(batch.input_ids, batch.attn_mask, want_cache=grads is not None, rows=labeled)
     targets = batch.labels[labeled]
-    ce, probs = _cross_entropy_rows(model.logits_mlm(y[None])[0], targets)
+    out = None if logits is None else logits[: count * model.config.vocab_size].reshape(1, count, -1)
+    ce, probs = _cross_entropy_rows(model.logits_mlm(y[None], out=out)[0], targets)
     loss_sum = float(ce.sum())
     if grads is not None:
         probs[np.arange(count), targets] -= 1.0
@@ -210,6 +222,10 @@ def train_mlm(
     optimizer = MomentumSGD(lr, warmup_steps=warmup_steps)
     losses: list[float] = []
     cursor = real = 0
+    # one head output for every micro-batch, grown to the most labels seen:
+    # the largest array of a step is not freed and remade, which leaves
+    # the allocator's heap holes that the next one may not fit
+    logits = np.empty(0, dtype=model.config.np_dtype)
     for step in range(steps):
         grads = model.zero_grads()
         loss_sum_total = 0.0
@@ -226,7 +242,10 @@ def train_mlm(
             )
             cursor += plan.micro_batch_seqs
             real += int(batch.attn_mask.sum())
-            loss_sum, count = mlm_loss_sums(model, batch, grads=grads)
+            size = int((batch.labels != IGNORE_LABEL).sum()) * model.config.vocab_size
+            if logits.size < size:
+                logits = np.empty(size, dtype=logits.dtype)
+            loss_sum, count = mlm_loss_sums(model, batch, grads=grads, logits=logits)
             loss_sum_total += loss_sum
             count_total += count
         loss = loss_sum_total / count_total

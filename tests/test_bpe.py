@@ -648,6 +648,32 @@ class TestEncodeMany:
             want = [oracle_encode(vocab, t) for t in texts]
             assert list(vocab.encode_many(texts)) == want, (vocab.merges, vocab.isolate_digits, texts)
 
+    def test_positions_reach_holding_strictly_ascending(self, monkeypatch):
+        # the encoder's pending arrays (one per rank, queued once) and the
+        # trainer's filed arrays go to _holding unsorted: each arrives in
+        # ascending order, as _matches's left-to-right pass needs
+        calls = []
+
+        def holding(ids, nxt, pos, a, b):
+            calls.append(len(pos))
+            assert (np.diff(pos) > 0).all(), pos
+            return held(ids, nxt, pos, a, b)
+
+        held = bpe._holding
+        monkeypatch.setattr(bpe, "_holding", holding)
+        rng = np.random.default_rng(404)
+        for _ in range(600):  # the draws of test_matches_heap_oracle_on_adversarial_vocabs
+            vocab = adversarial_vocab(rng)
+            list(vocab.encode_many(adversarial_texts(rng)))
+        adversarial = len(calls)
+        texts = golden_corpus()
+        for isolate_digits in (False, True):  # the vocabs of test_golden_ids
+            vocab = train_bpe(
+                texts[::2], MIN_VOCAB_SIZE + 500, sample_fraction=0.5, seed=11, isolate_digits=isolate_digits
+            )
+            list(vocab.encode_many(texts))
+        assert adversarial > 1_000 and len(calls) - adversarial > 2_000
+
     def test_batch_invariance(self, monkeypatch):
         rng = np.random.default_rng(5)
         texts = golden_corpus()[:80] + ["", "<RS>", "aaaa", b"\xff\xfe raw bytes"]

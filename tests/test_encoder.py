@@ -148,6 +148,20 @@ class TestScoredRows:
             if ffn is not None:
                 assert ffn["h"].shape == (2, 16)  # the last FFN ran on the two rows
 
+    def test_last_attention_queries_the_scored_rows_only(self):
+        # its probabilities are [B, H, w, T], w = max(2, an item's most rows);
+        # every earlier attention keeps all T queries
+        model = build_encoder(small_config(n_layers=3))
+        rng = np.random.default_rng(5)
+        ids, mask = rng.integers(0, 50, size=(4, 12)), np.ones((4, 12))
+        for counts, w in (([0, 1, 0, 0], 2), ([0, 0, 0, 0], 2), ([3, 0, 5, 1], 5), ([12, 2, 12, 0], 12)):
+            rows = np.zeros(ids.shape, dtype=bool)
+            for item, n in enumerate(counts):
+                rows[item, rng.choice(12, size=n, replace=False)] = True
+            y, cache = model.hidden_states(ids, mask, want_cache=True, rows=rows)
+            assert y.shape == (sum(counts), 16)
+            assert [c["attn"]["probs"].shape for c in cache["layers"]] == [(4, 4, 12, 12)] * 2 + [(4, 4, w, 12)]
+
 
 class TestForwardMlm:
     def test_initial_loss_near_log_vocab(self):

@@ -47,6 +47,18 @@ def two_exp_cross_entropy(flat_logits, targets):
     return ce, probs
 
 
+def unblocked_cross_entropy(flat_logits, targets):
+    """The loss's passes each over every row at once (oracle for the row blocks)."""
+    target_logits = flat_logits[np.arange(flat_logits.shape[0]), targets]
+    m = flat_logits.max(axis=-1, keepdims=True)
+    probs = flat_logits - m
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    ce = (np.log(total) + m)[:, 0] - target_logits
+    probs /= total
+    return ce, probs
+
+
 def dense_head_mlm_loss_sums(model, batch):
     """MLM loss and grads with the head over every [B, T] position (oracle)."""
     labeled = batch.labels != IGNORE_LABEL
@@ -303,6 +315,25 @@ class TestMlmLoss:
             assert ce.tobytes() == ce_ref.tobytes()
             np.testing.assert_allclose(probs, probs_ref, rtol=64 * np.finfo(dtype).eps, atol=0)
 
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_blocks_change_no_loss_or_probability_bit(self, dtype, block_bytes, monkeypatch):
+        # row counts one short of, on and one past the first two block
+        # boundaries; a 1-byte budget gives blocks of one row
+        if block_bytes is not None:
+            monkeypatch.setattr(training, "_LOSS_BLOCK_BYTES", block_bytes)
+        V = 5000
+        step = max(1, training._LOSS_BLOCK_BYTES // (V * np.dtype(dtype).itemsize))
+        assert step == 1 if block_bytes else step >= 20
+        rng = np.random.default_rng(23)
+        for n in sorted({1, step - 1, step, step + 1, 2 * step - 1, 2 * step, 2 * step + 1} - {0}):
+            logits = (rng.normal(size=(n, V)) * 4).astype(dtype)
+            targets = rng.integers(0, V, size=n)
+            ce, probs = _cross_entropy_rows(logits.copy(), targets)
+            ce_ref, probs_ref = unblocked_cross_entropy(logits, targets)
+            assert ce.dtype == ce_ref.dtype and ce.tobytes() == ce_ref.tobytes(), n
+            assert probs.tobytes() == probs_ref.tobytes(), n
+
 
 ROW_CONFIGS = {
     "default": {},
@@ -357,6 +388,37 @@ class TestScoredRowRoute:
             loss, _ = classifier_loss_sums(clf, ids, attn, labels, weights, grads=grads)
             assert loss == full_route_classifier_loss_sums(clf, ids, attn, labels, weights, grads_ref)
             assert_within_float32_rounding(grads, grads_ref, {**clf.encoder.params, **clf.params})
+
+    @pytest.mark.parametrize("kw", ROW_CONFIGS.values(), ids=ROW_CONFIGS.keys())
+    def test_items_with_no_one_and_many_rows(self, kw):
+        # the last attention packs each item's query rows into w slots:
+        # here 0, 1, 6 and 2 rows of items with keys, and 2 rows of an item
+        # with no real key, which attends to nothing
+        lengths = [6, 5, 8, 0, 4]
+        scored = np.zeros((5, 8), dtype=bool)
+        scored[1, 3] = True
+        scored[2, [0, 2, 3, 5, 6, 7]] = True
+        scored[3, :2] = True
+        scored[4, [1, 3]] = True
+        attn = (np.arange(8) < np.array(lengths)[:, None]).astype(np.int64)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            ids = np.where(attn > 0, rng.integers(6, 64, size=attn.shape), PAD_ID)
+            base = dict(n_layers=2, hidden=16, n_heads=2, vocab_size=64, max_positions=8, seed=seed)
+            model = build_encoder(EncoderConfig(**{**base, **kw}))
+            batch = MaskedBatch(ids, attn, np.where(scored, rng.integers(6, 64, size=ids.shape), IGNORE_LABEL))
+            grads, grads_ref = model.zero_grads(), model.zero_grads()
+            loss, count = mlm_loss_sums(model, batch, grads=grads)
+            assert count == 11 and loss == full_route_mlm_loss_sums(model, batch, grads_ref)
+            assert_within_float32_rounding(grads, grads_ref, model.params)
+
+            clf = attach_head(model, HeadKind.TOKEN, 3)
+            labels = np.where(scored, rng.integers(0, 3, size=ids.shape), IGNORE_LABEL)
+            weights = rng.uniform(0.2, 2.0, size=3)
+            grads, grads_ref = clf.zero_grads(), clf.zero_grads()
+            loss, _ = classifier_loss_sums(clf, ids, attn, labels, weights, grads=grads)
+            assert loss == full_route_classifier_loss_sums(clf, ids, attn, labels, weights, grads_ref)
+            assert_within_float32_rounding(grads, grads_ref, {**model.params, **clf.params})
 
 
 class TestGradCheck:
@@ -466,6 +528,29 @@ class TestTrainMlm:
                 np.testing.assert_allclose(params[name], ref, rtol=1e-10, atol=1e-14, err_msg=name)
             else:
                 assert params[name].tobytes() == ref.tobytes(), name
+
+    def test_head_output_is_one_buffer_grown_to_the_most_labels(self, monkeypatch):
+        # the [N, V] logits of every micro-batch go into one buffer, made
+        # anew only for a micro-batch with more labels than any before it
+        calls = []
+
+        def spy(model, batch, *, grads=None, logits=None):
+            n = int((batch.labels != IGNORE_LABEL).sum())
+            calls.append((n, logits.size, logits.__array_interface__["data"][0]))
+            return mlm_loss_sums(model, batch, grads=grads, logits=logits)
+
+        monkeypatch.setattr(training, "mlm_loss_sums", spy)
+        rng = np.random.default_rng(8)
+        seqs = [list(rng.integers(6, 40, size=int(rng.integers(3, 13)))) for _ in range(20)]
+        train_mlm(tiny_model(vocab_size=40, max_positions=16), seqs, plan_batches(2 * 4 * 12, 4, 12), steps=6, lr=0.1)
+        most = 0
+        for i, (n, size, address) in enumerate(calls):
+            if n > most:
+                most = n
+                assert size == n * 40
+            else:
+                assert (size, address) == calls[i - 1][1:]
+        assert len({address for *_, address in calls}) < len(calls) == 12
 
     def test_each_micro_batch_is_as_wide_as_its_longest_sequence(self, monkeypatch):
         widths = []

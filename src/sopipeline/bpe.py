@@ -42,11 +42,12 @@ EMAIL_ID = 5
 BYTE_BASE = N_SPECIALS  # byte value b encodes as id BYTE_BASE + b
 MIN_VOCAB_SIZE = 256 + N_SPECIALS
 
-_SPECIAL_LITERALS = tuple(lit for _, lit in SPECIAL_TOKENS)
-_SPECIAL_SPLIT_BYTES = re.compile(
-    b"(" + b"|".join(re.escape(lit.encode()) for lit in sorted(_SPECIAL_LITERALS, key=len, reverse=True)) + b")"
-)
 _SPECIAL_ID_BY_BYTES = {lit.encode(): i for i, (_, lit) in enumerate(SPECIAL_TOKENS)}
+_SPECIAL_SPLIT_BYTES = re.compile(
+    b"(" + b"|".join(re.escape(lit) for lit in sorted(_SPECIAL_ID_BY_BYTES, key=len, reverse=True)) + b")"
+)
+# the bytes of the ids below MIN_VOCAB_SIZE, which no merge makes
+_BASE_TOKENS = tuple(_SPECIAL_ID_BY_BYTES) + tuple(bytes([b]) for b in range(256))
 
 _MAGIC = b"SOVOC"
 _VERSION = 1
@@ -69,8 +70,7 @@ class BpeVocab:
     _bytes_to_id: dict[bytes, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.token_bytes = [lit.encode() for _, lit in SPECIAL_TOKENS]
-        self.token_bytes += [bytes([b]) for b in range(256)]
+        self.token_bytes = list(_BASE_TOKENS)
         self._bytes_to_id = {bytes([b]): BYTE_BASE + b for b in range(256)}
         for r, (left, right) in enumerate(self.merges):
             tok = left + right
@@ -129,7 +129,7 @@ class BpeVocab:
         priority). A sweep takes every pending position of the lowest rank
         ``r`` = (A, B) -> M at once, keeps those still holding (A, B) and,
         when A == B, every other match of an overlapping run from its left,
-        and merges them all. M's new neighbour pairs all rank above ``r``:
+        and merges them all (:func:`_merge_at`). M's new neighbour pairs all rank above ``r``:
         a merge's sides are earlier tokens. So sweeps run in rank order, and
         a rank's positions are all queued at once, in the first lookup when
         both its sides are bytes, else in the sweep that makes its newer
@@ -144,7 +144,7 @@ class BpeVocab:
         """
         byte_ranks, lefts, rights, pair_ids = self._pair_table
         no_rank = len(self.merges)
-        # rank by partner id; the last slot, index -1, stays no_rank
+        # rank by partner id; the last slot, which an id of -1 reads, stays no_rank
         row = np.full(self.vocab_size + 1, no_rank, dtype=byte_ranks.dtype)
 
         def ranks_beside(csr: tuple[np.ndarray, ...], m: int, query: np.ndarray) -> np.ndarray:
@@ -177,26 +177,14 @@ class BpeVocab:
             if r not in pending:
                 continue
             (a, b), m = pair_ids[r], MIN_VOCAB_SIZE + r
-            p, q = _matches(nxt, _holding(ids, nxt, pending.pop(r), a, b), a == b)
+            p = _matches(nxt, _holding(ids, nxt, pending.pop(r), a, b), a == b)
             if not len(p):
                 continue
-            left, right = prv[p], nxt[q]
-            # A left neighbour that is the right partner of the previous merge
-            # is that merge's M, at its position.
-            left_ids, left_pos = ids[left], left
-            after = left[1:] == q[:-1]
-            if after.any():
-                left_ids[1:][after] = m
-                left_pos = left.copy()
-                left_pos[1:][after] = p[:-1][after]
-            new_ranks = np.concatenate((ranks_beside(lefts, m, left_ids), ranks_beside(rights, m, ids[right])))
-            ids[p] = m
-            ids[q] = -1
-            nxt[p] = right
-            prv[right] = p  # a -1 link writes the unused last slot
+            left, right = _merge_at(ids, prv, nxt, p, m)
+            new_ranks = np.concatenate((ranks_beside(lefts, m, ids[left]), ranks_beside(rights, m, ids[right])))
             found = new_ranks < no_rank
             if found.any():
-                queue(np.concatenate((left_pos, p))[found], new_ranks[found])
+                queue(np.concatenate((left, p))[found], new_ranks[found])
 
     def decode_bytes(self, ids: Sequence[int]) -> bytes:
         out = []
@@ -386,22 +374,34 @@ def _holding(ids: np.ndarray, nxt: np.ndarray, pos: np.ndarray, a: int, b: int) 
     return pos[(ids[pos] == a) & (ids[nxt[pos]] == b)]
 
 
-def _matches(nxt: np.ndarray, p: np.ndarray, same: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The matches ``(p, q)`` a left-to-right pass merges among the sorted
-    positions ``p`` holding one pair: all of them, or when its two sides
-    are the ``same`` token every other one of an overlapping run, from its
-    left. ``q`` is the right partner of each ``p``.
+def _matches(nxt: np.ndarray, p: np.ndarray, same: bool) -> np.ndarray:
+    """The positions a left-to-right pass merges among the sorted positions
+    ``p`` holding one pair: all of them, or when its two sides are the
+    ``same`` token every other one of an overlapping run, from its left.
     """
-    q = nxt[p]
     if same:
-        chained = q[:-1] == p[1:]
-        if chained.any():
+        overlap = nxt[p[:-1]] == p[1:]
+        if overlap.any():
             at = np.arange(len(p))
-            run_start = np.where(np.concatenate(([True], ~chained)), at, 0)
+            run_start = np.where(np.concatenate(([True], ~overlap)), at, 0)
             np.maximum.accumulate(run_start, out=run_start)
-            take = (at - run_start) % 2 == 0
-            p, q = p[take], q[take]
-    return p, q
+            p = p[(at - run_start) % 2 == 0]
+    return p
+
+
+def _merge_at(ids: np.ndarray, prv: np.ndarray, nxt: np.ndarray, p: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Merge each match at the sorted positions ``p`` into ``m``, in place,
+    and return the slots before and after the merges. Read after the write,
+    a slot the previous match consumed holds -1, as an end link's does, so
+    two adjacent matches show their (m, m) only as the first one's right
+    pair. The linked slots on each side ascend."""
+    q = nxt[p]
+    before, after = prv[p], nxt[q]
+    ids[p] = m
+    ids[q] = -1
+    nxt[p] = after
+    prv[after] = p  # a -1 link writes the unused last slot
+    return before, after
 
 
 # -- training ----------------------------------------------------------------
@@ -480,12 +480,15 @@ def train_bpe(
         raise VocabError(f"corpus empty after sampling at fraction {sample_fraction}")
 
     w = vocab_size + 1  # ids stay below vocab_size
-    tok = [lit.encode() for lit in _SPECIAL_LITERALS] + [bytes([b]) for b in range(256)]
+    tok = list(_BASE_TOKENS)
     filed: dict[int, np.ndarray] = {}
 
-    def file(codes: np.ndarray, pos: np.ndarray, order: np.ndarray) -> list[tuple[int, bytes, bytes, int]]:
-        """File the pairs ``codes`` at ``pos`` that occur at least twice;
-        return their heap entries. ``order`` sorts by code, then position."""
+    def file(codes: np.ndarray, pos: np.ndarray, key: np.ndarray) -> list[tuple[int, bytes, bytes, int]]:
+        """File the pairs ``codes`` that occur at least twice; return their
+        heap entries. Each code's positions ascend in ``pos``, so a stable
+        sort on ``key``, which orders as the codes do, sorts by code, then
+        position."""
+        order = np.argsort(key, kind="stable")
         codes, pos = codes[order], pos[order]
         firsts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
         sizes = np.concatenate((firsts[1:], [len(codes)])) - firsts
@@ -500,15 +503,11 @@ def train_bpe(
         return entries
 
     pos = np.flatnonzero(ids[nxt[:-1]] >= 0).astype(np.int32)
-    # every linked pair is two bytes and pos ascends, so a stable sort on a
-    # 16-bit key (numpy's radix sort) orders the pairs by code, then position
-    key = (ids[pos] - BYTE_BASE) << 8
-    key |= ids[nxt[pos]] - BYTE_BASE
-    order = np.argsort(key.astype(np.uint16), kind="stable")
-    del key
-    heap = file(ids[pos].astype(np.int64) * w + ids[nxt[pos]], pos, order)
+    # every linked pair is two bytes: a 16-bit key, which numpy radix-sorts
+    key = ((ids[pos] - BYTE_BASE) << 8 | ids[nxt[pos]] - BYTE_BASE).astype(np.uint16)
+    heap = file(ids[pos].astype(np.int64) * w + ids[nxt[pos]], pos, key)
     heapq.heapify(heap)
-    del pos, order
+    del pos, key
     merges: list[tuple[bytes, bytes]] = []
     while len(merges) < n_target_merges and heap:
         neg, left, right, code = heapq.heappop(heap)
@@ -523,20 +522,12 @@ def train_bpe(
         m = len(tok)
         tok.append(left + right)
 
-        p, q = _matches(nxt, held, a == b)
-        before, after = prv[p], nxt[q]
-        nxt[p] = after
-        prv[after] = p  # a -1 link writes the unused last slot
-        # A left neighbour that is the previous match's right partner is
-        # consumed: that match files (m, m) as its right pair.
-        before = before[(before >= 0) & np.concatenate(([True], before[1:] != q[:-1]))]
-        after_at = p[after >= 0]
-        after = after[after >= 0]
-        ids[p] = m
-        ids[q] = -1
-        gained = np.concatenate((ids[before].astype(np.int64) * w + m, ids[after].astype(np.int64) + m * w))
-        at = np.concatenate((before, after_at))
-        for entry in file(gained, at, np.lexsort((at, gained))):
+        p = _matches(nxt, held, a == b)
+        before, after = _merge_at(ids, prv, nxt, p, m)
+        before = before[ids[before] >= 0]
+        p = p[ids[after] >= 0]
+        gained = np.concatenate((ids[before].astype(np.int64) * w + m, ids[nxt[p]].astype(np.int64) + m * w))
+        for entry in file(gained, np.concatenate((before, p)), gained):  # each code on one side only
             heapq.heappush(heap, entry)
 
     return BpeVocab(merges=merges, isolate_digits=isolate_digits)

@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
+from .bpe import MIN_VOCAB_SIZE
 from .corpus import DEFAULT_BUCKET_EDGES, DEFAULT_MIN_COMMENTS, DEFAULT_MIN_SCORE
 from .errors import UsageError
 from .metrics import WeightMode
@@ -29,15 +30,15 @@ from .mining import (
 ENV_CONFIG_PATH = "SOPIPELINE_CONFIG"
 
 
-def _key(section: str, default=None):
+def _key(section: str, default=None, at_least=None):
     """A field read from ``[section]`` of the config file; its annotation
-    gives the value's type."""
-    return field(default=default, metadata={"section": section})
+    gives the value's type, and ``at_least`` its lower bound, if any."""
+    return field(default=default, metadata={"section": section, "at_least": at_least})
 
 
 @dataclass
 class PipelineConfig:
-    seed: int = _key("run", 0)
+    seed: int = _key("run", 0, at_least=0)
     posts: Optional[str] = _key("paths")
     comments: Optional[str] = _key("paths")
     posthistory: Optional[str] = _key("paths")
@@ -46,27 +47,28 @@ class PipelineConfig:
     vocab: Optional[str] = _key("paths")
     shards: Optional[str] = _key("paths")
     checkpoint: Optional[str] = _key("paths")
-    min_score: int = _key("filter", DEFAULT_MIN_SCORE)
-    min_comments: int = _key("filter", DEFAULT_MIN_COMMENTS)
+    min_score: int = _key("filter", DEFAULT_MIN_SCORE, at_least=0)
+    min_comments: int = _key("filter", DEFAULT_MIN_COMMENTS, at_least=1)
     replace_urls: bool = _key("cleaning", True)
     replace_emails: bool = _key("cleaning", True)
-    vocab_size: int = _key("tokenizer", 50_000)
+    vocab_size: int = _key("tokenizer", 50_000, at_least=MIN_VOCAB_SIZE)
     sample_fraction: float = _key("tokenizer", 0.10)
     isolate_digits: bool = _key("tokenizer", False)
-    max_len: int = _key("sequence", 2048)
+    max_len: int = _key("sequence", 2048, at_least=1)
     bucket_edges: tuple[int, ...] = _key("sequence", DEFAULT_BUCKET_EDGES)
-    target_tokens: int = _key("batch", 500_000)
-    micro_batch: int = _key("batch", 8)
-    lr: float = _key("batch", 0.01)
-    steps: int = _key("batch", 100)
-    levenshtein_min: int = _key("miner", DEFAULT_LEVENSHTEIN_MIN)
+    target_tokens: int = _key("batch", 500_000, at_least=1)
+    micro_batch: int = _key("batch", 8, at_least=1)
+    lr: float = _key("batch", 0.01, at_least=0)
+    steps: int = _key("batch", 100, at_least=0)
+    levenshtein_min: int = _key("miner", DEFAULT_LEVENSHTEIN_MIN, at_least=0)
     late_years: float = _key("miner", DEFAULT_LATE_YEARS)
-    late_min_score: int = _key("miner", DEFAULT_LATE_MIN_SCORE)
+    late_min_score: int = _key("miner", DEFAULT_LATE_MIN_SCORE, at_least=0)
     keywords: tuple[str, ...] = _key("miner", OBSOLETION_KEYWORDS)
     metric_mode: WeightMode = _key("metrics", WeightMode.INVERSE_FREQUENCY)
 
 
 _SECTION = {f.name: f.metadata["section"] for f in fields(PipelineConfig)}
+_AT_LEAST = {f.name: f.metadata["at_least"] for f in fields(PipelineConfig) if f.metadata["at_least"] is not None}
 _TYPE = get_type_hints(PipelineConfig)
 _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
@@ -102,18 +104,10 @@ def validate(config: PipelineConfig) -> PipelineConfig:
         if not cond:
             raise UsageError(f"config value {key}: {message}")
 
-    from .bpe import MIN_VOCAB_SIZE
-
-    check(config.seed >= 0, "seed", "must be non-negative")
-    check(config.min_score >= 0, "min_score", "must be non-negative")
-    check(config.min_comments >= 1, "min_comments", "must be at least 1")
-    check(
-        config.vocab_size >= MIN_VOCAB_SIZE,
-        "vocab_size",
-        f"must be at least {MIN_VOCAB_SIZE}",
-    )
+    for key, bound in _AT_LEAST.items():
+        value = getattr(config, key)
+        check(value >= bound, key, f"must be at least {bound}, got {value}")
     check(0 < config.sample_fraction <= 1, "sample_fraction", "must lie in (0, 1]")
-    check(config.max_len >= 1, "max_len", "must be at least 1")
     check(len(config.bucket_edges) >= 1, "bucket_edges", "must list at least one edge")
     check(
         all(a < b for a, b in zip(config.bucket_edges, config.bucket_edges[1:]))
@@ -121,13 +115,7 @@ def validate(config: PipelineConfig) -> PipelineConfig:
         "bucket_edges",
         "must be strictly increasing positive integers",
     )
-    check(config.target_tokens >= 1, "target_tokens", "must be positive")
-    check(config.micro_batch >= 1, "micro_batch", "must be positive")
-    check(config.lr >= 0, "lr", "must be non-negative")
-    check(config.steps >= 0, "steps", "must be non-negative")
-    check(config.levenshtein_min >= 0, "levenshtein_min", "must be non-negative")
     check(config.late_years > 0, "late_years", "must be positive")
-    check(config.late_min_score >= 0, "late_min_score", "must be non-negative")
     check(len(config.keywords) >= 1, "keywords", "must list at least one keyword")
     return config
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .atomic import replacing
+from .bpe import SPECIAL_TOKENS
 from .dump_ingest import CommentRecord, PostRecord
 from .errors import UsageError
 from .linefiles import read_jsonl, write_jsonl
@@ -47,6 +48,8 @@ _URL = re.compile(r"\b(?:(?:https?|ftp)://|www\.)\S+", re.IGNORECASE)
 _EMAIL_LOCAL_RUN = re.compile(r"(?<![\w.+-])[\w.+-]+@")
 _EMAIL_LOCAL_START = re.compile(r"\b[\w.+-]")
 _EMAIL_DOMAIN = re.compile(r"[\w-]+(?:\.[\w-]+)+\b")
+# the tokenizer's <...> literals; [URL] and [EMAIL] stay, as cleaning makes them
+_ANGLED_SPECIALS = tuple(lit for _, lit in SPECIAL_TOKENS if lit.startswith("<"))
 
 
 @dataclass
@@ -99,11 +102,21 @@ def _may_hold_url(text: str) -> bool:
     return "://" in text or "www." in text.lower()
 
 
+def _defuse_specials(text: str) -> str:
+    """Lowercase each ``<...>`` special literal, which would encode as its
+    reserved id; a lowercased one holds no capital, so makes no new one."""
+    if "<" in text:
+        for literal in _ANGLED_SPECIALS:
+            text = text.replace(literal, literal.lower())
+    return text
+
+
 def _clean_fragment(fragment: str, replace_urls: bool, replace_emails: bool) -> str:
-    """Non-code text: drop tags, decode entities, abstract URLs/emails, and
-    collapse each whitespace run to one space, an edge run included."""
+    """Non-code text: drop tags, decode entities, defuse special literals,
+    abstract URLs/emails, and collapse each whitespace run to one space, an
+    edge run included."""
     text = _TAG.sub(" ", fragment)
-    text = unescape(text)
+    text = _defuse_specials(unescape(text))
     if replace_urls and _may_hold_url(text):
         text = _URL.sub(URL_TOKEN, text)
     if replace_emails:
@@ -116,17 +129,14 @@ def _clean_fragment(fragment: str, replace_urls: bool, replace_emails: bool) -> 
 
 
 def clean_comment_text(text: str, *, replace_urls: bool = True, replace_emails: bool = True) -> str:
-    """Comments are plain text: URL/email abstraction and whitespace
-    collapse only, no tag or entity handling.
-
-    A literal separator string in a comment is defused (lowercased) so the
-    assembled sample always contains exactly one separator per comment.
-    """
+    """Comments are plain text: URL/email abstraction, special literals
+    defused (so a sample holds one separator per comment) and whitespace
+    collapse only, no tag or entity handling."""
     if replace_urls and _may_hold_url(text):
         text = _URL.sub(URL_TOKEN, text)
     if replace_emails:
         text = _replace_emails(text)
-    text = text.replace(SEPARATOR, SEPARATOR.lower())
+    text = _defuse_specials(text)
     return " ".join(text.split())
 
 

@@ -167,7 +167,8 @@ class MomentumSGD:
         lr_t = self.rate(step_index)
         for name, g in grads.items():
             if name not in self.velocity:
-                self.velocity[name] = np.zeros_like(params[name])
+                # unlike zeros_like, leaves the pages of rows never written unmapped
+                self.velocity[name] = np.zeros(params[name].shape, params[name].dtype)
             v = self.velocity[name]
             if isinstance(g, RowGrad):
                 live = self.live_rows.setdefault(name, np.zeros(len(v), dtype=bool))
@@ -367,6 +368,10 @@ def finetune(
     """
     if not train_data:
         raise UsageError("no training data")
+    if batch_size < 1:
+        raise UsageError(f"batch_size must be at least 1, got {batch_size}")
+    if epochs < 0:
+        raise UsageError(f"epochs must be non-negative, got {epochs}")
     kind = classifier.kind
     if kind is HeadKind.SEQUENCE:
         all_labels = np.asarray([lab for _, lab in train_data], dtype=np.int64)

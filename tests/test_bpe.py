@@ -735,13 +735,34 @@ class TestEncodeMany:
 
     @pytest.mark.parametrize("merges", [[(b"a", b"b"), (b"ab", b"ab")]])
     def test_m_m_right_after_the_merge_creating_m(self, merges):
-        # adjacent matches of one sweep: the left neighbour of a match is the
-        # previous match's M, so (M, M) is looked up at that match
+        # adjacent matches of one sweep: read after the sweep's merges are
+        # written, the right neighbour of a match is the next match's M, so
+        # (M, M) is looked up at the first of the two
         vocab = BpeVocab(merges)
         texts = ["ab" * n for n in range(1, 8)] + ["xabababy", "abab<RS>abab", "aabab"]
         want = [oracle_encode(vocab, t) for t in texts]
         assert [vocab.token_bytes[i] for i in want[3]] == [b"abab", b"abab"]
         assert list(vocab.encode_many(texts)) == want
+
+    def test_merge_at_reads_neighbours_after_the_write(self):
+        # (a, a) over "aaaa" and "xaaay": the overlap rule keeps 0 and 2 of
+        # the run 0-2 and 5 of the run 5-6
+        a, x, y = (bpe.BYTE_BASE + ord(c) for c in "axy")
+        m = MIN_VOCAB_SIZE
+        ids, prv, nxt, _ = bpe._links([b"aaaa", b"xaaay"], False)
+        p = bpe._matches(nxt, bpe._holding(ids, nxt, np.flatnonzero(ids == a), a, a), True)
+        assert p.tolist() == [0, 2, 5]
+        before, after = bpe._merge_at(ids, prv, nxt, p, m)
+        assert ids.tolist() == [m, -1, m, -1, x, m, -1, a, y, -1]
+        assert (nxt[p].tolist(), prv[[2, 7]].tolist()) == ([2, -1, 7], [0, 5])
+        assert (before.tolist(), after.tolist()) == ([-1, 1, 4], [2, -1, 7])
+        # (m, m) shows once, right of the first match; the slot it consumed
+        # and both end links read -1
+        assert ids[before].tolist() == [-1, -1, x]
+        assert ids[after].tolist() == [m, -1, a]
+        for slots in (before, after):
+            linked = slots[slots >= 0]
+            assert (np.diff(linked) > 0).all()
 
     def test_lazy_over_a_stream(self, monkeypatch):
         monkeypatch.setattr(bpe, "_BATCH_BYTES", 10)

@@ -579,6 +579,14 @@ class TestMalformedInputs:
         assert (code, summary) == (2, None)
         assert err.startswith(f"error: {ckpt}: malformed checkpoint config")
 
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-1"), ("--epochs", "-1")])
+    def test_finetune_refuses_bad_batch_size_and_epochs(self, capsys, tmp_path, finetune_argv, flag, value):
+        train = tmp_path / "t.jsonl"
+        train.write_text(json.dumps({"text": "ab", "label": 1}) + "\n" + json.dumps({"text": "cd", "label": 0}) + "\n")
+        code, summary, err = run_cli(capsys, *finetune_argv, "--train", str(train), flag, value)
+        assert (code, summary) == (1, None)
+        assert err.startswith("usage error: ") and err.rstrip().endswith(f"got {value}")
+
     @pytest.mark.parametrize("flag", ["--train", "--eval"])
     @pytest.mark.parametrize(
         "bad_row",

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from sopipeline.bpe import MIN_VOCAB_SIZE
 from sopipeline.config import PipelineConfig, load_config, validate
 from sopipeline.errors import UsageError
 from sopipeline.metrics import WeightMode
@@ -154,6 +155,19 @@ class TestLoadConfig:
         with pytest.raises(UsageError) as exc_info:
             load_config(path)
         assert "sample_fraction" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "key, bound",
+        [("seed", 0), ("min_score", 0), ("min_comments", 1), ("vocab_size", MIN_VOCAB_SIZE), ("max_len", 1),
+         ("target_tokens", 1), ("micro_batch", 1), ("lr", 0), ("steps", 0), ("levenshtein_min", 0),
+         ("late_min_score", 0)],
+    )
+    def test_each_lower_bound_names_key(self, tmp_path, key, bound):
+        section = EVERY_KEY[key][0]
+        assert getattr(load_config(write(tmp_path, f"[{section}]\n{key} = {bound}\n")), key) == bound
+        refused = rf"^config value {key}: must be at least {bound}, got {bound - 1}(\.0)?$"
+        with pytest.raises(UsageError, match=refused):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {bound - 1}\n"))
 
     def test_vocab_too_small_rejected(self, tmp_path):
         path = write(tmp_path, "[tokenizer]\nvocab_size = 100\n")

@@ -39,6 +39,14 @@ class TestCleanText:
     def test_email_replaced(self):
         assert clean_text("contact me@host.com") == "contact [EMAIL]"
 
+    def test_escaped_special_literals_never_encode_as_specials(self):
+        # a dump escapes "<" in prose, so an answer about BERT's <MASK>
+        # reads the literal once its entities are decoded; code stays verbatim
+        body = "<p>Use the &lt;MASK&gt; token, then &lt;RS&gt;, &lt;PAD&gt; or &lt;CLS&gt;.</p><code>&lt;MASK&gt;</code>"
+        text = clean_text(body)
+        assert text == "Use the <mask> token, then <rs>, <pad> or <cls>. &lt;MASK&gt;"
+        assert min(bpe.BpeVocab([]).encode(text)) >= bpe.BYTE_BASE
+
     def test_code_content_untouched(self):
         body = '<p>try</p><code>requests.get("https://x.io")</code>'
         assert clean_text(body) == 'try requests.get("https://x.io")'
@@ -161,11 +169,16 @@ _ORACLE_TAG = re.compile(r"<[^>]*>")
 _ORACLE_URL = re.compile(r"\b(?:(?:https?|ftp)://|www\.)\S+", re.IGNORECASE)
 _ORACLE_EMAIL = re.compile(r"\b[\w.+-]+@[\w-]+(?:\.[\w-]+)+\b")
 _ORACLE_WS = re.compile(r"\s+")
+_ORACLE_SPECIAL = re.compile("<PAD>|<MASK>|<RS>|<CLS>")
+
+
+def oracle_defuse(text: str) -> str:
+    return _ORACLE_SPECIAL.sub(lambda m: m.group().lower(), text)
 
 
 def oracle_fragment(fragment: str, replace_urls: bool, replace_emails: bool) -> str:
     """Fragment cleaning as one regex per pass, each run on every text."""
-    text = unescape(_ORACLE_TAG.sub(" ", fragment))
+    text = oracle_defuse(unescape(_ORACLE_TAG.sub(" ", fragment)))
     if replace_urls:
         text = _ORACLE_URL.sub("[URL]", text)
     if replace_emails:
@@ -179,7 +192,7 @@ def oracle_comment(text: str, replace_urls: bool, replace_emails: bool) -> str:
         text = _ORACLE_URL.sub("[URL]", text)
     if replace_emails:
         text = _ORACLE_EMAIL.sub("[EMAIL]", text)
-    text = text.replace(SEPARATOR, SEPARATOR.lower())
+    text = oracle_defuse(text)
     return _ORACLE_WS.sub(" ", text).strip()
 
 
@@ -190,7 +203,7 @@ def test_skipped_passes_match_regex_oracle(replace_urls, replace_emails):
     # whitespace collapses through str.split: no text may tell the difference
     flags = dict(replace_urls=replace_urls, replace_emails=replace_emails)
     alphabet = [*"wW.:/@<>&; _é ſ", *"\t\n\x0b\x0c\x1c\x85\xa0 　",
-                "http", "HTTPS", "ftp", "wWw", "&nbsp;", "&#58;"]
+                "http", "HTTPS", "ftp", "wWw", "&nbsp;", "&#58;", "<RS>", "&lt;MASK&gt;"]
     rng = np.random.default_rng(25)
     texts = ["", " ", "\n", "\t\x85　", " a ", "\xa0x@y.z", "www.x ", "　http://x\x1c"]
     texts += ["".join(rng.choice(alphabet, size=int(rng.integers(0, 24)))) for _ in range(5000)]
@@ -222,6 +235,12 @@ class TestCleanCommentText:
 
     def test_separator_literal_defused(self):
         assert clean_comment_text("tricky <RS> comment") == "tricky <rs> comment"
+
+    def test_every_angled_special_literal_defused(self):
+        # [URL] typed by a user still encodes as the placeholder cleaning makes
+        text = clean_comment_text("<PAD> <MASK> <CLS> <RS> [URL]")
+        assert text == "<pad> <mask> <cls> <rs> [URL]"
+        assert [i for i in bpe.BpeVocab([]).encode(text) if i < bpe.BYTE_BASE] == [bpe.URL_ID]
 
 
 @pytest.fixture

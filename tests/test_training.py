@@ -693,6 +693,14 @@ class TestFinetune:
             assert [len(p) for p in preds] == [10] * len(data)
             assert all(np.isfinite(v).all() for v in clf.params.values())
 
+    @pytest.mark.parametrize("kwargs, named", [({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+                                               ({"batch_size": -1}, "batch_size must be at least 1, got -1"),
+                                               ({"epochs": -1}, "epochs must be non-negative, got -1")])
+    def test_refuses_bad_batch_size_and_epochs(self, kwargs, named):
+        data = [([10, 11, 12], [0, 1, 0]), ([13, 14], [1, 0])]
+        with pytest.raises(UsageError, match=named):
+            finetune(self._clf(), data, **kwargs)
+
     def test_token_head_refuses_all_ignored_labels(self):
         data = [([10, 11, 12], [IGNORE_LABEL] * 3), ([13, 14], [IGNORE_LABEL] * 2)]
         with pytest.raises(MetricError, match="labeled"):

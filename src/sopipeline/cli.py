@@ -12,10 +12,11 @@ import logging
 import os
 import dataclasses
 import sys
-from typing import Optional, Sequence
+from enum import Enum
+from typing import Optional, Sequence, Union, get_args, get_origin
 
 from . import bpe, corpus, linefiles, metrics, mining, scaling, shards
-from .config import ENV_CONFIG_PATH, PipelineConfig, load_config, validate
+from .config import ENV_CONFIG_PATH, KEY_TYPES, PipelineConfig, load_config, validate
 from .dump_ingest import (
     TABLE_COMMENTS,
     TABLE_HISTORY,
@@ -356,51 +357,54 @@ def cmd_eval(args, config: PipelineConfig) -> dict:
 # -- parser wiring ---------------------------------------------------------------
 
 
+def _config_flags(p: argparse.ArgumentParser, *keys: str, **renamed: str) -> None:
+    """Add ``--key-name`` for each config key in ``keys``, and ``--flag`` for
+    each ``flag=key`` in ``renamed``, typed by the key's annotation; a tuple
+    key takes one or more values."""
+    for flag, key in (*zip(keys, keys), *renamed.items()):
+        kind, options = KEY_TYPES[key], {}
+        if get_origin(kind) is Union:  # Optional[str]
+            kind = get_args(kind)[0]
+        if get_origin(kind) is tuple:
+            kind, options["nargs"] = get_args(kind)[0], "+"
+        if issubclass(kind, Enum):
+            options["metavar"] = "{" + ",".join(m.value for m in kind) + "}"
+        p.add_argument("--" + flag.replace("_", "-"), dest=key, type=kind, **options)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sopipeline", description=__doc__)
     parser.add_argument("--config", help=f"config file (default: ${ENV_CONFIG_PATH})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse dump XML into an indexed record store")
-    p.add_argument("--posts")
-    p.add_argument("--comments")
-    p.add_argument("--posthistory")
-    p.add_argument("--store-dir")
+    _config_flags(p, "posts", "comments", "posthistory", "store_dir")
     p.set_defaults(fn=cmd_ingest, needs=("posts", "comments", "store_dir"))
 
     p = sub.add_parser("build-corpus", help="filter + clean + assemble pre-training samples")
-    p.add_argument("--store-dir")
+    _config_flags(p, "store_dir", "vocab", "min_score", "min_comments")
     p.add_argument("--out")
     p.add_argument("--format", choices=("jsonl", "shards"), default="jsonl")
-    p.add_argument("--vocab")
-    p.add_argument("--min-score", type=int)
-    p.add_argument("--min-comments", type=int)
     p.set_defaults(fn=cmd_build_corpus)
 
     p = sub.add_parser("train-tokenizer", help="learn a byte-level BPE vocabulary")
-    p.add_argument("--corpus")
-    p.add_argument("--out", dest="vocab")
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--sample-fraction", type=float)
-    p.add_argument("--seed", type=int)
+    _config_flags(p, "corpus", "vocab_size", "sample_fraction", "seed", out="vocab")
     p.set_defaults(fn=cmd_train_tokenizer, needs=("corpus", "vocab"))
 
     p = sub.add_parser("stats", help="corpus statistics and length histogram")
-    p.add_argument("--corpus")
+    _config_flags(p, "corpus", "bucket_edges")
     p.add_argument("--vocab", help="tokenizer for token-length buckets (default: character lengths)")
     p.add_argument(
         "--use-config-vocab",
         action="store_true",
         help="bucket by token length using the config [paths] vocab",
     )
-    p.add_argument("--bucket-edges", type=int, nargs="+")
     p.set_defaults(fn=cmd_stats, needs=("corpus",))
 
     p = sub.add_parser("plan", help="parameter count, token floor, training cost")
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--hidden", type=int, required=True)
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--max-positions", dest="max_len", type=int)
+    _config_flags(p, "vocab_size", max_positions="max_len")
     p.add_argument("--untied-head", action="store_true")
     p.add_argument("--gpu-hours", type=float)
     p.add_argument("--rate", type=float, default=scaling.DEFAULT_RATE_PER_HOUR)
@@ -409,28 +413,20 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("pretrain", help="desk-scale MLM training on token shards")
-    p.add_argument("--shards")
-    p.add_argument("--vocab")
-    p.add_argument("--checkpoint")
+    _config_flags(p, "shards", "vocab", "checkpoint", "micro_batch", "target_tokens", "steps", "lr", "seed",
+                  max_positions="max_len")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--max-positions", dest="max_len", type=int)
     p.add_argument("--seq-len", type=int, help="tokens kept per sequence (default: max_len); a batch pads to its longest")
-    p.add_argument("--micro-batch", type=int)
-    p.add_argument("--target-tokens", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
     p.add_argument("--mask-rate", type=float, default=0.15)
     p.add_argument("--warmup-steps", type=int, default=0)
     p.add_argument("--untied-head", action="store_true")
-    p.add_argument("--seed", type=int)
     p.add_argument("--loss-csv")
     p.set_defaults(fn=cmd_pretrain, needs=("shards", "vocab", "checkpoint"))
 
     p = sub.add_parser("finetune", help="sequence classification on a checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--checkpoint")
+    _config_flags(p, "vocab", "checkpoint", "seed")
     p.add_argument("--train", required=True, help="JSONL with text/label fields")
     p.add_argument("--eval")
     p.add_argument("--classes", type=int, required=True)
@@ -439,23 +435,18 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--seq-len", type=int, help="tokens kept per item (default: max_len); a batch pads to its longest")
     p.add_argument("--warmup-steps", type=int, default=0)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out-checkpoint")
     p.set_defaults(fn=cmd_finetune, needs=("vocab", "checkpoint"))
 
     p = sub.add_parser("mine", help="mine obsoletion candidates from a store")
-    p.add_argument("--store-dir")
+    _config_flags(p, "store_dir", "keywords", "levenshtein_min", "late_years", "late_min_score")
     p.add_argument("--out", required=True)
-    p.add_argument("--keywords", nargs="+")
-    p.add_argument("--levenshtein-min", type=int)
-    p.add_argument("--late-years", type=float)
-    p.add_argument("--late-min-score", type=int)
     p.set_defaults(fn=cmd_mine, needs=("store_dir",))
 
     p = sub.add_parser("sample-annotations", help="balanced annotation draw")
     p.add_argument("--candidates", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    _config_flags(p, "seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sample_annotations)
 
@@ -467,8 +458,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="weighted metrics from a true/pred TSV")
     p.add_argument("--predictions", required=True)
     p.add_argument("--classes", type=int, required=True)
-    modes = "{" + ",".join(m.value for m in metrics.WeightMode) + "}"
-    p.add_argument("--mode", dest="metric_mode", type=metrics.WeightMode, metavar=modes)
+    _config_flags(p, mode="metric_mode")
     p.set_defaults(fn=cmd_eval)
 
     return parser

@@ -69,7 +69,7 @@ class PipelineConfig:
 
 _SECTION = {f.name: f.metadata["section"] for f in fields(PipelineConfig)}
 _AT_LEAST = {f.name: f.metadata["at_least"] for f in fields(PipelineConfig) if f.metadata["at_least"] is not None}
-_TYPE = get_type_hints(PipelineConfig)
+KEY_TYPES = get_type_hints(PipelineConfig)
 _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
 
@@ -87,7 +87,7 @@ def _parse(kind, text: str):
 
 
 def _convert(section: str, key: str, raw: str):
-    kind = _TYPE[key]
+    kind = KEY_TYPES[key]
     try:
         return _parse(kind, raw.strip())
     except (KeyError, ValueError):

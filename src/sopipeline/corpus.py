@@ -29,9 +29,7 @@ from . import shards
 
 logger = logging.getLogger(__name__)
 
-SEPARATOR = "<RS>"
-URL_TOKEN = "[URL]"
-EMAIL_TOKEN = "[EMAIL]"
+SEPARATOR, URL_TOKEN, EMAIL_TOKEN = (dict(SPECIAL_TOKENS)[name] for name in ("separator", "url", "email"))
 
 DEFAULT_MIN_SCORE = 1
 DEFAULT_MIN_COMMENTS = 1

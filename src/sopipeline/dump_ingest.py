@@ -14,6 +14,7 @@ from typing import BinaryIO, Iterator, NamedTuple, Optional
 from xml.parsers import expat
 
 from .errors import DumpParseError, RowError
+from .linefiles import parse_int
 
 _CHUNK_SIZE = 1 << 16
 
@@ -120,23 +121,34 @@ def stream_rows(source: BinaryIO, table: str | None = None) -> Iterator[dict]:
             break
 
 
-# The dump's and the store's form, millisecond fraction and no offset.
+# The accepted forms (docs/FORMATS.md), which fromisoformat reads alike on every
+# Python, and the dump's and store's own form among them.
+_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?:\.\d{3}|\.\d{6})?(?:[+-]\d\d:\d\d)?", re.ASCII)
 _CANONICAL_TS = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}", re.ASCII)
 
 
 def parse_timestamp(value: str, *, row_id=None) -> str:
     """A dump timestamp in the store's canonical form: UTC (a naive value
-    is UTC), millisecond precision, ``YYYY-MM-DDTHH:MM:SS.fff``.
-
-    Every value is validated; one already in that form is returned as it is.
+    is UTC), millisecond precision, ``YYYY-MM-DDTHH:MM:SS.fff``. A value
+    outside the grammar in docs/FORMATS.md, or naming no real time, is refused.
     """
+    if (canonical := _timestamp(value)) is None:
+        raise RowError(f"bad timestamp {value!r}", row_id=row_id)
+    return canonical
+
+
+def _timestamp(value: str) -> Optional[str]:
+    """:func:`parse_timestamp`'s value, or None for a refused one."""
     try:
-        ts = datetime.fromisoformat(value)
         if _CANONICAL_TS.fullmatch(value):
+            datetime.fromisoformat(value)  # refuses 30 February
             return value
-        return format_timestamp(ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc))
-    except (ValueError, OverflowError) as exc:
-        raise RowError(f"bad timestamp {value!r}", row_id=row_id) from exc
+        if _TIMESTAMP.fullmatch(value):
+            ts = datetime.fromisoformat(value)
+            return format_timestamp(ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc))
+    except (ValueError, OverflowError):
+        pass
+    return None
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -148,74 +160,69 @@ def format_timestamp(ts: datetime) -> str:
     )
 
 
-def _require(attrs: dict, key: str, row_id=None) -> str:
-    if key not in attrs:
-        raise RowError(f"missing required attribute {key!r}", row_id=row_id)
-    return attrs[key]
+REQUIRED = object()  # an attribute's value when absent: the row is refused
+
+# One (attribute, reader, value when absent) per record field after ``id``, in
+# field order; ``Id`` is a required integer in every table. A reader returns
+# None for a value it refuses.
+POST_ATTRIBUTES = (
+    ("PostTypeId", parse_int, REQUIRED),
+    ("Body", str, REQUIRED),
+    ("CreationDate", _timestamp, REQUIRED),
+    ("ParentId", parse_int, None),
+    ("AcceptedAnswerId", parse_int, None),
+    ("Score", parse_int, 0),
+    ("Title", str, None),
+    ("Tags", str, None),
+    ("LastEditDate", _timestamp, None),
+)
+COMMENT_ATTRIBUTES = (
+    ("PostId", parse_int, REQUIRED),
+    ("Text", str, REQUIRED),
+    ("CreationDate", _timestamp, REQUIRED),
+    ("Score", parse_int, 0),
+)
+HISTORY_ATTRIBUTES = (
+    ("PostId", parse_int, REQUIRED),
+    ("PostHistoryTypeId", parse_int, REQUIRED),
+    ("Text", str, ""),  # non-body kinds (title edits, closures) may omit it
+    ("CreationDate", _timestamp, REQUIRED),
+)
 
 
-def _parse_int(value: str, key: str, row_id=None) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise RowError(f"attribute {key!r} is not an integer: {value!r}", row_id=row_id) from exc
+def _parse_row(attrs: dict, record: type, attributes: tuple):
+    """``record`` built from one row by its attribute table, or RowError
+    naming the row: by its id, or by the raw ``Id`` until that is read."""
+    if "Id" not in attrs:
+        raise RowError("missing required attribute 'Id'")
+    if (row_id := parse_int(attrs["Id"])) is None:
+        raise RowError(f"bad value for 'Id': {attrs['Id']!r}", row_id=attrs["Id"])
+    values = [row_id]
+    for key, read, absent in attributes:
+        value = attrs.get(key, absent)
+        if value is REQUIRED:
+            raise RowError(f"missing required attribute {key!r}", row_id=row_id)
+        if value is not absent and (value := read(raw := value)) is None:
+            raise RowError(f"bad value for {key!r}: {raw!r}", row_id=row_id)
+        values.append(value)
+    return tuple.__new__(record, values)  # record._make(values), less its length check, per row
 
 
 def parse_post(attrs: dict) -> PostRecord:
-    """Build a PostRecord from a Posts row, raising RowError on bad rows."""
-    row_id = attrs.get("Id")
-    post_id = _parse_int(_require(attrs, "Id", row_id), "Id", row_id)
-    type_id = _parse_int(_require(attrs, "PostTypeId", post_id), "PostTypeId", post_id)
-    body = _require(attrs, "Body", post_id)
-    created = parse_timestamp(_require(attrs, "CreationDate", post_id), row_id=post_id)
-
-    parent_id = None
-    if "ParentId" in attrs:
-        parent_id = _parse_int(attrs["ParentId"], "ParentId", post_id)
-    if type_id == POST_ANSWER and parent_id is None:
-        raise RowError("answer without ParentId", row_id=post_id)
-
-    return PostRecord(
-        id=post_id,
-        post_type_id=type_id,
-        body=body,
-        creation_date=created,
-        parent_id=parent_id if type_id == POST_ANSWER else None,
-        accepted_answer_id=(
-            _parse_int(attrs["AcceptedAnswerId"], "AcceptedAnswerId", post_id)
-            if "AcceptedAnswerId" in attrs
-            else None
-        ),
-        score=_parse_int(attrs["Score"], "Score", post_id) if "Score" in attrs else 0,
-        title=attrs.get("Title"),
-        tags=attrs.get("Tags"),
-        last_edit_date=(
-            parse_timestamp(attrs["LastEditDate"], row_id=post_id) if "LastEditDate" in attrs else None
-        ),
-    )
+    """Build a PostRecord from a Posts row, raising RowError on bad rows. An
+    answer must have a ParentId, and only an answer keeps it."""
+    post = _parse_row(attrs, PostRecord, POST_ATTRIBUTES)
+    if post.post_type_id == POST_ANSWER:
+        if post.parent_id is None:
+            raise RowError("answer without ParentId", row_id=post.id)
+    elif post.parent_id is not None:
+        post = post._replace(parent_id=None)
+    return post
 
 
 def parse_comment(attrs: dict) -> CommentRecord:
-    row_id = attrs.get("Id")
-    comment_id = _parse_int(_require(attrs, "Id", row_id), "Id", row_id)
-    return CommentRecord(
-        id=comment_id,
-        post_id=_parse_int(_require(attrs, "PostId", comment_id), "PostId", comment_id),
-        text=_require(attrs, "Text", comment_id),
-        creation_date=parse_timestamp(_require(attrs, "CreationDate", comment_id), row_id=comment_id),
-        score=_parse_int(attrs["Score"], "Score", comment_id) if "Score" in attrs else 0,
-    )
+    return _parse_row(attrs, CommentRecord, COMMENT_ATTRIBUTES)
 
 
 def parse_history(attrs: dict) -> PostHistoryRecord:
-    row_id = attrs.get("Id")
-    hist_id = _parse_int(_require(attrs, "Id", row_id), "Id", row_id)
-    type_id = _parse_int(_require(attrs, "PostHistoryTypeId", hist_id), "PostHistoryTypeId", hist_id)
-    return PostHistoryRecord(
-        id=hist_id,
-        post_id=_parse_int(_require(attrs, "PostId", hist_id), "PostId", hist_id),
-        history_type_id=type_id,
-        # Non-body history kinds (title edits, closures) may omit Text.
-        text=attrs.get("Text", ""),
-        creation_date=parse_timestamp(_require(attrs, "CreationDate", hist_id), row_id=hist_id),
-    )
+    return _parse_row(attrs, PostHistoryRecord, HISTORY_ATTRIBUTES)

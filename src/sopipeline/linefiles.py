@@ -7,14 +7,11 @@ in JSONL as a data error (exit 2), in a TSV as a usage error (exit 1).
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .atomic import replacing
 from .errors import PipelineError, UsageError
-
-_TSV_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
@@ -71,9 +68,16 @@ def read_tsv(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, lis
                 yield lineno, fields
 
 
+def parse_int(text: str) -> Optional[int]:
+    """``text`` as an integer if it is ASCII ``-?[0-9]+``, else None, in TSV
+    fields and dump attributes alike: ``+1``, ``0_1``, `` 2 ``, ``١٢`` are not."""
+    if text.isdigit() or (text[:1] == "-" and text[1:].isdigit()):
+        return int(text) if text.isascii() else None
+    return None
+
+
 def tsv_int(path: str | Path, lineno: int, name: str, text: str) -> int:
-    """The integer field ``name`` of a TSV row: ASCII ``-?[0-9]+`` only, so
-    ``+1``, ``0_1``, `` 2 `` and non-ASCII digits are refused."""
-    if not _TSV_INTEGER.fullmatch(text):
+    """The integer field ``name`` of a TSV row, read by :func:`parse_int`."""
+    if (value := parse_int(text)) is None:
         raise UsageError(f"{path}:{lineno}: {name} must be an integer, got {text!r}")
-    return int(text)
+    return value

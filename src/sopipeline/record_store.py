@@ -149,7 +149,7 @@ class RecordStore:
             raise StoreError(f"store at {self.path} was never sealed")
         db_path = self.path / _DB_NAME
         try:  # a missing file fails to connect, a corrupt one at its first read
-            self._conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+            self._conn = sqlite3.connect(db_path.absolute().as_uri() + "?mode=ro", uri=True)
             rows = {table: self.count(table) for table in _TABLES}
         except sqlite3.DatabaseError as exc:
             if hasattr(self, "_conn"):

@@ -20,6 +20,11 @@ def ts(days: float = 0.0, *, base: datetime = EPOCH) -> str:
     return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}"
 
 
+def as_dump_row(row: dict) -> dict:
+    """``row`` with every value a string, as expat hands a parser a row."""
+    return {key: str(value) for key, value in row.items()}
+
+
 def rows_xml(rows: list[dict]) -> bytes:
     parts = ["<?xml version=\"1.0\" encoding=\"utf-8\"?>", "<rows>"]
     for row in rows:

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import answer_row, comment_row, history_row, question_row, rows_xml, ts
+from conftest import answer_row, as_dump_row, comment_row, history_row, question_row, rows_xml, ts
 from sopipeline import metrics, scaling, shards
 from sopipeline.bpe import MIN_VOCAB_SIZE, train_bpe
 from sopipeline.cli import main
@@ -130,8 +130,8 @@ def test_04_corpus_filter_oracle(tmp_path):
     posts, comments = _synthetic_dump()
     assert len(posts) + len(comments) == 10_000
     store = build_store(
-        [parse_post(p) for p in posts],
-        [parse_comment(c) for c in comments],
+        [parse_post(as_dump_row(p)) for p in posts],
+        [parse_comment(as_dump_row(c)) for c in comments],
         [],
         tmp_path / "store10k",
     )

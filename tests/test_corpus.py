@@ -10,7 +10,7 @@ from html import unescape
 import numpy as np
 import pytest
 
-from conftest import answer_row, comment_row, question_row, store_from_rows, ts
+from conftest import answer_row, as_dump_row, comment_row, question_row, store_from_rows, ts
 from sopipeline import bpe, corpus, shards
 from sopipeline.corpus import (
     SEPARATOR,
@@ -307,10 +307,10 @@ class TestFilterAnswers:
 
 class TestAssembleSample:
     def _answer(self, body="<p>A</p>"):
-        return parse_post(answer_row(50, 1, body=body, created=ts(1)))
+        return parse_post(as_dump_row(answer_row(50, 1, body=body, created=ts(1))))
 
     def _comment(self, cid, text, days):
-        return parse_comment(comment_row(cid, 50, text, created=ts(days)))
+        return parse_comment(as_dump_row(comment_row(cid, 50, text, created=ts(days))))
 
     def test_two_comments(self):
         sample = assemble_sample(

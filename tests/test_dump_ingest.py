@@ -9,11 +9,16 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import comment_row, rows_xml, ts
+from conftest import as_dump_row, comment_row, rows_xml, ts
+from sopipeline import dump_ingest
 from sopipeline.dump_ingest import (
+    COMMENT_ATTRIBUTES,
+    HISTORY_ATTRIBUTES,
     HISTORY_EDIT_BODY,
     POST_ANSWER,
+    POST_ATTRIBUTES,
     POST_QUESTION,
+    REQUIRED,
     format_timestamp,
     parse_comment,
     parse_history,
@@ -22,6 +27,7 @@ from sopipeline.dump_ingest import (
     stream_rows,
 )
 from sopipeline.errors import DumpParseError, RowError
+from sopipeline.linefiles import parse_int
 
 
 class TestStreamRows:
@@ -171,7 +177,7 @@ class TestParsePost:
 
 class TestParseCommentAndHistory:
     def test_comment(self):
-        rec = parse_comment(comment_row(1, 7, "deprecated since v2", created=ts(3)))
+        rec = parse_comment(as_dump_row(comment_row(1, 7, "deprecated since v2", created=ts(3))))
         assert rec.id == 1 and rec.post_id == 7
         assert rec.text == "deprecated since v2"
         assert rec.creation_date == "2019-06-04T12:00:00.000"
@@ -191,6 +197,93 @@ class TestParseCommentAndHistory:
     def test_comment_missing_text(self):
         with pytest.raises(RowError):
             parse_comment({"Id": "1", "PostId": "7", "CreationDate": ts(0)})
+
+
+# A valid value per reader of the attribute tables; an integer of 2 makes a post an answer.
+_VALID = {parse_int: "2", str: "s", dump_ingest._timestamp: "2019-06-01T12:00:00.000"}
+
+
+@pytest.mark.parametrize(
+    "parse, attributes",
+    [(parse_post, POST_ATTRIBUTES), (parse_comment, COMMENT_ATTRIBUTES), (parse_history, HISTORY_ATTRIBUTES)],
+    ids=["posts", "comments", "history"],
+)
+def test_attribute_table_refusals_name_row_and_attribute(parse, attributes):
+    """Each table's required attributes, dropped, and its integers, as ``1_0``,
+    refuse the row by a RowError that names the row and the attribute."""
+    row = {"Id": "9", **{key: _VALID[read] for key, read, _ in attributes}}
+    record = parse(row)
+    assert record.id == 9 and len(record) == len(record._fields) == 1 + len(attributes)
+    faults = [(key, None) for key, _, absent in attributes if absent is REQUIRED]
+    faults += [(key, "1_0") for key, read, _ in attributes if read is parse_int]
+    for key, value in faults:
+        bad = {k: v for k, v in row.items() if k != key} if value is None else {**row, key: value}
+        with pytest.raises(RowError, match=f"row 9: .*'{key}'") as exc_info:
+            parse(bad)
+        assert exc_info.value.row_id == 9
+    with pytest.raises(RowError, match="'Id'") as exc_info:
+        parse({k: v for k, v in row.items() if k != "Id"})
+    assert exc_info.value.row_id is None
+    with pytest.raises(RowError, match="row 1_0: .*'Id'"):
+        parse({**row, "Id": "1_0"})
+
+
+# Dump values and what the stated grammar (docs/FORMATS.md, "Dump rows") makes
+# of them, None for a refused one: the same on every supported Python.
+INTEGER_VALUES = [
+    ("12", 12), ("-4", -4), ("0", 0), ("007", 7),
+    ("1_0", None), (" 7 ", None), ("+3", None), ("\u0661\u0662", None), ("", None), ("-", None),
+    ("--1", None), ("1.0", None), ("\u00b2", None), ("7\n", None),
+]
+TIMESTAMP_VALUES = [
+    ("2019-06-01T12:00:00.123", "2019-06-01T12:00:00.123"),
+    ("2019-06-01T12:00:00", "2019-06-01T12:00:00.000"),
+    ("2019-06-01 12:00:00.123", "2019-06-01T12:00:00.123"),
+    ("2019-06-01T12:00:00.123999", "2019-06-01T12:00:00.123"),
+    ("2019-06-01T12:00:00+02:00", "2019-06-01T10:00:00.000"),
+    ("2019-06-01 12:00:00.123-01:30", "2019-06-01T13:30:00.123"),
+    ("2019-06-01T12:00:00.123456+00:00", "2019-06-01T12:00:00.123"),
+    ("2020-02-29T00:00:00.000", "2020-02-29T00:00:00.000"),
+    ("2008-07-31T21:42:52Z", None),  # a Z offset
+    ("2008-07-31T21:42:52.123Z", None),
+    ("20080731T214252", None),  # ISO basic form
+    ("2008-07-31", None),  # a date only
+    ("2008-07-31T21:42", None),  # no seconds
+    ("2008-07-31T21:42:52.1", None),  # 1-, 2-, 4- and 9-digit fractions
+    ("2008-07-31T21:42:52.12", None),
+    ("2008-07-31T21:42:52.1234", None),
+    ("2008-07-31T21:42:52.123456789", None),
+    ("2008-07-31T21:42:52+02", None),  # offsets other than +HH:MM
+    ("2008-07-31T21:42:52+0200", None),
+    ("2008-07-31T21:42:52+02:00:00", None),
+    ("2008-07-31X21:42:52", None),  # a separator other than T or space
+    ("2008-07-31t21:42:52", None),
+    ("2008-07-31T21:42:52.123 ", None),
+    ("\u0662008-07-31T21:42:52", None),  # a non-ASCII digit
+    ("2019-02-30T00:00:00.000", None),  # no such day
+    ("2019-06-01T24:00:00", None),
+    ("2019-06-01T12:00:00+24:00", None),
+]
+
+
+@pytest.mark.parametrize("text, want", INTEGER_VALUES)
+def test_integer_grammar(text, want):
+    assert parse_int(text) == want
+    row = {"Id": "1", "PostId": text, "Text": "t", "CreationDate": ts(0)}
+    if want is None:
+        with pytest.raises(RowError, match="bad value for 'PostId'"):
+            parse_comment(row)
+    else:
+        assert parse_comment(row).post_id == want
+
+
+@pytest.mark.parametrize("value, want", TIMESTAMP_VALUES)
+def test_timestamp_grammar(value, want):
+    if want is None:
+        with pytest.raises(RowError, match="bad timestamp"):
+            parse_timestamp(value)
+    else:
+        assert parse_timestamp(value) == want
 
 
 def slow_parse_timestamp(value: str) -> datetime:

@@ -2,8 +2,10 @@
 
 import io
 import json
+import os
 import re
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,16 @@ class TestBuildStore:
         second = store_from_rows(tmp_path, posts, comments, name="re")
         assert second.count("posts") == 2
         assert second.answer_ids_for(1) == [10]
+
+    def test_path_with_uri_characters(self, tmp_path, monkeypatch):
+        """``#``, ``?`` and ``%`` in a store path are its own characters, and
+        reopening the store makes no file beside it."""
+        monkeypatch.chdir(tmp_path)
+        with store_from_rows(Path(), [question_row(1, created=ts(0))], name="a#b?c%41") as store:
+            assert store.count("posts") == 1
+        with RecordStore(tmp_path / "a#b?c%41") as store:
+            assert store.count("posts") == 1
+        assert os.listdir(tmp_path) == ["a#b?c%41"]
 
     def test_sealed_readonly(self, small_store):
         with pytest.raises(Exception):

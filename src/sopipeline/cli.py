@@ -12,11 +12,10 @@ import logging
 import os
 import dataclasses
 import sys
-from enum import Enum
-from typing import Optional, Sequence, Union, get_args, get_origin
+from typing import Optional, Sequence
 
 from . import bpe, corpus, linefiles, metrics, mining, scaling, shards
-from .config import ENV_CONFIG_PATH, KEY_TYPES, PipelineConfig, load_config, validate
+from .config import ENV_CONFIG_PATH, PipelineConfig, convert, integer, load_config, number, validate
 from .dump_ingest import (
     TABLE_COMMENTS,
     TABLE_HISTORY,
@@ -66,13 +65,14 @@ def _parse_rows(path: str, table: str, parse_fn, skipped: list):
 
 
 def _resolve(args: argparse.Namespace, config: PipelineConfig) -> PipelineConfig:
-    """``config`` with every given flag whose dest names a field laid over
-    the file value, checked by the same rules as the file."""
+    """``config`` with every given flag whose dest names a field laid over the file
+    value, read as the file's text (a list joined by commas) and checked by its rules."""
     flags = {}
+    renamed = getattr(args, "renamed", {})
     for f in dataclasses.fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            flags[f.name] = tuple(value) if isinstance(value, list) else value
+        if (text := getattr(args, f.name, None)) is not None:
+            flag = "--" + renamed.get(f.name, f.name).replace("_", "-")
+            flags[f.name] = convert(f.name, ",".join(text) if isinstance(text, list) else text, flag)
     seq_len = getattr(args, "seq_len", 1)
     if seq_len is None:
         # the file's max_len, also when --max-positions raises the model's
@@ -359,17 +359,12 @@ def cmd_eval(args, config: PipelineConfig) -> dict:
 
 def _config_flags(p: argparse.ArgumentParser, *keys: str, **renamed: str) -> None:
     """Add ``--key-name`` for each config key in ``keys``, and ``--flag`` for
-    each ``flag=key`` in ``renamed``, typed by the key's annotation; a tuple
-    key takes one or more values."""
+    each ``flag=key`` in ``renamed``, holding text that :func:`_resolve`
+    reads; a tuple key (its default is a tuple) takes one or more values."""
     for flag, key in (*zip(keys, keys), *renamed.items()):
-        kind, options = KEY_TYPES[key], {}
-        if get_origin(kind) is Union:  # Optional[str]
-            kind = get_args(kind)[0]
-        if get_origin(kind) is tuple:
-            kind, options["nargs"] = get_args(kind)[0], "+"
-        if issubclass(kind, Enum):
-            options["metavar"] = "{" + ",".join(m.value for m in kind) + "}"
-        p.add_argument("--" + flag.replace("_", "-"), dest=key, type=kind, **options)
+        nargs = "+" if isinstance(getattr(PipelineConfig, key), tuple) else None
+        p.add_argument("--" + flag.replace("_", "-"), dest=key, nargs=nargs)
+    p.set_defaults(renamed={key: flag for flag, key in renamed.items()})
 
 
 def build_parser() -> _Parser:
@@ -402,25 +397,25 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_stats, needs=("corpus",))
 
     p = sub.add_parser("plan", help="parameter count, token floor, training cost")
-    p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--hidden", type=int, required=True)
+    p.add_argument("--layers", type=integer, required=True)
+    p.add_argument("--hidden", type=integer, required=True)
     _config_flags(p, "vocab_size", max_positions="max_len")
     p.add_argument("--untied-head", action="store_true")
-    p.add_argument("--gpu-hours", type=float)
-    p.add_argument("--rate", type=float, default=scaling.DEFAULT_RATE_PER_HOUR)
-    p.add_argument("--perf-ratio", type=float, default=scaling.DEFAULT_PERF_RATIO)
-    p.add_argument("--throughput", type=float, help="tokens per GPU hour")
+    p.add_argument("--gpu-hours", type=number)
+    p.add_argument("--rate", type=number, default=scaling.DEFAULT_RATE_PER_HOUR)
+    p.add_argument("--perf-ratio", type=number, default=scaling.DEFAULT_PERF_RATIO)
+    p.add_argument("--throughput", type=number, help="tokens per GPU hour")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("pretrain", help="desk-scale MLM training on token shards")
     _config_flags(p, "shards", "vocab", "checkpoint", "micro_batch", "target_tokens", "steps", "lr", "seed",
                   max_positions="max_len")
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--seq-len", type=int, help="tokens kept per sequence (default: max_len); a batch pads to its longest")
-    p.add_argument("--mask-rate", type=float, default=0.15)
-    p.add_argument("--warmup-steps", type=int, default=0)
+    p.add_argument("--layers", type=integer, default=2)
+    p.add_argument("--hidden", type=integer, default=64)
+    p.add_argument("--heads", type=integer, default=4)
+    p.add_argument("--seq-len", type=integer, help="tokens kept per sequence (default: max_len); a batch pads to its longest")
+    p.add_argument("--mask-rate", type=number, default=0.15)
+    p.add_argument("--warmup-steps", type=integer, default=0)
     p.add_argument("--untied-head", action="store_true")
     p.add_argument("--loss-csv")
     p.set_defaults(fn=cmd_pretrain, needs=("shards", "vocab", "checkpoint"))
@@ -429,12 +424,12 @@ def build_parser() -> _Parser:
     _config_flags(p, "vocab", "checkpoint", "seed")
     p.add_argument("--train", required=True, help="JSONL with text/label fields")
     p.add_argument("--eval")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-5, help="default 1e-5, not the config's [batch] lr")
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--seq-len", type=int, help="tokens kept per item (default: max_len); a batch pads to its longest")
-    p.add_argument("--warmup-steps", type=int, default=0)
+    p.add_argument("--classes", type=integer, required=True)
+    p.add_argument("--batch-size", type=integer, default=32)
+    p.add_argument("--lr", default="1e-5", help="default 1e-5, not the config's [batch] lr")
+    p.add_argument("--epochs", type=integer, default=1)
+    p.add_argument("--seq-len", type=integer, help="tokens kept per item (default: max_len); a batch pads to its longest")
+    p.add_argument("--warmup-steps", type=integer, default=0)
     p.add_argument("--out-checkpoint")
     p.set_defaults(fn=cmd_finetune, needs=("vocab", "checkpoint"))
 
@@ -445,7 +440,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample-annotations", help="balanced annotation draw")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     _config_flags(p, "seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sample_annotations)
@@ -457,7 +452,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="weighted metrics from a true/pred TSV")
     p.add_argument("--predictions", required=True)
-    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--classes", type=integer, required=True)
     _config_flags(p, mode="metric_mode")
     p.set_defaults(fn=cmd_eval)
 

@@ -4,13 +4,15 @@ Line-oriented ``key = value`` file with ``[section]`` headers (INI syntax).
 Each :class:`PipelineConfig` field is one key: its metadata names the key's
 section, and its annotation and default give the value's type and default.
 Unknown sections or keys are rejected by name, as are out-of-bounds values;
-command-line flags override file values. All randomness derives from the
-single ``[run] seed``.
+command-line flags override file values, their text read as a file value
+is (:func:`convert`). All randomness derives from the single ``[run] seed``.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -19,11 +21,13 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from .bpe import MIN_VOCAB_SIZE
 from .corpus import DEFAULT_BUCKET_EDGES, DEFAULT_MIN_COMMENTS, DEFAULT_MIN_SCORE
 from .errors import UsageError
+from .linefiles import parse_int
 from .metrics import WeightMode
 from .mining import (
     DEFAULT_LATE_MIN_SCORE,
     DEFAULT_LATE_YEARS,
     DEFAULT_LEVENSHTEIN_MIN,
+    MAX_LATE_YEARS,
     OBSOLETION_KEYWORDS,
 )
 
@@ -69,9 +73,24 @@ class PipelineConfig:
 
 _SECTION = {f.name: f.metadata["section"] for f in fields(PipelineConfig)}
 _AT_LEAST = {f.name: f.metadata["at_least"] for f in fields(PipelineConfig) if f.metadata["at_least"] is not None}
-KEY_TYPES = get_type_hints(PipelineConfig)
+_TYPES = get_type_hints(PipelineConfig)
 _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
+_NUMBER = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")  # no "+", "_", space, nan or inf
+
+
+def integer(text: str) -> int:
+    """``text`` as an integer if it is ASCII ``-?[0-9]+`` (:func:`parse_int`), else ValueError."""
+    if (value := parse_int(text)) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return value
+
+
+def number(text: str) -> float:
+    """``text`` as a finite float if it is ASCII ``-?`` digits, point and exponent, else ValueError."""
+    if not _NUMBER.fullmatch(text) or not math.isfinite(value := float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse(kind, text: str):
@@ -83,20 +102,19 @@ def _parse(kind, text: str):
         return tuple(_parse(args[0], x.strip()) for x in text.split(",") if x.strip())
     if kind is bool:
         return _BOOLS[text.lower()]
-    return kind(text)  # int, float, str or an Enum by value
+    return {int: integer, float: number}.get(kind, kind)(text)  # or str, or an Enum by value
 
 
-def _convert(section: str, key: str, raw: str):
-    kind = KEY_TYPES[key]
+def convert(key: str, text: str, where: str):
+    """``text`` as ``key``'s value, or a UsageError naming ``where`` it came from: a file key or a flag."""
+    kind = _TYPES[key]
     try:
-        return _parse(kind, raw.strip())
+        return _parse(kind, text)
     except (KeyError, ValueError):
         if isinstance(kind, type) and issubclass(kind, Enum):
-            raise UsageError(
-                f"config value {key}: must be one of {[m.value for m in kind]}, got {raw.strip()!r}"
-            ) from None
+            raise UsageError(f"{where}: must be one of {[m.value for m in kind]}, got {text!r}") from None
         name = kind.__name__ if isinstance(kind, type) else kind
-        raise UsageError(f"config [{section}] {key}: cannot parse {raw!r} as {name}") from None
+        raise UsageError(f"{where}: cannot parse {text!r} as {name}") from None
 
 
 def validate(config: PipelineConfig) -> PipelineConfig:
@@ -115,7 +133,7 @@ def validate(config: PipelineConfig) -> PipelineConfig:
         "bucket_edges",
         "must be strictly increasing positive integers",
     )
-    check(config.late_years > 0, "late_years", "must be positive")
+    check(0 < config.late_years <= MAX_LATE_YEARS, "late_years", f"must lie in (0, {MAX_LATE_YEARS}]")
     check(len(config.keywords) >= 1, "keywords", "must list at least one keyword")
     return config
 
@@ -140,5 +158,5 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
         for key, raw in parser.items(section):
             if _SECTION.get(key) != section:
                 raise UsageError(f"config: unknown key {key!r} in section [{section}]")
-            setattr(config, key, _convert(section, key, raw))
+            setattr(config, key, convert(key, raw, f"config [{section}] {key}"))
     return validate(config)

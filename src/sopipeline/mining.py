@@ -33,6 +33,7 @@ DEFAULT_LEVENSHTEIN_MIN = 100
 DEFAULT_LATE_YEARS = 1.5
 DEFAULT_LATE_MIN_SCORE = 2
 _DAYS_PER_YEAR = 365.0
+MAX_LATE_YEARS = int(timedelta.max.days // _DAYS_PER_YEAR)  # the longest delay a timedelta holds
 
 
 class Heuristic(Enum):

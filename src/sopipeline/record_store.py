@@ -2,8 +2,8 @@
 
 The original workflow loads dump tables into a SQL database; here the store
 is an embedded sqlite file inside a small versioned directory, giving the
-same query surface (post by id, answers by parent, comments/history by post)
-without an external database server. Bulk readers take ordered scans merged
+same query surface (post by id, comments/history by post) without an
+external database server. Bulk readers take ordered scans merged
 in Python (``RecordStore.iter_threads``) rather than point reads per answer.
 A sealed store is read-only and safe for concurrent readers.
 """
@@ -57,7 +57,6 @@ CREATE TABLE post_history (
     text TEXT NOT NULL,
     creation_date TEXT NOT NULL
 );
-CREATE INDEX idx_posts_parent ON posts(parent_id);
 CREATE INDEX idx_comments_post ON comments(post_id, creation_date, id);
 CREATE INDEX idx_history_post ON post_history(post_id, creation_date, id);
 """
@@ -198,6 +197,8 @@ class RecordStore:
     # -- secondary indices ------------------------------------------------
 
     def answer_ids_for(self, question_id: int) -> list[int]:
+        """Answer ids of one question, by a scan: no stage reads answers by
+        parent, so the store keeps no index for it."""
         rows = self._conn.execute(
             "SELECT id FROM posts WHERE parent_id = ? ORDER BY id", (question_id,)
         ).fetchall()

@@ -67,7 +67,11 @@ def estimate_cost(gpu_hours: float, rate_per_hour: float, perf_ratio: float) -> 
     performance ratio of the priced GPU over the reference one."""
     if min(gpu_hours, rate_per_hour, perf_ratio) <= 0:
         raise UsageError("gpu_hours, rate_per_hour and perf_ratio must all be positive")
-    return math.ceil(gpu_hours * rate_per_hour / perf_ratio)
+    dollars = gpu_hours * rate_per_hour / perf_ratio
+    if not math.isfinite(dollars):
+        raise UsageError(f"gpu_hours x rate_per_hour / perf_ratio is not finite: {gpu_hours} x {rate_per_hour}"
+                         f" / {perf_ratio}")
+    return math.ceil(dollars)
 
 
 def plan_budget(
@@ -97,6 +101,8 @@ def plan_budget(
         params = estimate_params(shape)
         floor = min_tokens(params)
         achievable = budget_gpu_hours * tph
+        if not math.isfinite(achievable):
+            raise UsageError(f"gpu hours x throughput is not finite: {budget_gpu_hours} x {tph}")
         if floor > achievable:
             continue
         if best is not None and params <= best.params:

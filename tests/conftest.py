@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 from datetime import datetime, timedelta, timezone
 from xml.sax.saxutils import quoteattr
 
 import pytest
 
+from sopipeline.cli import build_parser
 from sopipeline.dump_ingest import parse_comment, parse_history, parse_post, stream_rows
 from sopipeline.record_store import build_store
 
@@ -18,6 +20,11 @@ def ts(days: float = 0.0, *, base: datetime = EPOCH) -> str:
     """Dump-style timestamp string ``days`` after the fixture epoch."""
     t = base + timedelta(days=days)
     return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}"
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each ``sopipeline`` subcommand, by name."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def as_dump_row(row: dict) -> dict:

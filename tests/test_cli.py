@@ -3,19 +3,30 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import answer_row, comment_row, history_row, question_row, rows_xml, store_from_rows, ts
+from conftest import (
+    answer_row,
+    comment_row,
+    history_row,
+    question_row,
+    rows_xml,
+    store_from_rows,
+    subcommand_parsers,
+    ts,
+)
 import sopipeline
 from sopipeline import bpe, corpus, mining, shards
-from sopipeline.cli import _read_labeled_jsonl, main
+from sopipeline.cli import _read_labeled_jsonl, _resolve, build_parser, main
+from sopipeline.config import PipelineConfig
 from sopipeline.corpus import PretrainSample
 from sopipeline.errors import StoreError
-from sopipeline.mining import Heuristic, ObsoleteCandidate
+from sopipeline.mining import MAX_LATE_YEARS, Heuristic, ObsoleteCandidate
 from sopipeline.mlm import EncoderConfig, build_encoder, save_checkpoint
 from sopipeline.record_store import RecordStore
 
@@ -423,6 +434,74 @@ class TestFlagsOverConfig:
                            "--train", str(train), "--classes", "2"]):
             code, _, err = run_cli(capsys, *cmd, "--seq-len", "0")
             assert code == 1 and "--seq-len 0" in err
+
+
+class TestSettingProbes:
+    """A setting that does not read, or that overflows the figure it feeds,
+    exits 1 with one usage-error line naming the key or flag."""
+
+    MINE = ["mine", "--store-dir", "{store}", "--out", "{tmp}/c.jsonl"]
+    SAMPLE = ["sample-annotations", "--candidates", "{tmp}/none.jsonl", "--out", "{tmp}/c.jsonl"]
+    PLAN = ["plan", "--layers", "2", "--hidden", "64"]
+
+    @pytest.mark.parametrize(
+        "config, argv, named",
+        [
+            ("[run]\nseed = 1_0", [*SAMPLE, "--n", "1"], "config [run] seed: cannot parse '1_0'"),
+            ("", [*MINE, "--levenshtein-min", "1_0"], "--levenshtein-min: cannot parse '1_0'"),
+            ("", [*SAMPLE, "--n", "1_0"], "--n: invalid integer value: '1_0'"),
+            ("[miner]\nlate_years = inf", MINE, "config [miner] late_years: cannot parse 'inf'"),
+            ("[miner]\nlate_years = 1e300", MINE, "config value late_years: must lie in"),
+            ("", [*MINE, "--late-years", "1e300"], "config value late_years: must lie in"),
+            ("", [*PLAN, "--gpu-hours", "inf"], "--gpu-hours: invalid number value: 'inf'"),
+            ("", [*PLAN, "--gpu-hours", "1e308", "--rate", "10"], "gpu_hours x rate_per_hour / perf_ratio is not"),
+            ("", [*PLAN, "--gpu-hours", "1e300", "--throughput", "1e300"], "gpu hours x throughput is not finite"),
+        ],
+        ids=["file-seed", "levenshtein-min", "n", "file-late-years-inf", "file-late-years-1e300", "late-years-1e300",
+             "gpu-hours-inf", "cost-overflow", "tokens-overflow"],
+    )
+    def test_one_line_usage_error(self, capsys, small_inputs, config, argv, named):
+        conf = small_inputs["tmp"] / "p.conf"
+        conf.write_text(config + "\n")
+        code, summary, err = run_cli(capsys, "--config", str(conf), *_argv(argv, small_inputs))
+        assert (code, summary) == (1, None)
+        assert err.startswith("usage error: ") and named in err and err.count("\n") == 1
+        assert not (small_inputs["tmp"] / "c.jsonl").exists()
+
+    def test_late_years_at_its_bound_mines(self, capsys, small_inputs):
+        argv = _argv([*self.MINE, "--late-years", str(MAX_LATE_YEARS)], small_inputs)
+        code, summary, _ = run_cli(capsys, *argv)
+        assert code == 0 and summary["per_heuristic"]["late_answer"] == 0
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``sopipeline`` command in README's CLI block,
+    continuation lines joined and ``[optional]`` parts given."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").translate({ord("["): None, ord("]"): None}).splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("sopipeline ")]
+
+
+class TestReadmeCli:
+    """README's CLI block parses: a renamed or retyped flag fails here, not for a user."""
+
+    SUBCOMMANDS = sorted(subcommand_parsers())
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_command_parses_and_reads(self, argv):
+        args = build_parser().parse_args(argv)
+        _resolve(args, PipelineConfig())  # each flag's text read as a setting, and checked
+
+    def test_block_shows_every_subcommand(self):
+        assert sorted({argv[0] for argv in _readme_commands()}) == self.SUBCOMMANDS
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_renders(self, capsys, command):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args([command, "--help"])
+        assert exc_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: sopipeline {command} ")
 
 
 # Run in a fresh interpreter: the test process has long since imported SciPy.

@@ -1,13 +1,18 @@
 """Config file parsing and validation."""
 
+import re
 from dataclasses import fields
+from datetime import timedelta
 
 import pytest
 
+from conftest import subcommand_parsers
+from sopipeline import cli, config as config_module
 from sopipeline.bpe import MIN_VOCAB_SIZE
 from sopipeline.config import PipelineConfig, load_config, validate
 from sopipeline.errors import UsageError
 from sopipeline.metrics import WeightMode
+from sopipeline.mining import MAX_LATE_YEARS
 
 
 def write(tmp_path, text):
@@ -48,6 +53,27 @@ EVERY_KEY = {
 }
 SECTIONS = sorted({section for section, _, _ in EVERY_KEY.values()})
 
+# the flags each subcommand cannot be parsed without
+REQUIRED_FLAGS = {
+    "plan": ["--layers", "1", "--hidden", "8"],
+    "finetune": ["--train", "t.jsonl", "--classes", "2"],
+    "mine": ["--out", "c.jsonl"],
+    "sample-annotations": ["--candidates", "c.jsonl", "--n", "1", "--out", "s.jsonl"],
+    "eval": ["--predictions", "p.tsv", "--classes", "2"],
+}
+
+
+def _key_flags():
+    """(subcommand, flag, key) for every option whose dest is a config key."""
+    return [(name, action.option_strings[0], action.dest)
+            for name, p in subcommand_parsers().items() for action in p._actions if action.dest in EVERY_KEY]
+
+
+def resolve(command, *argv):
+    """The config that ``command`` runs with, given ``argv`` and no file."""
+    return cli._resolve(cli.build_parser().parse_args([command, *REQUIRED_FLAGS.get(command, []), *argv]),
+                        PipelineConfig())
+
 
 class TestEveryKey:
     def test_table_covers_every_field(self):
@@ -74,6 +100,16 @@ class TestEveryKey:
                 with pytest.raises(UsageError, match=rf"\b{key}\b.*\[{other}\]"):
                     load_config(write(tmp_path, f"[{other}]\n{key} = {raw}\n"))
 
+    @pytest.mark.parametrize("command, flag, key", _key_flags(), ids=lambda x: x.lstrip("-"))
+    def test_each_flag_loads_the_file_value(self, command, flag, key):
+        _, raw, value = EVERY_KEY[key]
+        loaded = getattr(resolve(command, flag, *[x.strip() for x in raw.split(",")]), key)
+        assert loaded == value and type(loaded) is type(value)
+
+    def test_only_the_boolean_keys_have_no_flag(self):
+        unflagged = set(EVERY_KEY) - {key for _, _, key in _key_flags()}
+        assert unflagged == {"replace_urls", "replace_emails", "isolate_digits"}
+
     @pytest.mark.parametrize(
         "section, key, raw",
         [
@@ -86,6 +122,64 @@ class TestEveryKey:
     def test_unparseable_value_names_key(self, tmp_path, section, key, raw):
         with pytest.raises(UsageError, match=rf"\b{key}\b"):
             load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+
+
+# the texts both readers refuse, and what each reader makes of the texts it accepts
+REFUSED = ["1_0", "+3", " 7 ", "١٢", "", "nan", "inf", "1e400"]
+INTEGERS = {"7": 7, "12": 12, "-4": -4, "0": 0}
+NUMBERS = {"7": 7.0, "12": 12.0, "-4": -4.0, "0": 0.0, "0.5": 0.5, "1e-5": 1e-5, ".5": 0.5}
+# per reader: what it accepts, a file key [section] key, that key's flag, and a plain flag it reads
+READERS = {
+    "integer": (INTEGERS, ("run", "seed"), ("sample-annotations", "--seed"), ("sample-annotations", "--n")),
+    "number": (NUMBERS, ("miner", "late_years"), ("mine", "--late-years"), ("plan", "--gpu-hours")),
+}
+
+
+@pytest.fixture
+def unbounded(monkeypatch):
+    """Bounds off, so a value shows as its reader read it."""
+    monkeypatch.setattr(config_module, "validate", lambda config: config)
+    monkeypatch.setattr(cli, "validate", lambda config: config)
+
+
+@pytest.mark.parametrize("text", [*NUMBERS, *REFUSED], ids=repr)
+@pytest.mark.parametrize("reader", sorted(READERS))
+class TestNumberGrammar:
+    """One grammar per reader, the same from a file value, a key's flag and a plain flag."""
+
+    def test_file_value(self, tmp_path, unbounded, reader, text):
+        accepted, (section, key), _, _ = READERS[reader]
+        path = write(tmp_path, f"[{section}]\n{key} = {text}\n")
+        want = accepted.get(text.strip())  # configparser strips a file value
+        if want is None:
+            refused = rf"^config \[{section}\] {key}: cannot parse {re.escape(repr(text.strip()))}"
+            with pytest.raises(UsageError, match=refused):
+                load_config(path)
+        else:
+            loaded = getattr(load_config(path), key)
+            assert loaded == want and type(loaded) is type(want)
+
+    def test_key_flag(self, unbounded, reader, text):
+        accepted, (_, key), (command, flag), _ = READERS[reader]
+        want = accepted.get(text)
+        if want is None:
+            with pytest.raises(UsageError, match=rf"^{flag}: cannot parse {re.escape(repr(text))}"):
+                resolve(command, flag, text)
+        else:
+            loaded = getattr(resolve(command, flag, text), key)
+            assert loaded == want and type(loaded) is type(want)
+
+    def test_plain_flag(self, reader, text):
+        accepted, _, _, (command, flag) = READERS[reader]
+        want = accepted.get(text)
+        argv = [command, *REQUIRED_FLAGS[command], flag, text]
+        if want is None:
+            refused = rf"^argument {flag}: invalid {reader} value: {re.escape(repr(text))}$"
+            with pytest.raises(UsageError, match=refused):
+                cli.build_parser().parse_args(argv)
+        else:
+            loaded = getattr(cli.build_parser().parse_args(argv), flag.lstrip("-").replace("-", "_"))
+            assert loaded == want and type(loaded) is type(want)
 
 
 class TestLoadConfig:
@@ -203,6 +297,13 @@ class TestLoadConfig:
         with pytest.raises(UsageError) as exc_info:
             validate(config)
         assert "late_years" in str(exc_info.value)
+
+    def test_late_years_bounded_by_the_longest_timedelta(self, tmp_path):
+        timedelta(days=MAX_LATE_YEARS * 365)  # the miner's delay holds
+        assert load_config(write(tmp_path, f"[miner]\nlate_years = {MAX_LATE_YEARS}\n")).late_years == MAX_LATE_YEARS
+        for text in ("1e300", str(MAX_LATE_YEARS + 1)):
+            with pytest.raises(UsageError, match=rf"^config value late_years: must lie in \(0, {MAX_LATE_YEARS}\]$"):
+                load_config(write(tmp_path, f"[miner]\nlate_years = {text}\n"))
 
     def test_min_comments_zero_rejected(self):
         # a sample needs a comment: 0 would fail build-corpus after truncating its output

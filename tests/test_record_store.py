@@ -207,6 +207,38 @@ class TestBuildStore:
     def test_iter_answers_score_floor(self, small_store):
         assert [a.id for a in small_store.iter_answers(min_score=1)] == [10, 12]
 
+    def test_store_holds_exactly_the_indexes_its_reads_use(self, tmp_path, monkeypatch):
+        # every statement of a build and of the reads the stages and the test oracles make;
+        # answer_ids_for is left out: it scans, as no stage calls it
+        statements = []
+        connect = sqlite3.connect
+
+        def traced(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced)
+        with store_from_rows(
+            tmp_path,
+            [question_row(1, created=ts(0)), answer_row(10, 1, created=ts(1))],
+            [comment_row(100, 10, "c", created=ts(2))],
+            [history_row(200, 10, 2, "v", created=ts(1))],
+        ) as store:
+            assert len(list(store.iter_threads(0, comments=True, history=True))) == 1
+            store.get_post(1), store.comments_for(10), store.history_for(10), store.comment_count_for(10)
+            list(store.iter_answers(0)), list(store.iter_posts())
+        monkeypatch.undo()
+        db = sqlite3.connect(store.path / "records.db")
+        named = set()
+        for sql in statements:
+            if sql.lstrip().upper().startswith("SELECT"):
+                plan = db.execute("EXPLAIN QUERY PLAN " + sql).fetchall()  # traced with its values bound
+                named.update(name for row in plan for name in re.findall(r"USING (?:COVERING )?INDEX (\w+)", row[3]))
+        indexes = {name for (name,) in db.execute("SELECT name FROM sqlite_master WHERE type = 'index'")}
+        db.close()
+        assert named == indexes == {"idx_comments_post", "idx_history_post"}
+
 
 def _parsed(rows, parse):
     return [parse(attrs) for attrs in stream_rows(io.BytesIO(rows_xml(rows)))]

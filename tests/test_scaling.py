@@ -105,6 +105,11 @@ class TestEstimateCost:
         with pytest.raises(UsageError):
             estimate_cost(0, 1.0, 1.8)
 
+    @pytest.mark.parametrize("hours, rate, ratio", [(1e308, 10.0, 1.8), (1e300, 1.0, 1e-300)])
+    def test_product_beyond_float_range_names_it(self, hours, rate, ratio):
+        with pytest.raises(UsageError, match="^gpu_hours x rate_per_hour / perf_ratio is not finite"):
+            estimate_cost(hours, rate, ratio)
+
 
 class TestPlanBudget:
     def _shapes(self):
@@ -138,6 +143,11 @@ class TestPlanBudget:
     def test_empty_candidates(self):
         with pytest.raises(UsageError):
             plan_budget(10, [], [])
+
+    def test_tokens_beyond_float_range_name_the_product(self):
+        shape = ModelShape(2, 64, 1000, 64, head_tied=True)
+        with pytest.raises(UsageError, match=r"^gpu hours x throughput is not finite: 1e\+300 x 1e\+300$"):
+            plan_budget(1e300, [1e300], [shape])
 
     def test_dollar_figure_uses_cost_model(self):
         shape = ModelShape(2, 64, 1000, 64, head_tied=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
@@ -26,6 +27,9 @@ ATTENTION = "attention"
 FFN = "ffn"
 _LN_EPS = 1e-5
 _MASK_PENALTY = 1e9
+# a block of a head gradient product or of an optimizer update, which goes
+# through a scratch array of this size instead of a temporary the size of a table
+_BLOCK_BYTES = 1 << 19
 
 
 class HeadKind(Enum):
@@ -119,6 +123,16 @@ def _init_param(name: str, shape: tuple[int, ...], rng: np.random.Generator, dty
     if name.endswith((".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")) or name == "head.b":
         return np.zeros(shape, dtype=dtype)
     return (rng.normal(0.0, 0.02, size=shape)).astype(dtype)
+
+
+def blocks(n: int, row_bytes: int) -> list[slice]:
+    """``n`` rows in near-equal blocks of about ``_BLOCK_BYTES``, two rows at least.
+
+    Two rows keep a product matrix-matrix: numpy takes a one-row product
+    through matrix-vector BLAS, which rounds differently.
+    """
+    k = min(-(-n // max(1, _BLOCK_BYTES // row_bytes)), max(1, n // 2))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 @dataclass
@@ -302,7 +316,8 @@ class EncoderModel:
         """Zero gradients to accumulate a step's micro-batches into.
 
         ``tok_emb`` gets an empty :class:`RowGrad`, except under a tied
-        head, which writes every row of it.
+        head, which writes every row of it. Training makes one dict per run
+        and zeroes it in place after each step.
         """
         tok_emb = self.params["tok_emb"]
         grads: dict = {k: np.zeros_like(v) for k, v in self.params.items() if k != "tok_emb"}
@@ -311,14 +326,25 @@ class EncoderModel:
 
     def backward_mlm_head(self, y: np.ndarray, dlogits: np.ndarray, grads: dict) -> np.ndarray:
         """Gradient through the vocabulary projection; returns dY."""
-        B, T, _ = y.shape
-        y2 = y.reshape(B * T, -1)
+        B, T, d = y.shape
+        y2 = y.reshape(B * T, d)
         dl2 = dlogits.reshape(B * T, -1)
-        if self.config.tied_head:
-            grads["tok_emb"] += dl2.T @ y2
+        tied = self.config.tied_head
+        if not tied:
+            grads["head.b"] += dl2.sum(axis=0)
+        # the weight gradient takes a block of vocabulary columns at a time,
+        # through one small scratch array; each element is the same dot
+        # product as in one whole [d, V] product, so no bit changes
+        parts = blocks(dl2.shape[1], d * y2.itemsize)
+        scratch = np.empty(max(cols.stop - cols.start for cols in parts) * d, dtype=y2.dtype)
+        for cols in parts:
+            n = (cols.stop - cols.start) * d
+            if tied:
+                grads["tok_emb"][cols] += np.matmul(dl2[:, cols].T, y2, out=scratch[:n].reshape(-1, d))
+            else:
+                grads["head.w"][:, cols] += np.matmul(y2.T, dl2[:, cols], out=scratch[:n].reshape(d, -1))
+        if tied:
             return (dl2 @ self.params["tok_emb"]).reshape(y.shape)
-        grads["head.w"] += y2.T @ dl2
-        grads["head.b"] += dl2.sum(axis=0)
         return (dl2 @ self.params["head.w"].T).reshape(y.shape)
 
     def backward(self, cache: dict, dy: np.ndarray, grads: dict) -> None:
@@ -520,36 +546,41 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
         fh.write(struct.pack("<I", len(config_block)))
         fh.write(config_block)
         for name in model.param_names:
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f4").tobytes())
+            # the array's own buffer: a float32 tensor is written with no copy
+            fh.write(np.ascontiguousarray(model.params[name], dtype="<f4"))
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
-    blob = Path(path).read_bytes()
-    if blob[:4] != _CKPT_MAGIC:
-        raise ChecksumMismatchError(f"{path}: not a checkpoint file")
-    if len(blob) < 10:
-        raise ChecksumMismatchError(f"{path}: truncated checkpoint")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != _CKPT_VERSION:
-        raise ChecksumMismatchError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", blob, 6)
-    if 10 + cfg_len > len(blob):
-        raise ChecksumMismatchError(f"{path}: truncated checkpoint")
-    try:  # a flipped byte may leave valid JSON with an unknown key or a value no tensor can take
-        cfg = dict(json.loads(blob[10 : 10 + cfg_len]))
-        checksum, sublayers = cfg.pop("vocab_checksum", None), tuple(cfg.pop("sublayers"))
-        config = EncoderConfig(**cfg, sublayers=sublayers, vocab_checksum=bytes.fromhex(checksum) if checksum else None)
-        params: dict[str, np.ndarray] = {}
-        pos = 10 + cfg_len
-        for name, shape in _param_shapes(config):
-            n_bytes = math.prod(shape) * 4
-            if pos + n_bytes > len(blob):
-                raise ChecksumMismatchError(f"{path}: truncated checkpoint")
-            tensor = np.frombuffer(blob, dtype="<f4", count=n_bytes // 4, offset=pos).reshape(shape)
-            params[name] = tensor.astype(config.np_dtype)
-            pos += n_bytes
-    except (KeyError, TypeError, ValueError, UsageError) as exc:
-        raise ChecksumMismatchError(f"{path}: malformed checkpoint config ({exc})") from None
-    if pos != len(blob):
+    """Read a checkpoint, each tensor straight into its own array."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(10)
+        if head[:4] != _CKPT_MAGIC:
+            raise ChecksumMismatchError(f"{path}: not a checkpoint file")
+        if len(head) < 10:
+            raise ChecksumMismatchError(f"{path}: truncated checkpoint")
+        (version,) = struct.unpack_from("<H", head, 4)
+        if version != _CKPT_VERSION:
+            raise ChecksumMismatchError(f"{path}: unsupported checkpoint version {version}")
+        (cfg_len,) = struct.unpack_from("<I", head, 6)
+        if 10 + cfg_len > size:
+            raise ChecksumMismatchError(f"{path}: truncated checkpoint")
+        try:  # a flipped byte may leave valid JSON with an unknown key or a value no tensor can take
+            cfg = dict(json.loads(fh.read(cfg_len)))
+            checksum, sublayers = cfg.pop("vocab_checksum", None), tuple(cfg.pop("sublayers"))
+            config = EncoderConfig(**cfg, sublayers=sublayers, vocab_checksum=bytes.fromhex(checksum) if checksum else None)
+            params: dict[str, np.ndarray] = {}
+            pos = 10 + cfg_len
+            for name, shape in _param_shapes(config):
+                pos += math.prod(shape) * 4
+                if pos > size:
+                    raise ChecksumMismatchError(f"{path}: truncated checkpoint")
+                tensor = np.empty(shape, dtype="<f4")
+                if fh.readinto(tensor) != tensor.nbytes:
+                    raise ChecksumMismatchError(f"{path}: truncated checkpoint")
+                params[name] = tensor.astype(config.np_dtype, copy=False)
+        except (KeyError, TypeError, ValueError, UsageError) as exc:
+            raise ChecksumMismatchError(f"{path}: malformed checkpoint config ({exc})") from None
+    if pos != size:
         raise ChecksumMismatchError(f"{path}: trailing bytes in checkpoint")
     return EncoderModel(config, params)

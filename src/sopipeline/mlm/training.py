@@ -14,7 +14,7 @@ from ..atomic import replacing
 from ..bpe import PAD_ID
 from ..errors import MetricError, TrainingError, UsageError
 from ..metrics import ClassWeights
-from .encoder import ClassifierModel, EncoderModel, HeadKind, RowGrad
+from .encoder import ClassifierModel, EncoderModel, HeadKind, RowGrad, blocks
 from .masking import IGNORE_LABEL, MaskedBatch, make_masked_batch, pad_rows
 
 MOMENTUM = 0.9
@@ -138,6 +138,15 @@ def classifier_loss_sums(
     return loss_sum, weight_sum
 
 
+def _zero(grads: dict) -> None:
+    """Zero ``grads`` in place for the next step, so a run makes one dict."""
+    for name, g in grads.items():
+        if isinstance(g, RowGrad):
+            grads[name] = RowGrad.empty(g.values)
+        else:
+            g.fill(0)
+
+
 # -- optimizer -------------------------------------------------------------------
 
 
@@ -145,18 +154,19 @@ class MomentumSGD:
     """Heavy-ball gradient descent (momentum ``MOMENTUM``) with linear LR warmup.
 
     A :class:`RowGrad` tensor is updated only on its live rows: rows it has
-    held at some step so far (embedding rows of tokens seen). Every other
-    row has zero velocity and zero gradient, and the dense update would
-    leave it bit-for-bit unchanged (0.9 * 0 + 0 = 0). Every other gradient
-    updates its tensor densely. Parameters absent from ``grads`` are not
-    touched.
+    held at some step so far (embedding rows of tokens seen). Its velocity
+    is a ``RowGrad`` over those rows, so it takes memory for them alone.
+    Every other row has zero velocity and zero gradient, and the dense
+    update would leave it bit-for-bit unchanged (0.9 * 0 + 0 = 0). Every
+    other gradient updates its tensor densely, a block of rows at a time
+    through one small scratch array. Parameters absent from ``grads`` are
+    not touched.
     """
 
     def __init__(self, lr: float, warmup_steps: int = 0):
         self.lr = lr
         self.warmup_steps = warmup_steps
-        self.velocity: dict[str, np.ndarray] = {}
-        self.live_rows: dict[str, np.ndarray] = {}
+        self.velocity: dict[str, Union[np.ndarray, RowGrad]] = {}
 
     def rate(self, step_index: int) -> float:
         if self.warmup_steps > 0:
@@ -166,21 +176,25 @@ class MomentumSGD:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], step_index: int) -> None:
         lr_t = self.rate(step_index)
         for name, g in grads.items():
+            p = params[name]
             if name not in self.velocity:
-                # unlike zeros_like, leaves the pages of rows never written unmapped
-                self.velocity[name] = np.zeros(params[name].shape, params[name].dtype)
+                self.velocity[name] = RowGrad.empty(p) if isinstance(g, RowGrad) else np.zeros(p.shape, p.dtype)
             v = self.velocity[name]
             if isinstance(g, RowGrad):
-                live = self.live_rows.setdefault(name, np.zeros(len(v), dtype=bool))
-                live[g.rows] = True
-                rows = np.flatnonzero(live)
-                v_rows = MOMENTUM * v[rows] + g.at(rows)
-                v[rows] = v_rows
-                params[name][rows] -= lr_t * v_rows
+                rows = np.union1d(v.rows, g.rows)
+                v = self.velocity[name] = RowGrad(rows, MOMENTUM * v.at(rows) + g.at(rows))
+                p[rows] -= lr_t * v.values
                 continue
             v *= MOMENTUM
             v += g
-            params[name] -= lr_t * v
+            # p -= lr_t * v a block of rows at a time, through a scratch array
+            # of the dtype lr_t * v has: the same bits, and no temporary the
+            # size of the tensor
+            parts = blocks(len(p), p.nbytes // len(p))
+            widest = max(part.stop - part.start for part in parts)
+            scratch = np.empty_like(v[:widest], dtype=np.result_type(v, lr_t))
+            for part in parts:
+                p[part] -= np.multiply(v[part], lr_t, out=scratch[: part.stop - part.start])
 
 
 # -- MLM training ------------------------------------------------------------------
@@ -227,8 +241,8 @@ def train_mlm(
     # the largest array of a step is not freed and remade, which leaves
     # the allocator's heap holes that the next one may not fit
     logits = np.empty(0, dtype=model.config.np_dtype)
+    grads = model.zero_grads()
     for step in range(steps):
-        grads = model.zero_grads()
         loss_sum_total = 0.0
         count_total = 0
         for _ in range(plan.accumulation_steps):
@@ -255,6 +269,7 @@ def train_mlm(
         for name in grads:
             grads[name] /= count_total
         optimizer.step(model.params, grads, step)
+        _zero(grads)
         losses.append(loss)
     if counters is not None:
         counters.update(truncated_tokens=truncated, real_tokens=real)
@@ -386,6 +401,7 @@ def finetune(
 
     rng = np.random.default_rng(seed)
     optimizer = MomentumSGD(lr, warmup_steps=warmup_steps)
+    grads = classifier.zero_grads()
     step = 0
     for _ in range(epochs):
         order = rng.permutation(len(train_data))
@@ -394,7 +410,6 @@ def finetune(
             input_ids, attn, labels = _pad_batch(items, kind)
             if (labels == IGNORE_LABEL).all():
                 continue  # every token of the batch is unlabeled: nothing to learn
-            grads = classifier.zero_grads()
             loss_sum, weight_sum = classifier_loss_sums(
                 classifier, input_ids, attn, labels, weights, grads=grads
             )
@@ -404,6 +419,7 @@ def finetune(
                 grads[name] /= weight_sum
             merged_params = {**classifier.encoder.params, **classifier.params}
             optimizer.step(merged_params, grads, step)
+            _zero(grads)
             step += 1
 
     predictions = predict(classifier, eval_data if eval_data is not None else train_data)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,27 @@ class TestCheckpoints:
         path = tmp_path / "m.sockpt"
         save_checkpoint(build_encoder(config), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_save_copies_no_tensor_and_load_reads_each_once(self, tmp_path):
+        # V = 50,000 and d = 64: tok_emb and head.w are 12.8 MB each. Saving
+        # writes each float32 tensor's own buffer; loading reads each tensor
+        # into its own array, with no whole-file blob beside them
+        model = build_encoder(EncoderConfig(n_layers=0, hidden=64, n_heads=4, vocab_size=50_000, max_positions=8))
+        tensor_bytes = sum(p.nbytes for p in model.params.values())
+        path = tmp_path / "m.sockpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, path)
+            held, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 1_000_000
+        assert tensor_bytes <= load_peak < tensor_bytes + 1_000_000
+        for name in model.param_names:
+            assert loaded.params[name].tobytes() == model.params[name].tobytes()
 
     def test_truncated_checkpoint(self, tmp_path):
         from sopipeline.errors import ChecksumMismatchError

@@ -1,5 +1,6 @@
 """Batch planning, optimization, gradient checking, fine-tuning."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from sopipeline.mlm import (
     plan_batches,
     train_mlm,
 )
-from sopipeline.mlm import training
+from sopipeline.mlm import encoder, training
 from sopipeline.mlm.encoder import RowGrad
 from sopipeline.mlm.masking import MaskedBatch, pad_rows
 from sopipeline.mlm.training import MomentumSGD, _cross_entropy_rows, classifier_loss_sums, mlm_loss_sums
@@ -174,6 +175,44 @@ def per_micro_batch_train_mlm(model, seqs, plan, steps, lr, seed, mask_rate=0.15
         for g in total.values():
             g /= count
         optimizer.step(model.params, total, step)
+        losses.append(loss_sum / count)
+    return losses
+
+
+def whole_product_backward_mlm_head(model, y, dlogits, grads):
+    """backward_mlm_head with the weight gradient as one [d, V] product (oracle)."""
+    y2 = y.reshape(-1, y.shape[-1])
+    dl2 = dlogits.reshape(len(y2), -1)
+    if model.config.tied_head:
+        grads["tok_emb"] += dl2.T @ y2
+        return (dl2 @ model.params["tok_emb"]).reshape(y.shape)
+    grads["head.w"] += y2.T @ dl2
+    grads["head.b"] += dl2.sum(axis=0)
+    return (dl2 @ model.params["head.w"].T).reshape(y.shape)
+
+
+def fresh_dict_train_mlm(model, seqs, plan, steps, lr, seed, mask_rate=0.15):
+    """train_mlm's step with a new ``zero_grads`` dict per step, the head's
+    weight gradient as one product, a dense velocity and one whole
+    ``params -= lr_t * v`` per tensor (oracle for the in-place, blocked step)."""
+    model.backward_mlm_head = functools.partial(whole_product_backward_mlm_head, model)
+    optimizer = DenseMomentumSGD(lr)
+    losses, cursor = [], 0
+    for step in range(steps):
+        grads, loss_sum, count = model.zero_grads(), 0.0, 0
+        for _ in range(plan.accumulation_steps):
+            keys = [cursor + i for i in range(plan.micro_batch_seqs)]
+            batch = make_masked_batch(
+                [seqs[k % len(seqs)] for k in keys], mask_rate,
+                vocab_size=model.config.vocab_size, seed=seed, indices=keys,
+            )
+            cursor += plan.micro_batch_seqs
+            batch_loss, batch_count = mlm_loss_sums(model, batch, grads=grads)
+            loss_sum += batch_loss
+            count += batch_count
+        for g in grads.values():
+            g /= count
+        optimizer.step(model.params, grads, step)
         losses.append(loss_sum / count)
     return losses
 
@@ -333,6 +372,33 @@ class TestMlmLoss:
             ce_ref, probs_ref = unblocked_cross_entropy(logits, targets)
             assert ce.dtype == ce_ref.dtype and ce.tobytes() == ce_ref.tobytes(), n
             assert probs.tobytes() == probs_ref.tobytes(), n
+
+
+class TestBlockedHeadGradient:
+    @pytest.mark.parametrize("block_bytes", [64, 1000, None])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_equals_the_whole_product_bit_for_bit(self, tied, block_bytes, monkeypatch):
+        # a 64-byte budget gives blocks of two or three columns (never one:
+        # numpy takes a one-column product through matrix-vector BLAS), and
+        # the default one blocks of up to 8,192 columns at d = 16
+        if block_bytes is not None:
+            monkeypatch.setattr(encoder, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(31)
+        for n, V in ((2, 7), (37, 1001), (150, 20_000)):
+            parts = encoder.blocks(V, 16 * 4)
+            assert min(part.stop - part.start for part in parts) >= 2
+            assert (len(parts) > 1) == (V * 16 * 4 > encoder._BLOCK_BYTES)
+            model = tiny_model(vocab_size=V, hidden=16, n_heads=2, tied_head=tied)
+            y = rng.normal(size=(1, n, 16)).astype(np.float32)
+            dlogits = rng.normal(size=(1, n, V)).astype(np.float32)
+            grads, grads_ref = model.zero_grads(), model.zero_grads()
+            name = "tok_emb" if tied else "head.w"
+            grads[name][:] = grads_ref[name][:] = rng.normal(size=grads[name].shape)  # accumulates
+            dy = model.backward_mlm_head(y, dlogits, grads)
+            dy_ref = whole_product_backward_mlm_head(model, y, dlogits, grads_ref)
+            assert dy.tobytes() == dy_ref.tobytes()
+            for key in (name,) if tied else (name, "head.b"):
+                assert grads[key].tobytes() == grads_ref[key].tobytes(), (n, V, key)
 
 
 ROW_CONFIGS = {
@@ -529,6 +595,54 @@ class TestTrainMlm:
             else:
                 assert params[name].tobytes() == ref.tobytes(), name
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_fresh_dicts_and_whole_products_bit_for_bit(self, tied):
+        # V = 20,000 at d = 16: three blocks of vocabulary columns in the head
+        # gradient, of head.w rows and (tied) of tok_emb rows in the update
+        V = 20_000
+        assert len(encoder.blocks(V, 16 * 4)) == len(encoder.blocks(16, V * 4)) == 3
+        rng = np.random.default_rng(5)
+        seqs = [list(rng.integers(6, V, size=int(rng.integers(4, 11)))) for _ in range(10)]
+        plan = plan_batches(2 * 3 * 10, 3, 10)
+        runs = []
+        for train in (train_mlm, fresh_dict_train_mlm):
+            model = tiny_model(vocab_size=V, max_positions=16, hidden=16, tied_head=tied, seed=4)
+            runs.append((train(model, seqs, plan, steps=4, lr=0.1, seed=3), model.params))
+        (losses, params), (losses_ref, params_ref) = runs
+        assert losses == losses_ref
+        for name, ref in params_ref.items():
+            assert params[name].tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_no_step_after_the_first_allocates_a_megabyte(self, tied, monkeypatch):
+        # V = 50,000 and d = 64: tok_emb, head.w, their gradients and their
+        # velocities are 12.8 MB each. Every step repeats the first one's
+        # batches, so the head output buffer has its size from the first step.
+        # The traced peak of each later step, from the end of the step before
+        # it, stays under 1 MB: no array of a table's size is made or freed,
+        # and the small batches keep the activations well under that.
+        marks = []
+
+        class Marked(MomentumSGD):
+            def step(self, params, grads, step_index):
+                super().step(params, grads, step_index)
+                marks.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+
+        monkeypatch.setattr(training, "MomentumSGD", Marked)
+        V = 50_000
+        model = tiny_model(vocab_size=V, hidden=64, n_heads=4, max_positions=32, tied_head=tied)
+        rng = np.random.default_rng(13)
+        seqs = [list(rng.integers(6, V, size=16)) for _ in range(4)]
+        plan = plan_batches(2 * 2 * 16, 2, 16)
+        tracemalloc.start()
+        try:
+            train_mlm(model, seqs, plan, steps=4, lr=0.1, seed=2, remask_each_step=False)
+        finally:
+            tracemalloc.stop()
+        grown = [peak - held for (held, _), (_, peak) in zip(marks, marks[1:])]
+        assert len(grown) == 3 and max(grown) < 1_000_000, grown
+
     def test_head_output_is_one_buffer_grown_to_the_most_labels(self, monkeypatch):
         # the [N, V] logits of every micro-batch go into one buffer, made
         # anew only for a micro-batch with more labels than any before it
@@ -613,6 +727,24 @@ class TestTrainMlm:
                 assert (params["tok_emb"][2] != before).all()
                 assert params["tok_emb"].tobytes() == dense["tok_emb"].tobytes()
             assert (params["tok_emb"][[0, 1, 3, 5]] == 1.0).all()
+
+    def test_row_velocity_takes_memory_for_the_live_rows_only(self):
+        # 51 live rows 997 apart in a (50,000, 64) float32 table: a velocity
+        # over the whole table would take 12.8 MB
+        params = {"tok_emb": np.zeros((50_000, 64), np.float32)}
+        rows = np.arange(51) * 997
+        g = RowGrad(rows, np.ones((51, 64), np.float32))
+        opt = MomentumSGD(0.1)
+        tracemalloc.start()
+        try:
+            for step in range(3):
+                opt.step(params, {"tok_emb": g}, step)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 51 * 64 * 4 + 1_000_000
+        assert opt.velocity["tok_emb"].rows.tolist() == rows.tolist()
+        assert (params["tok_emb"][rows] != 0).all() and np.count_nonzero(params["tok_emb"]) == 51 * 64
 
     def test_warmup_schedule(self):
         opt = MomentumSGD(1.0, warmup_steps=10)
